@@ -66,12 +66,8 @@ def _threads_cap() -> Optional[int]:
     return n
 
 
-def _load(path: str) -> tuple[str, IotaComplex]:
-    return serialize.load(path)
-
-
 def _verified(path: str, full: bool = True) -> tuple[str, IotaComplex]:
-    name, ic = _load(path)
+    name, ic = serialize.load(path)
     report = verify_iota_complex(ic, check_involution=full)
     if not report.passed:
         k = report.first_failure
@@ -83,7 +79,7 @@ def _verified(path: str, full: bool = True) -> tuple[str, IotaComplex]:
 
 
 def cmd_check(args) -> int:
-    name, ic = _load(args.file)
+    name, ic = serialize.load(args.file)
     report = verify_iota_complex(ic)
     for k in range(1, 7):
         status = "pass" if report.conditions[k] else "FAIL"
@@ -97,12 +93,15 @@ def cmd_check(args) -> int:
     return EXIT_VERIFY
 
 
+def _torus(p: int, q: int, mirrored: bool) -> tuple[str, IotaComplex]:
+    ic = torus_knot(p, q)
+    if mirrored:
+        return f"T({p},{q})^-1", mirror(ic)
+    return f"T({p},{q})", ic
+
+
 def cmd_torus(args) -> int:
-    ic = torus_knot(args.p, args.q)
-    name = f"T({args.p},{args.q})"
-    if args.mirror:
-        ic = mirror(ic)
-        name += "^-1"
+    name, ic = _torus(args.p, args.q, args.mirror)
     serialize.save(args.output, name, ic)
     return EXIT_OK
 
@@ -128,13 +127,7 @@ def _invariants_input(args) -> tuple[str, IotaComplex]:
         print("give either a file or --torus, not both", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     if args.torus is not None:
-        p, q = args.torus
-        ic = torus_knot(p, q)
-        name = f"T({p},{q})"
-        if args.mirror:
-            ic = mirror(ic)
-            name += "^-1"
-        return name, ic
+        return _torus(*args.torus, args.mirror)
     if args.file is None:
         print("need a complex file or --torus P Q", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)

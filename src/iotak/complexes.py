@@ -8,7 +8,9 @@ swap is applied to scalars during composition and grading checks.
 
 Everything here is exact. Homogeneity forces each matrix entry of a
 graded map to a single monomial, which is what makes chain-homotopy
-existence a finite F2 linear problem (see homotopy_solve).
+existence a finite F2 linear problem (see homotopy_solve). Complexes
+are filtered: verify_complex checks that the differential stays in
+F2[U, V].
 """
 
 from __future__ import annotations
@@ -49,15 +51,14 @@ def _normalize(entries: Entries) -> Entries:
 class FreeComplex:
     """A free chain complex over the Laurent ring, with chosen basis.
 
-    The filtered flag records whether the differential is required to
-    stay in F2[U, V] (nonnegative exponents). Instances are treated as
+    The differential is required to stay in F2[U, V] (nonnegative
+    exponents); verify_complex checks it. Instances are treated as
     immutable after construction.
     """
 
-    def __init__(self, basis, diff: Entries, filtered: bool = True):
+    def __init__(self, basis, diff: Entries):
         self.basis: Tuple[BasisElement, ...] = tuple(basis)
         self.diff: Entries = _normalize(diff)
-        self.filtered = filtered
         names = [b.name for b in self.basis]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
@@ -65,9 +66,6 @@ class FreeComplex:
         if any(not (0 <= i < n and 0 <= j < n) for i, row in self.diff.items() for j in row):
             raise ValueError("differential entry index out of range")
         self.index: Dict[str, int] = {n: k for k, n in enumerate(names)}
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.diff.get(i, {}).get(j, ZERO)
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -77,11 +75,10 @@ class FreeComplex:
             isinstance(other, FreeComplex)
             and self.basis == other.basis
             and self.diff == other.diff
-            and self.filtered == other.filtered
         )
 
     def __repr__(self) -> str:
-        return f"FreeComplex({len(self.basis)} generators, filtered={self.filtered})"
+        return f"FreeComplex({len(self.basis)} generators)"
 
 
 class Morphism:
@@ -101,9 +98,6 @@ class Morphism:
         self.entries = _normalize(entries)
         self.variance = variance
         self.bidegree = (int(bidegree[0]), int(bidegree[1]))
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries.get(i, {}).get(j, ZERO)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -208,15 +202,15 @@ def morphism_is_homogeneous(f: Morphism) -> bool:
     return True
 
 
-def is_chain_map(f: Morphism) -> bool:
-    """Exact check of d_target o f = f o d_source."""
-    d_src = Morphism(f.source, f.source, f.source.diff, EQUIVARIANT, (-1, -1))
-    d_tgt = Morphism(f.target, f.target, f.target.diff, EQUIVARIANT, (-1, -1))
-    return compose(d_tgt, f).entries == compose(f, d_src).entries
-
-
 def differential_morphism(c: FreeComplex) -> Morphism:
     return Morphism(c, c, c.diff, EQUIVARIANT, (-1, -1))
+
+
+def is_chain_map(f: Morphism) -> bool:
+    """Exact check of d_target o f = f o d_source."""
+    d_src = differential_morphism(f.source)
+    d_tgt = differential_morphism(f.target)
+    return compose(d_tgt, f).entries == compose(f, d_src).entries
 
 
 @dataclass
@@ -261,13 +255,12 @@ def verify_complex(c: FreeComplex) -> ComplexReport:
                 offenders.append(f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}")
 
     filtered_ok = True
-    if c.filtered:
-        for i, row in c.diff.items():
-            for j, p in row.items():
-                if not p.is_filtered():
-                    filtered_ok = False
-                    offenders.append(
-                        f"entry {c.basis[i].name} -> {c.basis[j].name}: negative exponent in filtered complex")
+    for i, row in c.diff.items():
+        for j, p in row.items():
+            if not p.is_filtered():
+                filtered_ok = False
+                offenders.append(
+                    f"entry {c.basis[i].name} -> {c.basis[j].name}: negative exponent in filtered complex")
     return ComplexReport(homogeneous, d_squared_zero, filtered_ok, tuple(offenders))
 
 
@@ -297,7 +290,7 @@ def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
                 acc[tgt] = acc.get(tgt, ZERO) + q
             if acc:
                 diff[src] = acc
-    return FreeComplex(basis, diff, filtered=c1.filtered and c2.filtered)
+    return FreeComplex(basis, diff)
 
 
 def tensor_morphism(f: Morphism, g: Morphism, source: FreeComplex, target: FreeComplex) -> Morphism:
@@ -334,7 +327,7 @@ def dual(c: FreeComplex) -> FreeComplex:
     for i, row in c.diff.items():
         for j, p in row.items():
             diff.setdefault(j, {})[i] = p
-    return FreeComplex(basis, diff, filtered=c.filtered)
+    return FreeComplex(basis, diff)
 
 
 def dual_morphism(f: Morphism, dual_target_of_f_source: FreeComplex,
@@ -357,7 +350,7 @@ def skew(c: FreeComplex) -> FreeComplex:
     diff: Entries = {
         i: {j: p.swap_uv() for j, p in row.items()} for i, row in c.diff.items()
     }
-    return FreeComplex(basis, diff, filtered=c.filtered)
+    return FreeComplex(basis, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -459,22 +452,68 @@ def homology_class_map(f: Morphism) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the chain-homotopy solver
+# Hom-space equations and the chain-homotopy solver
 
-def homotopy_solve(f: Morphism, g: Morphism, variance: str, filtered: bool) -> Optional[Morphism]:
-    """Find H with dH + Hd = f + g, or report infeasibility.
+class _HomEquations:
+    """The F2 system of filtered homogeneous maps src -> tgt.
 
-    Candidate entries of H are grading-forced single monomials, so the
-    unknowns are one F2 bit per admissible basis pair; when filtered is
-    requested, pairs whose forced monomial has a negative exponent are
-    dropped. Returns None exactly when the F2 system is infeasible.
+    Each basis pair whose grading-forced monomial has nonnegative
+    exponents is one unknown bit; each entry of dH + Hd is one equation,
+    a bitmask over the unknowns keyed by (source, target) index.
+    """
+
+    def __init__(self, src: FreeComplex, tgt: FreeComplex, variance: str,
+                 bidegree: Tuple[int, int]):
+        self.src, self.tgt = src, tgt
+        self.variance, self.bidegree = variance, bidegree
+        self.unknowns: List[Tuple[int, int, Monomial]] = []
+        by_source: Dict[int, List[Tuple[int, int]]] = {}
+        for i, x in enumerate(src.basis):
+            for j, y in enumerate(tgt.basis):
+                m = forced_monomial(x, y, variance, bidegree)
+                if m is None or m[0] < 0 or m[1] < 0:
+                    continue
+                by_source.setdefault(i, []).append((j, len(self.unknowns)))
+                self.unknowns.append((i, j, m))
+
+        equations: Dict[Tuple[int, int], int] = {}
+        # d_target o H
+        for var, (i, j, _) in enumerate(self.unknowns):
+            for k, p in tgt.diff.get(j, {}).items():
+                if not p.is_monomial():
+                    raise ValueError("target differential is not homogeneous")
+                equations[(i, k)] = equations.get((i, k), 0) ^ (1 << var)
+        # H o d_source
+        for i, row in src.diff.items():
+            for j, p in row.items():
+                if not p.is_monomial():
+                    raise ValueError("source differential is not homogeneous")
+                for k, var in by_source.get(j, ()):
+                    equations[(i, k)] = equations.get((i, k), 0) ^ (1 << var)
+        self.equations = equations
+
+    def morphism(self, bits: int) -> Morphism:
+        """The map whose entries are the unknowns set in bits."""
+        entries: Entries = {}
+        for var, (i, j, m) in enumerate(self.unknowns):
+            if (bits >> var) & 1:
+                entries.setdefault(i, {})[j] = monomial(*m)
+        return Morphism(self.src, self.tgt, entries, self.variance, self.bidegree)
+
+
+def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
+    """Find a filtered H with dH + Hd = f + g, or report infeasibility.
+
+    H has the variance of f and g and bidegree one above theirs. Its
+    candidate entries are grading-forced single monomials, so the
+    unknowns are one F2 bit per basis pair whose forced monomial has
+    nonnegative exponents. Returns None exactly when the F2 system is
+    infeasible.
     """
     if f.source != g.source or f.target != g.target:
         raise ValueError("homotopy_solve needs maps with equal endpoints")
     if f.bidegree != g.bidegree or f.variance != g.variance:
         raise ValueError("homotopy_solve needs maps of equal bidegree and variance")
-    if f.variance != variance:
-        raise ValueError("requested homotopy variance must match the maps")
     if not (is_chain_map(f) and is_chain_map(g)):
         raise ValueError("homotopy_solve requires chain maps")
     src, tgt = f.source, f.target
@@ -483,40 +522,9 @@ def homotopy_solve(f: Morphism, g: Morphism, variance: str, filtered: bool) -> O
 
     target_entries = (f + g).entries
     if not target_entries:
-        return zero_morphism(src, tgt, variance, hdeg)
+        return zero_morphism(src, tgt, f.variance, hdeg)
 
-    unknowns: Dict[Tuple[int, int], int] = {}
-    monos: List[Monomial] = []
-    by_source: Dict[int, List[Tuple[int, int]]] = {}
-    for i, x in enumerate(src.basis):
-        for j, y in enumerate(tgt.basis):
-            m = forced_monomial(x, y, variance, hdeg)
-            if m is None:
-                continue
-            if filtered and (m[0] < 0 or m[1] < 0):
-                continue
-            var = len(monos)
-            unknowns[(i, j)] = var
-            monos.append(m)
-            by_source.setdefault(i, []).append((j, var))
-
-    equations: Dict[Tuple[int, int], int] = {}
-    # d_target o H
-    for (i, j), var in unknowns.items():
-        for k, p in tgt.diff.get(j, {}).items():
-            if not p.is_monomial():
-                raise ValueError("target differential is not homogeneous")
-            key = (i, k)
-            equations[key] = equations.get(key, 0) ^ (1 << var)
-    # H o d_source
-    for i, row in src.diff.items():
-        for j, p in row.items():
-            if not p.is_monomial():
-                raise ValueError("source differential is not homogeneous")
-            for k, var in by_source.get(j, ()):
-                key = (i, k)
-                equations[key] = equations.get(key, 0) ^ (1 << var)
-
+    space = _HomEquations(src, tgt, f.variance, hdeg)
     rhs_keys = set()
     for i, row in target_entries.items():
         for j, p in row.items():
@@ -524,18 +532,13 @@ def homotopy_solve(f: Morphism, g: Morphism, variance: str, filtered: bool) -> O
                 raise ValueError("f + g is not homogeneous")
             rhs_keys.add((i, j))
 
-    keys = sorted(set(equations) | rhs_keys)
-    rows = [equations.get(k, 0) for k in keys]
+    keys = sorted(set(space.equations) | rhs_keys)
+    rows = [space.equations.get(k, 0) for k in keys]
     rhs = [1 if k in rhs_keys else 0 for k in keys]
-    sol = gf2.solve(rows, rhs, len(monos))
+    sol = gf2.solve(rows, rhs, len(space.unknowns))
     if sol is None:
         return None
-
-    entries: Entries = {}
-    for (i, j), var in unknowns.items():
-        if (sol >> var) & 1:
-            entries.setdefault(i, {})[j] = monomial(*monos[var])
-    h = Morphism(src, tgt, entries, variance, hdeg)
+    h = space.morphism(sol)
 
     d_src = differential_morphism(src)
     d_tgt = differential_morphism(tgt)

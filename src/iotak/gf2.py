@@ -8,7 +8,7 @@ pivots in decreasing order.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class RowBasis:
@@ -50,11 +50,22 @@ def rank(rows: Iterable[int]) -> int:
     return RowBasis(rows).rank
 
 
+def _back_substitute(pivots: List[Tuple[int, int]], sol: int) -> int:
+    """Set pivot bits of sol, walking (column, row) pairs highest column
+    first, until every row has even parity against sol."""
+    for col, row in pivots:
+        if (row & sol).bit_count() & 1:
+            sol |= 1 << col
+    return sol
+
+
 def solve(rows: List[int], rhs: List[int], nvars: int) -> Optional[int]:
     """One solution of the affine system rows[k] . x = rhs[k], or None.
 
     The right-hand side rides along as an extra bit above all variable
-    bits; a row reducing to that bit alone means 0 = 1.
+    bits; a row reducing to that bit alone means 0 = 1. Back
+    substitution from that bit gives the solution with all free
+    variables zero.
     """
     aug = 1 << nvars
     basis = RowBasis()
@@ -64,30 +75,15 @@ def solve(rows: List[int], rhs: List[int], nvars: int) -> Optional[int]:
             return None
         if vec:
             basis.pivots[(vec & -vec).bit_length() - 1] = vec
-    sol = 0
-    for col in sorted(basis.pivots, reverse=True):
-        row = basis.pivots[col]
-        val = (row >> nvars) & 1
-        val ^= (row & sol).bit_count() & 1
-        if val:
-            sol |= 1 << col
-    return sol
+    return _back_substitute(sorted(basis.pivots.items(), reverse=True), aug) ^ aug
 
 
 def nullspace(rows: Iterable[int], nvars: int) -> List[int]:
     """Basis of the solution space of the homogeneous system."""
     basis = RowBasis(rows)
-    pivot_cols = basis.pivots.keys()
-    out = []
-    for free in range(nvars):
-        if free in pivot_cols:
-            continue
-        sol = 1 << free
-        for col in sorted(basis.pivots, reverse=True):
-            if (basis.pivots[col] & sol).bit_count() & 1:
-                sol |= 1 << col
-        out.append(sol)
-    return out
+    pivots = sorted(basis.pivots.items(), reverse=True)
+    return [_back_substitute(pivots, 1 << free) for free in range(nvars)
+            if free not in basis.pivots]
 
 
 def apply_rows(rows: List[int], vec: int) -> int:

@@ -24,6 +24,17 @@ class InvariantError(ValueError):
     """Structural assumption violated (odd d, missing free summand, ...)."""
 
 
+def _xor_power(row: Dict[int, int], j: int, k: int) -> None:
+    """Add W^k to entry j of a tower row over F2: equal powers cancel,
+    different powers would make the entry inhomogeneous."""
+    if j not in row:
+        row[j] = k
+    elif row[j] == k:
+        del row[j]
+    else:
+        raise InvariantError("inhomogeneous collision in a tower entry")
+
+
 class UTowerComplex:
     """A graded free F2[W]-complex, optionally with an endomorphism.
 
@@ -100,12 +111,7 @@ def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
                     k = i0 + p - ti
                     if k != j0 + q - tj or k < 0:
                         raise InvariantError("entry does not restrict to the tower subcomplex")
-                    if j in acc:
-                        if acc[j] != k:
-                            raise InvariantError("inhomogeneous entry in tower restriction")
-                        del acc[j]
-                    else:
-                        acc[j] = k
+                    _xor_power(acc, j, k)
             if acc:
                 out[i] = acc
         return out
@@ -202,13 +208,7 @@ def involutive_cone(t: UTowerComplex) -> UTowerComplex:
             acc[j] = k
         one_plus_iota: Dict[int, int] = {i + n: 0}
         for j, k in t.endo.get(i, {}).items():
-            key = j + n
-            if key in one_plus_iota and one_plus_iota[key] == k:
-                del one_plus_iota[key]
-            elif key in one_plus_iota:
-                raise InvariantError("endomorphism entry collides inhomogeneously")
-            else:
-                one_plus_iota[key] = k
+            _xor_power(one_plus_iota, j + n, k)
         acc.update(one_plus_iota)
         if acc:
             diff[i] = acc
@@ -353,7 +353,7 @@ def _spans_nontorsion(slices: _TowerSlices, r: int, vectors: List[int], n_power:
     return any(low.add(gf2.apply_rows(power, v)) for v in vectors)
 
 
-def lemma_criteria_oracle(t: UTowerComplex, m_cap: Optional[int] = None) -> Tuple[int, int]:
+def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
     """(d_bar, d_under) by the maximum-grading criteria, independently of
     the cone construction.
 
@@ -361,8 +361,8 @@ def lemma_criteria_oracle(t: UTowerComplex, m_cap: Optional[int] = None) -> Tupl
     (1 + iota)v is a boundary. d_bar: the top value over (a) gr(x) + 1
     for solutions of dy = (1+iota)x, dz = W^m x with x != 0 and
     W^m y + (1+iota)z nontorsion, and (b) gr(y) for cycle pairs y != 0, z
-    with W^m y + (1+iota)z nontorsion. Raises when raising m_cap by one
-    changes the answer.
+    with W^m y + (1+iota)z nontorsion, for m up to the grading span
+    n_power. Raises when allowing m = n_power + 1 changes the answer.
     """
     if t.endo is None:
         raise InvariantError("oracle needs the endomorphism")
@@ -371,8 +371,6 @@ def lemma_criteria_oracle(t: UTowerComplex, m_cap: Optional[int] = None) -> Tupl
     gradings = [g for _, g in t.basis]
     max_gr, min_gr = max(gradings), min(gradings)
     n_power = (max_gr - min_gr) // 2 + 1
-    if m_cap is None:
-        m_cap = n_power
     slices = _TowerSlices(t)
 
     # a witness W^N v for a free class v can sit as far as 2 n_power
@@ -441,9 +439,9 @@ def lemma_criteria_oracle(t: UTowerComplex, m_cap: Optional[int] = None) -> Tupl
     for c in range(max_gr + 1, min_gr - 1, -1):
         hit_small = False
         hit_extended = False
-        for m in range(0, m_cap + 2):
+        for m in range(0, n_power + 2):
             if case_triples(c - 1, m) or case_pairs(c, m):
-                if m <= m_cap:
+                if m <= n_power:
                     hit_small = True
                 else:
                     hit_extended = True
@@ -453,7 +451,7 @@ def lemma_criteria_oracle(t: UTowerComplex, m_cap: Optional[int] = None) -> Tupl
             break
         if hit_extended:
             raise InvariantError(
-                f"m_cap={m_cap} too small: raising it changes d_bar")
+                f"m bound {n_power} too small: raising it changes d_bar")
     if d_bar is None:
         raise InvariantError("no d_bar witness in the grading range")
     return (d_bar, d_under)

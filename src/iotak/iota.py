@@ -20,10 +20,10 @@ from .complexes import (
     Entries,
     FreeComplex,
     Morphism,
+    _HomEquations,
     compose,
     dual,
     dual_morphism,
-    forced_monomial,
     homology_class_map,
     homology_is_r,
     homotopy_solve,
@@ -35,7 +35,7 @@ from .complexes import (
     verify_complex,
     zero_morphism,
 )
-from .ring import ONE, LaurentPoly, monomial
+from .ring import ONE, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -59,26 +59,27 @@ def _underlying(c: Union[IotaComplex, FreeComplex]) -> FreeComplex:
 def identity_complex() -> IotaComplex:
     """The unit: one generator in bigrading (0, 0), zero differential,
     iota fixing the generator."""
-    c = FreeComplex([BasisElement("e", 0, 0)], {}, filtered=True)
+    c = FreeComplex([BasisElement("e", 0, 0)], {})
     return IotaComplex(c, Morphism(c, c, {0: {0: ONE}}, SKEW, (0, 0)))
+
+
+def _derivative(c: Union[IotaComplex, FreeComplex], var: str,
+                bidegree: Tuple[int, int]) -> Morphism:
+    cx = _underlying(c)
+    entries: Entries = {
+        i: {j: p.derivative(var) for j, p in row.items()} for i, row in cx.diff.items()
+    }
+    return Morphism(cx, cx, entries, EQUIVARIANT, bidegree)
 
 
 def build_phi(c: Union[IotaComplex, FreeComplex]) -> Morphism:
     """Entrywise d/dU of the differential matrix; equivariant, bidegree (1, -1)."""
-    cx = _underlying(c)
-    entries: Entries = {
-        i: {j: p.derivative("U") for j, p in row.items()} for i, row in cx.diff.items()
-    }
-    return Morphism(cx, cx, entries, EQUIVARIANT, (1, -1))
+    return _derivative(c, "U", (1, -1))
 
 
 def build_psi(c: Union[IotaComplex, FreeComplex]) -> Morphism:
     """Entrywise d/dV of the differential matrix; equivariant, bidegree (-1, 1)."""
-    cx = _underlying(c)
-    entries: Entries = {
-        i: {j: p.derivative("V") for j, p in row.items()} for i, row in cx.diff.items()
-    }
-    return Morphism(cx, cx, entries, EQUIVARIANT, (-1, 1))
+    return _derivative(c, "V", (-1, 1))
 
 
 def phi_squared_homotopy(c: Union[IotaComplex, FreeComplex]) -> Morphism:
@@ -174,7 +175,7 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
     if check_involution and base.passed and homology_r_ok and iota_ok:
         lhs = compose(ic.iota, ic.iota)
         rhs = identity_morphism(cx) + compose(build_phi(cx), build_psi(cx))
-        witness = homotopy_solve(lhs, rhs, EQUIVARIANT, filtered=True)
+        witness = homotopy_solve(lhs, rhs)
         involution_ok = witness is not None
         if not involution_ok:
             offenders.append("no filtered equivariant homotopy from iota^2 to id + Phi Psi")
@@ -234,9 +235,9 @@ def dual_iota(ic: IotaComplex) -> IotaComplex:
 # trace / cotrace inverse witnesses
 
 @dataclass
-class InverseWitnessReport:
-    cotrace: Morphism
-    trace: Morphism
+class CheckReport:
+    """Named yes/no checks, in the order they were made."""
+
     checks: Tuple[Tuple[str, bool], ...]
 
     @property
@@ -249,6 +250,12 @@ class InverseWitnessReport:
             if not ok:
                 return name
         return None
+
+
+@dataclass
+class InverseWitnessReport(CheckReport):
+    cotrace: Morphism
+    trace: Morphism
 
 
 def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
@@ -280,34 +287,18 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
     checks.append(("trace o cotrace = id", compose(trace, cotrace) == identity_morphism(ce.complex)))
     checks.append(("cotrace nonzero on homology", homology_class_map(cotrace)))
     checks.append(("trace nonzero on homology", homology_class_map(trace)))
-    h_f = homotopy_solve(compose(cotrace, ce.iota), compose(iota_prod, cotrace), SKEW, filtered=True)
+    h_f = homotopy_solve(compose(cotrace, ce.iota), compose(iota_prod, cotrace))
     checks.append(("cotrace intertwines involutions", h_f is not None))
-    h_g = homotopy_solve(compose(trace, iota_prod), compose(ce.iota, trace), SKEW, filtered=True)
+    h_g = homotopy_solve(compose(trace, iota_prod), compose(ce.iota, trace))
     checks.append(("trace intertwines involutions", h_g is not None))
-    return InverseWitnessReport(cotrace, trace, tuple(checks))
+    return InverseWitnessReport(tuple(checks), cotrace, trace)
 
 
 # ---------------------------------------------------------------------------
 # local equivalence
 
-@dataclass
-class LocalEquivReport:
-    checks: Tuple[Tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    @property
-    def first_failure(self) -> Optional[str]:
-        for name, ok in self.checks:
-            if not ok:
-                return name
-        return None
-
-
 def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
-                             f: Morphism, g: Morphism) -> LocalEquivReport:
+                             f: Morphism, g: Morphism) -> CheckReport:
     """Check that (f, g) witnesses a local equivalence ic1 ~ ic2."""
     if f.source != ic1.complex or f.target != ic2.complex:
         raise ValueError("f must map ic1 to ic2")
@@ -323,15 +314,15 @@ def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
         checks.append((f"{name} filtered", m.is_filtered()))
         checks.append((f"{name} chain map", is_chain_map(m)))
     if not all(ok for _, ok in checks):
-        return LocalEquivReport(tuple(checks))
+        return CheckReport(tuple(checks))
 
     checks.append(("f isomorphism on homology", homology_class_map(f)))
     checks.append(("g isomorphism on homology", homology_class_map(g)))
-    h1 = homotopy_solve(compose(ic2.iota, f), compose(f, ic1.iota), SKEW, filtered=True)
+    h1 = homotopy_solve(compose(ic2.iota, f), compose(f, ic1.iota))
     checks.append(("iota2 f ~ f iota1", h1 is not None))
-    h2 = homotopy_solve(compose(ic1.iota, g), compose(g, ic2.iota), SKEW, filtered=True)
+    h2 = homotopy_solve(compose(ic1.iota, g), compose(g, ic2.iota))
     checks.append(("iota1 g ~ g iota2", h2 is not None))
-    return LocalEquivReport(tuple(checks))
+    return CheckReport(tuple(checks))
 
 
 class CapExceededError(Exception):
@@ -341,58 +332,16 @@ class CapExceededError(Exception):
         self.cap = cap
 
 
-def _chain_map_space(src: FreeComplex, tgt: FreeComplex):
-    """Unknowns and F2 equations for filtered grading-preserving
-    equivariant chain maps src -> tgt."""
-    unknowns: List[Tuple[int, int]] = []
-    monos = []
-    by_source: Dict[int, List[Tuple[int, int]]] = {}
-    for i, x in enumerate(src.basis):
-        for j, y in enumerate(tgt.basis):
-            m = forced_monomial(x, y, EQUIVARIANT, (0, 0))
-            if m is None or m[0] < 0 or m[1] < 0:
-                continue
-            var = len(unknowns)
-            unknowns.append((i, j))
-            monos.append(m)
-            by_source.setdefault(i, []).append((j, var))
-    equations: Dict[Tuple[int, int], int] = {}
-    for var, (i, j) in enumerate(unknowns):
-        for k in tgt.diff.get(j, {}):
-            key = (i, k)
-            equations[key] = equations.get(key, 0) ^ (1 << var)
-    for i, row in src.diff.items():
-        for j in row:
-            for k, var in by_source.get(j, ()):
-                key = (i, k)
-                equations[key] = equations.get(key, 0) ^ (1 << var)
-    return unknowns, monos, [equations[k] for k in sorted(equations)]
-
-
 def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Optional[Morphism]:
-    src, tgt = src_ic.complex, tgt_ic.complex
-    unknowns, monos, rows = _chain_map_space(src, tgt)
-    basis = gf2.nullspace(rows, len(unknowns))
+    space = _HomEquations(src_ic.complex, tgt_ic.complex, EQUIVARIANT, (0, 0))
+    basis = gf2.nullspace(space.equations.values(), len(space.unknowns))
     if len(basis) > cap:
         raise CapExceededError(len(basis), cap)
     for combo in range(1, 1 << len(basis)):
-        vec = 0
-        k = combo
-        idx = 0
-        while k:
-            if k & 1:
-                vec ^= basis[idx]
-            k >>= 1
-            idx += 1
-        entries: Entries = {}
-        for var, (i, j) in enumerate(unknowns):
-            if (vec >> var) & 1:
-                entries.setdefault(i, {})[j] = monomial(*monos[var])
-        cand = Morphism(src, tgt, entries, EQUIVARIANT, (0, 0))
+        cand = space.morphism(gf2.apply_rows(basis, combo))
         if not homology_class_map(cand):
             continue
-        if homotopy_solve(compose(tgt_ic.iota, cand), compose(cand, src_ic.iota),
-                          SKEW, filtered=True) is not None:
+        if homotopy_solve(compose(tgt_ic.iota, cand), compose(cand, src_ic.iota)) is not None:
             return cand
     return None
 

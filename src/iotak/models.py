@@ -73,7 +73,7 @@ def staircase_complex(s: Staircase) -> IotaComplex:
         }
         for m in range(1, k + 1)
     }
-    cx = FreeComplex(basis, diff, filtered=True)
+    cx = FreeComplex(basis, diff)
     reflection = Morphism(cx, cx, {n: {2 * k - n: ONE} for n in range(2 * k + 1)},
                           SKEW, (0, 0))
     return IotaComplex(cx, reflection)

@@ -70,11 +70,6 @@ class LaurentPoly:
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def sole_term(self) -> Monomial:
-        if len(self.terms) != 1:
-            raise ValueError(f"expected a single monomial, got {self!r}")
-        return self.terms[0]
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

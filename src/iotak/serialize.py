@@ -4,7 +4,8 @@ A complex file carries a name, the generator list with both gradings,
 and the differential and involution as sparse entry lists; monomials are
 [i, j] exponent pairs with U first. Emission is canonical (entries
 sorted by source then target, monomials in ring order), so emit, parse,
-emit round-trips byte-identically.
+emit round-trips byte-identically. Parsing is strict: a malformed
+document raises ParseError and is never coerced.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
-from .complexes import SKEW, BasisElement, Entries, FreeComplex, Morphism
+from .complexes import SKEW, BasisElement, Entries, FreeComplex, Morphism, differential_morphism
 from .iota import IotaComplex
 from .ring import LaurentPoly
 
@@ -21,17 +22,16 @@ class ParseError(ValueError):
     pass
 
 
-def _entries_to_list(entries: Entries, basis) -> List[Dict]:
+def morphism_to_list(m: Morphism) -> List[Dict]:
+    """Entries of m sorted by source then target, named by generator."""
     out = []
-    for i in sorted(entries):
-        for j in sorted(entries[i]):
-            poly = entries[i][j]
-            if poly:
-                out.append({
-                    "from": basis[i].name,
-                    "to": basis[j].name,
-                    "mono": [[a, b] for (a, b) in poly.terms],
-                })
+    for i in sorted(m.entries):
+        for j in sorted(m.entries[i]):
+            out.append({
+                "from": m.source.basis[i].name,
+                "to": m.target.basis[j].name,
+                "mono": [[a, b] for (a, b) in m.entries[i][j].terms],
+            })
     return out
 
 
@@ -42,8 +42,8 @@ def iota_complex_to_dict(name: str, ic: IotaComplex) -> Dict:
         "generators": [
             {"name": x.name, "gr_u": x.gr_u, "gr_v": x.gr_v} for x in cx.basis
         ],
-        "differential": _entries_to_list(cx.diff, cx.basis),
-        "iota": _entries_to_list(ic.iota.entries, cx.basis),
+        "differential": morphism_to_list(differential_morphism(cx)),
+        "iota": morphism_to_list(ic.iota),
     }
 
 
@@ -51,7 +51,17 @@ def dumps(doc: Dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _parse_entries(items, index, what: str) -> Entries:
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list_field(doc: Dict, key: str) -> List:
+    if not isinstance(doc[key], list):
+        raise ParseError(f"field {key!r} must be a list")
+    return doc[key]
+
+
+def _parse_entries(items: List, index, what: str) -> Entries:
     entries: Entries = {}
     for item in items:
         try:
@@ -61,11 +71,14 @@ def _parse_entries(items, index, what: str) -> Entries:
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad {what} entry: {item!r}") from exc
         if not isinstance(mono, list) or not all(
-            isinstance(m, list) and len(m) == 2 and all(isinstance(e, int) for e in m)
+            isinstance(m, list) and len(m) == 2 and all(_is_int(e) for e in m)
             for m in mono
         ):
             raise ParseError(f"bad monomial list in {what} entry {item['from']} -> {item['to']}")
-        poly = LaurentPoly((a, b) for a, b in mono)
+        terms = [tuple(m) for m in mono]
+        if len(set(terms)) != len(terms):
+            raise ParseError(f"repeated monomial in {what} entry {item['from']} -> {item['to']}")
+        poly = LaurentPoly(terms)
         if tgt in entries.get(src, {}):
             raise ParseError(f"duplicate {what} entry {item['from']} -> {item['to']}")
         entries.setdefault(src, {})[tgt] = poly
@@ -77,26 +90,31 @@ def iota_complex_from_dict(doc: Dict) -> tuple[str, IotaComplex]:
         raise ParseError("complex file must be a JSON object")
     try:
         name = doc["name"]
-        gens = doc["generators"]
-        diff_items = doc["differential"]
-        iota_items = doc["iota"]
-    except (KeyError, TypeError) as exc:
+        gens = _list_field(doc, "generators")
+        diff_items = _list_field(doc, "differential")
+        iota_items = _list_field(doc, "iota")
+    except KeyError as exc:
         raise ParseError(f"missing field: {exc}") from exc
+    if not isinstance(name, str):
+        raise ParseError(f"name must be a string, got {name!r}")
     basis = []
     for g in gens:
         try:
-            basis.append(BasisElement(g["name"], int(g["gr_u"]), int(g["gr_v"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            gen_name, gr_u, gr_v = g["name"], g["gr_u"], g["gr_v"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad generator: {g!r}") from exc
+        if not (isinstance(gen_name, str) and _is_int(gr_u) and _is_int(gr_v)):
+            raise ParseError(f"bad generator: {g!r}")
+        basis.append(BasisElement(gen_name, gr_u, gr_v))
     names = [b.name for b in basis]
     if len(set(names)) != len(names):
         raise ParseError("duplicate generator names")
     index = {n: i for i, n in enumerate(names)}
     diff = _parse_entries(diff_items, index, "differential")
     iota_entries = _parse_entries(iota_items, index, "iota")
-    cx = FreeComplex(basis, diff, filtered=True)
+    cx = FreeComplex(basis, diff)
     iota = Morphism(cx, cx, iota_entries, SKEW, (0, 0))
-    return str(name), IotaComplex(cx, iota)
+    return name, IotaComplex(cx, iota)
 
 
 def save(path: str, name: str, ic: IotaComplex) -> None:
@@ -114,16 +132,3 @@ def load(path: str) -> tuple[str, IotaComplex]:
         raise ParseError(f"{path}: {exc}") from exc
     return iota_complex_from_dict(doc)
 
-
-def morphism_to_list(m: Morphism) -> List[Dict]:
-    out = []
-    for i in sorted(m.entries):
-        for j in sorted(m.entries[i]):
-            poly = m.entries[i][j]
-            if poly:
-                out.append({
-                    "from": m.source.basis[i].name,
-                    "to": m.target.basis[j].name,
-                    "mono": [[a, b] for (a, b) in poly.terms],
-                })
-    return out

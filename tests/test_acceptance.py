@@ -184,13 +184,13 @@ def test_criterion_7_homotopy_suite(staircases):
     for a, b in [((2, 3), (2, 3)), ((3, 4), (4, 5)), ((6, 7), (6, 7))]:
         p = product(staircases[a], staircases[b], verify=False)
         i2 = compose(p.iota, p.iota)
-        if homotopy_solve(compose(i2, i2), identity_morphism(p.complex), EQUIVARIANT, True) is None:
+        if homotopy_solve(compose(i2, i2), identity_morphism(p.complex)) is None:
             ok = False
     for ic in staircases.values():
         c = ic.complex
         fwd = compose(build_phi(c), build_psi(c))
         bwd = compose(build_psi(c), build_phi(c))
-        if homotopy_solve(fwd, bwd, EQUIVARIANT, True) is None:
+        if homotopy_solve(fwd, bwd) is None:
             ok = False
     # x1/x2 equivalence through F = id|id + Psi_1|Phi_2
     for a, b in [((2, 3), (3, 4)), ((4, 5), (5, 6))]:
@@ -202,14 +202,14 @@ def test_criterion_7_homotopy_suite(staircases):
         f12 = Morphism(p1.complex, p2.complex, f.entries, EQUIVARIANT, (0, 0))
         lhs = compose(p2.iota, f12)
         rhs = compose(f12, p1.iota)
-        if homotopy_solve(lhs, rhs, SKEW, True) is None:
+        if homotopy_solve(lhs, rhs) is None:
             ok = False
     # associativity difference on one triple product
     tr, t34 = staircases[(2, 3)], staircases[(3, 4)]
     left = product(product(tr, tr, verify=False), t34, verify=False)
     right = product(tr, product(tr, t34, verify=False), verify=False)
     rebased = Morphism(left.complex, left.complex, right.iota.entries, SKEW, (0, 0))
-    if homotopy_solve(left.iota, rebased, SKEW, True) is None:
+    if homotopy_solve(left.iota, rebased) is None:
         ok = False
     # intertwining relations of the trace/cotrace witnesses
     wit_cases = list(staircases.values()) + [product(tr, tr, verify=False)]
@@ -219,8 +219,7 @@ def test_criterion_7_homotopy_suite(staircases):
             ok = False
     # infeasibility proof: Phi is not filtered-null-homotopic on the trefoil
     c = staircases[(2, 3)].complex
-    if homotopy_solve(build_phi(c), zero_morphism(c, c, EQUIVARIANT, (1, -1)),
-                      EQUIVARIANT, True) is not None:
+    if homotopy_solve(build_phi(c), zero_morphism(c, c, EQUIVARIANT, (1, -1))) is not None:
         ok = False
     _report("7 homotopy existence suite", ok, time.time() - start, 120)
 

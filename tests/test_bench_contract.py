@@ -1,0 +1,41 @@
+"""The names the benchmark's tracer wraps and counts exist in iotak.
+
+perfbench/tracing.py rebinds functions by module attribute, patches a
+few methods, and reads every Morphism.entries row with len(). A refactor
+of src/ that renames one of them breaks the traced benchmark run
+without failing any other test.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from iotak.complexes import identity_morphism
+from iotak.models import torus_knot
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracing = _tracing()
+    for qualname in tracing.SIZERS:
+        mod_name, func_name = qualname.split(".")
+        module = importlib.import_module(f"iotak.{mod_name}")
+        assert callable(getattr(module, func_name, None)), qualname
+    for qualname, (mod_name, cls_name, meth) in tracing.COUNTED_METHODS.items():
+        cls = getattr(importlib.import_module(f"iotak.{mod_name}"), cls_name)
+        assert callable(getattr(cls, meth, None)), qualname
+    assert callable(importlib.import_module("iotak.gf2").RowBasis.add)
+
+
+def test_morphism_entry_rows_are_dicts():
+    m = identity_morphism(torus_knot(2, 3).complex)
+    assert m.entries and all(isinstance(row, dict) for row in m.entries.values())
+    assert _tracing()._nnz(m) == 3

@@ -150,6 +150,70 @@ def test_local_equiv_outcomes(tmp_path, capsys):
     assert code == 3
 
 
+UNK_VS_T22M = (
+    '{"locally_equivalent": true, "F": ['
+    '{"from": "e", "to": "x0|x0^", "mono": [[0, 0]]}, '
+    '{"from": "e", "to": "x1|x1^", "mono": [[0, 0]]}, '
+    '{"from": "e", "to": "x2|x2^", "mono": [[0, 0]]}], "G": ['
+    '{"from": "x0|x0^", "to": "e", "mono": [[0, 0]]}, '
+    '{"from": "x1|x1^", "to": "e", "mono": [[0, 0]]}, '
+    '{"from": "x2|x2^", "to": "e", "mono": [[0, 0]]}]}\n'
+)
+T2_VS_T2 = (
+    '{"locally_equivalent": true, "F": ['
+    '{"from": "x0", "to": "x0", "mono": [[0, 0]]}, '
+    '{"from": "x1", "to": "x1", "mono": [[0, 0]]}, '
+    '{"from": "x2", "to": "x2", "mono": [[0, 0]]}], "G": ['
+    '{"from": "x0", "to": "x0", "mono": [[0, 0]]}, '
+    '{"from": "x1", "to": "x1", "mono": [[0, 0]]}, '
+    '{"from": "x2", "to": "x2", "mono": [[0, 0]]}]}\n'
+)
+
+
+def test_local_equiv_witnesses(tmp_path, capsys):
+    """The exact witness maps printed for unknot vs T(2,3) # T(2,3)^-1
+    and for T(2,3) vs itself."""
+    unk, t2, t2m, t22m = (str(tmp_path / f"{n}.json") for n in ("unk", "t2", "t2m", "t22m"))
+    run(capsys, "torus", "1", "1", "-o", unk)
+    run(capsys, "torus", "2", "3", "-o", t2)
+    run(capsys, "torus", "2", "3", "--mirror", "-o", t2m)
+    run(capsys, "sum", t2, t2m, "-o", t22m)
+    assert run(capsys, "local-equiv", unk, t22m)[:2] == (0, UNK_VS_T22M)
+    assert run(capsys, "local-equiv", t2, t2)[:2] == (0, T2_VS_T2)
+
+
+def _rename_x0(doc):
+    doc["generators"][0]["name"] = 7
+    for entry in doc["differential"] + doc["iota"]:
+        for key in ("from", "to"):
+            if entry[key] == "x0":
+                entry[key] = 7
+
+
+MALFORMED = {
+    "differential not a list": lambda doc: doc.update(differential=5),
+    "generators null": lambda doc: doc.update(generators=None),
+    "float grading": lambda doc: doc["generators"][0].update(gr_u=0.9),
+    "string grading": lambda doc: doc["generators"][0].update(gr_u="2"),
+    "bool grading": lambda doc: doc["generators"][0].update(gr_v=True),
+    "bool exponent": lambda doc: doc["differential"][0].update(mono=[[True, 0]]),
+    "list name": lambda doc: doc.update(name=["T", "2"]),
+    "int generator name": _rename_x0,
+    "repeated monomial": lambda doc: doc["differential"][0].update(mono=[[0, 0], [0, 0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_strict_parser_rejects(tmp_path, capsys, case):
+    doc = serialize.iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
+    MALFORMED[case](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "check", str(tmp_path / "missing.json"))[0] == 2
     bad = tmp_path / "bad.json"

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from conftest import staircase_strategy
 from iotak.complexes import (
     EQUIVARIANT,
-    SKEW,
     BasisElement,
     FreeComplex,
     Morphism,
@@ -166,7 +165,7 @@ def test_homology_class_map_rejects_non_chain_map(hand_trefoil):
 def test_homotopy_solve_equal_maps(hand_trefoil):
     c = hand_trefoil.complex
     f = identity_morphism(c)
-    h = homotopy_solve(f, f, EQUIVARIANT, filtered=True)
+    h = homotopy_solve(f, f)
     assert h is not None and h.is_zero()
     assert h.bidegree == (1, 1)
 
@@ -176,9 +175,7 @@ def test_homotopy_solve_rejects_mismatches(hand_trefoil):
     f = identity_morphism(c)
     g = zero_morphism(c, c, EQUIVARIANT, (2, 0))
     with pytest.raises(ValueError):
-        homotopy_solve(f, g, EQUIVARIANT, filtered=True)
-    with pytest.raises(ValueError):
-        homotopy_solve(f, f, SKEW, filtered=True)
+        homotopy_solve(f, g)
 
 
 def test_compose_variance_and_bidegree(hand_trefoil):
