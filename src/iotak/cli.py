@@ -166,8 +166,8 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_local_equiv(args) -> int:
-    name_a, ic_a = _verified(args.file_a)
-    name_b, ic_b = _verified(args.file_b)
+    ic_a = _verified(args.file_a)[1]
+    ic_b = ic_a if args.file_b == args.file_a else _verified(args.file_b)[1]
     try:
         found = search_local_equivalence(ic_a, ic_b, cap=args.cap)
     except CapExceededError as exc:

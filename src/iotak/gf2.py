@@ -2,13 +2,15 @@
 
 Vectors are Python ints (bit i = coordinate i), rows of a matrix are a
 list of such ints. Pivoting is on the lowest set bit, so a reduced row
-contains only columns >= its pivot column; back substitution walks
-pivots in decreasing order.
+contains only columns >= its pivot column. `solve` back-substitutes,
+walking pivots in decreasing order; `nullspace` brings the pivot rows
+to reduced echelon form once, highest pivot first, and reads every
+basis vector off the reduced rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 
 class RowBasis:
@@ -50,22 +52,13 @@ def rank(rows: Iterable[int]) -> int:
     return RowBasis(rows).rank
 
 
-def _back_substitute(pivots: List[Tuple[int, int]], sol: int) -> int:
-    """Set pivot bits of sol, walking (column, row) pairs highest column
-    first, until every row has even parity against sol."""
-    for col, row in pivots:
-        if (row & sol).bit_count() & 1:
-            sol |= 1 << col
-    return sol
-
-
 def solve(rows: List[int], rhs: List[int], nvars: int) -> Optional[int]:
     """One solution of the affine system rows[k] . x = rhs[k], or None.
 
     The right-hand side rides along as an extra bit above all variable
     bits; a row reducing to that bit alone means 0 = 1. Back
-    substitution from that bit gives the solution with all free
-    variables zero.
+    substitution from that bit, highest pivot first, gives the solution
+    with all free variables zero.
     """
     aug = 1 << nvars
     basis = RowBasis()
@@ -75,15 +68,39 @@ def solve(rows: List[int], rhs: List[int], nvars: int) -> Optional[int]:
             return None
         if vec:
             basis.pivots[(vec & -vec).bit_length() - 1] = vec
-    return _back_substitute(sorted(basis.pivots.items(), reverse=True), aug) ^ aug
+    sol = aug
+    for col, row in sorted(basis.pivots.items(), reverse=True):
+        if (row & sol).bit_count() & 1:
+            sol |= 1 << col
+    return sol ^ aug
 
 
 def nullspace(rows: Iterable[int], nvars: int) -> List[int]:
-    """Basis of the solution space of the homogeneous system."""
-    basis = RowBasis(rows)
-    pivots = sorted(basis.pivots.items(), reverse=True)
-    return [_back_substitute(pivots, 1 << free) for free in range(nvars)
-            if free not in basis.pivots]
+    """Basis of the solution space of the homogeneous system, one vector
+    per free column f in increasing order: e_f plus the pivot columns
+    whose reduced row has bit f (the only null vector that is e_f on
+    the free columns)."""
+    pivots = RowBasis(rows).pivots
+    pivmask = 0
+    for col in pivots:
+        pivmask |= 1 << col
+    freemask = ((1 << nvars) - 1) & ~pivmask
+    out = {f: 1 << f for f in range(nvars) if not pivmask >> f & 1}
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        above = (row & pivmask) ^ (1 << col)
+        while above:
+            low = above & -above
+            row ^= pivots[low.bit_length() - 1]
+            above ^= low
+        pivots[col] = row
+        bit = 1 << col
+        row &= freemask
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return list(out.values())
 
 
 def apply_rows(rows: List[int], vec: int) -> int:

@@ -10,6 +10,7 @@ d, d-bar, d-under and the V-invariants.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -141,15 +142,33 @@ def homology_snf(t: UTowerComplex) -> HomologyDecomp:
     W^0 pivots are plain F2 cancellations; a W^k pivot with k > 0 splits
     off a torsion tower F2[W]/W^k at the target's grading. Survivors are
     free summands. Minimality of the pivot keeps all quotients in the
-    ring, and ties break by basis order for determinism.
+    ring, and ties break by basis order for determinism: the pivot is
+    the least (k, source, target) over all entries.
+
+    The pivots come from a heap of keys (k, i, j) packed into one int,
+    one key per column, no larger than the column's least entry. A
+    filled-in entry (kw - k + kz, w, z) never undercuts the entry
+    (kw, w, y) it comes from, since kz >= k and kz == k forces z > y;
+    so only a popped key whose entry has gone is stale, and its column
+    pushes its new least. The first key that names a live entry is the
+    least of all, the same pivot a full scan would pick.
     """
     cols: TowerEntries = {i: dict(row) for i, row in t.diff.items()}
     rows: TowerEntries = {}
     for i, row in cols.items():
         for j, k in row.items():
             rows.setdefault(j, {})[i] = k
-    alive = set(range(len(t)))
+    n = len(t)
+    alive = bytearray(b"\x01") * n
     torsion: List[Tuple[int, int]] = []
+    b = n.bit_length()
+    mask = (1 << b) - 1
+
+    def least(i: int) -> int:
+        return min(((k << b | i) << b) | j for j, k in cols[i].items())
+
+    heap = [least(i) for i in cols]
+    heapq.heapify(heap)
 
     def drop(i: int, j: int) -> None:
         del cols[i][j]
@@ -163,8 +182,14 @@ def homology_snf(t: UTowerComplex) -> HomologyDecomp:
         cols.setdefault(i, {})[j] = k
         rows.setdefault(j, {})[i] = k
 
-    while cols:
-        k, x, y = min((k, i, j) for i, row in cols.items() for j, k in row.items())
+    while heap:
+        key = heapq.heappop(heap)
+        k, x, y = key >> 2 * b, key >> b & mask, key & mask
+        if x not in cols:
+            continue
+        if cols[x].get(y) != k:
+            heapq.heappush(heap, least(x))
+            continue
         if k > 0:
             torsion.append((t.grading(y), k))
         sources = [(w, kw) for w, kw in rows[y].items() if w != x]
@@ -186,10 +211,9 @@ def homology_snf(t: UTowerComplex) -> HomologyDecomp:
             drop(y, z)
         for w, kw in list(rows.get(x, {}).items()):
             drop(w, x)
-        alive.discard(x)
-        alive.discard(y)
+        alive[x] = alive[y] = 0
 
-    free = tuple(sorted(t.grading(i) for i in alive))
+    free = tuple(sorted(t.grading(i) for i in range(n) if alive[i]))
     return HomologyDecomp(free, tuple(sorted(torsion)))
 
 

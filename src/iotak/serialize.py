@@ -70,7 +70,7 @@ def _parse_entries(items: List, index, what: str) -> Entries:
             mono = item["mono"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad {what} entry: {item!r}") from exc
-        if not isinstance(mono, list) or not all(
+        if not isinstance(mono, list) or not mono or not all(
             isinstance(m, list) and len(m) == 2 and all(_is_int(e) for e in m)
             for m in mono
         ):

@@ -200,6 +200,7 @@ MALFORMED = {
     "list name": lambda doc: doc.update(name=["T", "2"]),
     "int generator name": _rename_x0,
     "repeated monomial": lambda doc: doc["differential"][0].update(mono=[[0, 0], [0, 0]]),
+    "empty monomial list": lambda doc: doc["iota"].append({"from": "x0", "to": "x1", "mono": []}),
 }
 
 

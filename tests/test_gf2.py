@@ -32,6 +32,43 @@ def test_solve_and_nullspace_random():
         assert len(null) == nvars - gf2.rank(rows)
 
 
+def nullspace_by_back_substitution(rows, nvars):
+    """Reference null basis: for each free column f, set e_f and back
+    substitute through the pivots, highest first."""
+    basis = gf2.RowBasis(rows)
+    pivots = sorted(basis.pivots.items(), reverse=True)
+    out = []
+    for free in range(nvars):
+        if free in basis.pivots:
+            continue
+        sol = 1 << free
+        for col, row in pivots:
+            if dot(row, sol):
+                sol |= 1 << col
+        out.append(sol)
+    return out
+
+
+def test_nullspace_basis_pinned():
+    rng = random.Random(23)
+    for _ in range(300):
+        width = rng.randrange(0, 65)
+        rows = []
+        for _ in range(rng.randrange(0, 70)):
+            pick = rng.random()
+            if pick < 0.1:
+                rows.append(0)
+            elif pick < 0.25 and rows:
+                rows.append(rng.choice(rows))
+            else:
+                density = rng.random()
+                rows.append(sum(1 << b for b in range(width) if rng.random() < density))
+        nvars = width + rng.randrange(0, 4)
+        null = gf2.nullspace(rows, nvars)
+        assert null == nullspace_by_back_substitution(rows, nvars)
+        assert all(dot(r, v) == 0 for r in rows for v in null)
+
+
 def test_solve_infeasible():
     # x = 0 and x = 1
     assert gf2.solve([0b1, 0b1], [0, 1], 1) is None

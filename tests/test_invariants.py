@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CORPUS_TORUS
+from conftest import CORPUS_TORUS, staircase_strategy
 from iotak.invariants import (
     HomologyDecomp,
     InvariantError,
@@ -17,7 +19,7 @@ from iotak.invariants import (
     obstruction_pattern,
 )
 from iotak.iota import identity_complex, product
-from iotak.models import mirror, torus_knot
+from iotak.models import mirror, staircase_complex, torus_knot
 from iotak import gf2
 from iotak.invariants import _TowerSlices
 
@@ -113,6 +115,63 @@ def test_snf_basis_permutation_invariant():
         diff = {inv[i]: {inv[j]: k for j, k in row.items()} for i, row in base.diff.items()}
         endo = {inv[i]: {inv[j]: k for j, k in row.items()} for i, row in base.endo.items()}
         assert homology_snf(UTowerComplex(basis, diff, endo)) == expected
+
+
+def snf_by_full_scan(t):
+    """Reference SNF: the same cancellation, each pivot the least
+    (k, source, target) found by scanning every entry."""
+    cols = {i: dict(row) for i, row in t.diff.items()}
+    rows = {}
+    for i, row in cols.items():
+        for j, k in row.items():
+            rows.setdefault(j, {})[i] = k
+    alive = set(range(len(t)))
+    torsion = []
+
+    def drop(i, j):
+        del cols[i][j]
+        if not cols[i]:
+            del cols[i]
+        del rows[j][i]
+        if not rows[j]:
+            del rows[j]
+
+    while cols:
+        k, x, y = min((k, i, j) for i, row in cols.items() for j, k in row.items())
+        if k > 0:
+            torsion.append((t.grading(y), k))
+        sources = [(w, kw) for w, kw in rows[y].items() if w != x]
+        targets = [(z, kz) for z, kz in cols[x].items() if z != y]
+        for w, kw in sources:
+            for z, kz in targets:
+                if z in cols.get(w, {}):
+                    drop(w, z)
+                else:
+                    cols.setdefault(w, {})[z] = rows.setdefault(z, {})[w] = kw - k + kz
+        for w in list(rows.get(y, {})):
+            drop(w, y)
+        for z in list(cols.get(x, {})):
+            drop(x, z)
+        for z in list(cols.get(y, {})):
+            drop(y, z)
+        for w in list(rows.get(x, {})):
+            drop(w, x)
+        alive -= {x, y}
+    return HomologyDecomp(tuple(sorted(t.grading(i) for i in alive)), tuple(sorted(torsion)))
+
+
+@given(st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=1, max_size=3))
+@settings(max_examples=30, deadline=None)
+def test_snf_matches_full_scan(parts):
+    """Sums with mirrored parts have W^k pivots with k > 0, and their
+    cancellations leave stale heap keys behind."""
+    ics = [mirror(staircase_complex(s)) if flip else staircase_complex(s) for s, flip in parts]
+    ic = ics[0]
+    for other in ics[1:]:
+        ic = product(ic, other, verify=False)
+    t = tower(ic)
+    for cx in (t, involutive_cone(t)):
+        assert homology_snf(cx) == snf_by_full_scan(cx)
 
 
 def slice_dims_direct(t, r):
