@@ -203,7 +203,10 @@ def morphism_is_homogeneous(f: Morphism) -> bool:
 
 
 def differential_morphism(c: FreeComplex) -> Morphism:
-    return Morphism(c, c, c.diff, EQUIVARIANT, (-1, -1))
+    d = Morphism(c, c, {}, EQUIVARIANT, (-1, -1))
+    # c.diff is normalized already, and neither object is mutated
+    d.entries = c.diff
+    return d
 
 
 def is_chain_map(f: Morphism) -> bool:

@@ -10,6 +10,7 @@ d, d-bar, d-under and the V-invariants.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -302,79 +303,109 @@ def involutive_invariants(t: UTowerComplex) -> InvariantReport:
 # ---------------------------------------------------------------------------
 # independent oracle via maximum-grading criteria
 
-def _tower_slice(t: UTowerComplex, r: int) -> List[Tuple[int, int]]:
-    out = []
-    for idx in range(len(t)):
-        g = t.grading(idx)
-        if g >= r and (g - r) % 2 == 0:
-            out.append((idx, (g - r) // 2))
-    return out
-
-
-def _tower_map_rows(mat: TowerEntries, src_slice, tgt_lookup) -> List[int]:
-    rows = []
-    for idx, k0 in src_slice:
-        row = 0
-        for j, k in mat.get(idx, {}).items():
-            pos = tgt_lookup.get((j, k0 + k))
-            if pos is None:
-                raise InvariantError("tower slice image out of range")
-            row ^= 1 << pos
-        rows.append(row)
-    return rows
+def _per_slice(build):
+    """Build a _TowerSlices result once per distinct slice."""
+    @functools.wraps(build)
+    def method(self: "_TowerSlices", r: int):
+        key = (build.__name__, self.canonical(r))
+        if key not in self._memo:
+            self._memo[key] = build(self, key[1])
+        return self._memo[key]
+    return method
 
 
 class _TowerSlices:
-    """Cached slice data for one tower complex."""
+    """The F2 linear algebra of the grading-r slices of one tower complex.
+
+    Slice r has one basis vector W^k x per generator x with
+    gr(x) = r + 2k, k >= 0, in generator order. Up to one above the
+    lowest generator grading min_gr a slice holds every generator of its
+    parity, so slices far below min_gr share a canonical grading, and
+    every per-slice result is built once for it. Callers must not mutate
+    what these methods return.
+    """
 
     def __init__(self, t: UTowerComplex):
         self.t = t
-        self._members: Dict[int, List[Tuple[int, int]]] = {}
-        self._lookup: Dict[int, Dict[Tuple[int, int], int]] = {}
+        gradings = [g for _, g in t.basis]
+        self.max_gr, self.min_gr = max(gradings), min(gradings)
+        # the grading span: W^n_power times any torsion class is zero
+        self.n_power = (self.max_gr - self.min_gr) // 2 + 1
+        self._memo: Dict[Tuple[str, int], object] = {}
 
-    def members(self, r: int) -> List[Tuple[int, int]]:
-        if r not in self._members:
-            mem = _tower_slice(self.t, r)
-            self._members[r] = mem
-            self._lookup[r] = {key: pos for pos, key in enumerate(mem)}
-        return self._members[r]
+    def canonical(self, r: int) -> int:
+        """The grading that stands for the slice of r. Slices up to
+        min_gr + 1 hold every generator of their parity, so below
+        low = min_gr - 2 the slice of r and its neighbours r +- 1 equal
+        those of low or low + 1, whichever has r's parity."""
+        low = self.min_gr - 2
+        return r if r >= low else low + (r - low) % 2
 
-    def lookup(self, r: int) -> Dict[Tuple[int, int], int]:
-        self.members(r)
-        return self._lookup[r]
+    @_per_slice
+    def members(self, r: int) -> List[int]:
+        """The generators with a power in slice r, in order."""
+        return [i for i, (_, g) in enumerate(self.t.basis) if g >= r and (g - r) % 2 == 0]
 
+    @_per_slice
+    def positions(self, r: int) -> List[int]:
+        """Entry i: the position of generator i in slice r, or -1."""
+        pos = [-1] * len(self.t)
+        for p, i in enumerate(self.members(r)):
+            pos[i] = p
+        return pos
+
+    def _map_rows(self, mat: TowerEntries, r: int, target: int) -> List[int]:
+        pos = self.positions(target)
+        rows = []
+        for i in self.members(r):
+            row = 0
+            for j in mat.get(i, ()):
+                if pos[j] < 0:
+                    raise InvariantError("tower slice image out of range")
+                row ^= 1 << pos[j]
+            rows.append(row)
+        return rows
+
+    @_per_slice
     def diff_rows(self, r: int) -> List[int]:
-        return _tower_map_rows(self.t.diff, self.members(r), self.lookup(r - 1))
+        return self._map_rows(self.t.diff, r, r - 1)
 
+    @_per_slice
     def one_plus_iota_rows(self, r: int) -> List[int]:
         assert self.t.endo is not None
-        rows = _tower_map_rows(self.t.endo, self.members(r), self.lookup(r))
-        for pos in range(len(rows)):
-            rows[pos] ^= 1 << pos
-        return rows
+        rows = self._map_rows(self.t.endo, r, r)
+        return [row ^ (1 << pos) for pos, row in enumerate(rows)]
 
     def power_rows(self, r: int, m: int) -> List[int]:
         """Multiplication by W^m from slice r to slice r - 2m."""
-        look = self.lookup(r - 2 * m)
-        return [1 << look[(idx, k0 + m)] for idx, k0 in self.members(r)]
+        pos = self.positions(r - 2 * m)
+        return [1 << pos[i] for i in self.members(r)]
 
+    @_per_slice
     def cycle_basis(self, r: int) -> List[int]:
-        rows = self.diff_rows(r)
-        eqs = gf2.transpose(rows, len(self.members(r - 1)))
+        eqs = gf2.transpose(self.diff_rows(r), len(self.members(r - 1)))
         return gf2.nullspace(eqs, len(self.members(r)))
 
+    @_per_slice
     def boundary_basis(self, r: int) -> gf2.RowBasis:
         return gf2.RowBasis(self.diff_rows(r + 1))
 
+    @_per_slice
+    def nontorsion_table(self, r: int) -> List[int]:
+        """Row i: the normal form of W^n_power e_i modulo the boundaries
+        of slice r - 2 n_power."""
+        low = self.boundary_basis(r - 2 * self.n_power)
+        return [low.normal_form(e) for e in self.power_rows(r, self.n_power)]
 
-def _spans_nontorsion(slices: _TowerSlices, r: int, vectors: List[int], n_power: int) -> bool:
-    """Whether some F2 combination of the given grading-r cycles has
-    W^n_power times it outside the boundaries, i.e. a nontorsion class."""
-    if not vectors:
-        return False
-    power = slices.power_rows(r, n_power)
-    low = slices.boundary_basis(r - 2 * n_power)
-    return any(low.add(gf2.apply_rows(power, v)) for v in vectors)
+    def spans_nontorsion(self, r: int, vectors: List[int]) -> bool:
+        """Whether some F2 combination of the given grading-r cycles has
+        W^n_power times it outside the boundaries, i.e. a nontorsion
+        class. Such a combination exists iff one of the vectors is one,
+        and the normal form is linear and zero exactly on boundaries."""
+        if not vectors:
+            return False
+        table = self.nontorsion_table(r)
+        return any(gf2.apply_rows(table, v) for v in vectors)
 
 
 def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
@@ -392,10 +423,8 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
         raise InvariantError("oracle needs the endomorphism")
     if not len(t):
         raise InvariantError("oracle needs a nonempty complex")
-    gradings = [g for _, g in t.basis]
-    max_gr, min_gr = max(gradings), min(gradings)
-    n_power = (max_gr - min_gr) // 2 + 1
     slices = _TowerSlices(t)
+    max_gr, min_gr, n_power = slices.max_gr, slices.min_gr, slices.n_power
 
     # a witness W^N v for a free class v can sit as far as 2 n_power
     # below the lowest generator grading
@@ -406,11 +435,13 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
             continue
         bnd = slices.boundary_basis(r)
         one_plus = slices.one_plus_iota_rows(r)
-        residues = [bnd.reduce(gf2.apply_rows(one_plus, z)) for z in cycles]
+        # normal forms are linear: a combination of residues vanishes
+        # exactly when its (1 + iota)-image is a boundary
+        residues = [bnd.normal_form(gf2.apply_rows(one_plus, z)) for z in cycles]
         eqs = gf2.transpose(residues, len(slices.members(r)))
         combos = gf2.nullspace(eqs, len(cycles))
         candidates = [gf2.apply_rows(cycles, combo) for combo in combos]
-        if _spans_nontorsion(slices, r, candidates, n_power):
+        if slices.spans_nontorsion(r, candidates):
             d_under = r
             break
     if d_under is None:
@@ -444,7 +475,7 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
         zi_rows = slices.one_plus_iota_rows(r - 2 * m + 1)
         l_rows = zero * nx + ym_rows + zi_rows
         images = [gf2.apply_rows(l_rows, v) for v in sols]
-        return _spans_nontorsion(slices, r + 1 - 2 * m, images, n_power)
+        return slices.spans_nontorsion(r + 1 - 2 * m, images)
 
     def case_pairs(c: int, m: int) -> bool:
         """Cycles y != 0 at grading c, z at c - 2m, with W^m y + (1+iota)z
@@ -457,7 +488,7 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
         zi_rows = slices.one_plus_iota_rows(c - 2 * m)
         images = [gf2.apply_rows(ym_rows, y) for y in y_cycles]
         images += [gf2.apply_rows(zi_rows, z) for z in z_cycles]
-        return _spans_nontorsion(slices, c - 2 * m, images, n_power)
+        return slices.spans_nontorsion(c - 2 * m, images)
 
     d_bar = None
     for c in range(max_gr + 1, min_gr - 1, -1):

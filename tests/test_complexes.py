@@ -9,6 +9,7 @@ from iotak.complexes import (
     Morphism,
     _diff_slice_rows,
     compose,
+    differential_morphism,
     dual,
     homology_class_map,
     homology_is_r,
@@ -19,6 +20,7 @@ from iotak.complexes import (
     verify_complex,
     zero_morphism,
 )
+from iotak.iota import dual_iota, product
 from iotak.models import staircase_complex, torus_knot
 from iotak.ring import ONE, monomial
 
@@ -184,3 +186,19 @@ def test_compose_variance_and_bidegree(hand_trefoil):
     assert sq.variance == EQUIVARIANT
     assert sq.bidegree == (0, 0)
     assert sq.entries == identity_morphism(hand_trefoil.complex).entries
+
+
+def test_differential_morphism_shares_diff():
+    """The differential as a Morphism reuses the complex's normalized
+    entries, and neither verification nor the solver writes to them."""
+    c = product(torus_knot(3, 4), dual_iota(torus_knot(2, 3))).complex
+    before = {i: dict(row) for i, row in c.diff.items()}
+    d = differential_morphism(c)
+    assert d.entries is c.diff
+    assert d.entries == Morphism(c, c, dict(c.diff), EQUIVARIANT, (-1, -1)).entries
+    assert verify_complex(c).passed
+    f = identity_morphism(c)
+    h = Morphism(c, c, {3: {8: ONE}, 11: {6: ONE}}, EQUIVARIANT, (1, 1))
+    g = f + compose(d, h) + compose(h, d)
+    assert homotopy_solve(f, g).entries == h.entries
+    assert c.diff == before

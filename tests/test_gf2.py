@@ -86,3 +86,26 @@ def test_row_basis_membership():
     assert basis.contains(0b110)
     assert not basis.contains(0b001)
     assert basis.rank == 2
+
+
+def test_normal_form_is_the_linear_projection():
+    rng = random.Random(31)
+    for _ in range(300):
+        width = rng.randrange(1, 40)
+        basis = gf2.RowBasis(rng.getrandbits(width) for _ in range(rng.randrange(0, width + 3)))
+        pivmask = sum(1 << col for col in basis.pivots)
+        for _ in range(10):
+            a, b = rng.getrandbits(width), rng.getrandbits(width)
+            na = basis.normal_form(a)
+            assert basis.normal_form(a ^ b) == na ^ basis.normal_form(b)
+            assert (na == 0) == basis.contains(a)
+            assert basis.normal_form(na) == na
+            assert na & pivmask == 0 and basis.contains(a ^ na)
+
+
+def test_reduce_is_not_linear():
+    # 0b110 stops at its unpivoted bit 1, so the pivot column 2 stays set
+    basis = gf2.RowBasis([0b101, 0b100])
+    a, b = 0b110, 0b010
+    assert basis.reduce(a) ^ basis.reduce(b) == 0b100 != basis.reduce(a ^ b)
+    assert basis.normal_form(a) ^ basis.normal_form(b) == 0 == basis.normal_form(a ^ b)

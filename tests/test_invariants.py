@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_TORUS, staircase_strategy
+from conftest import CORPUS_TORUS, palindromic_staircase, staircase_strategy
 from iotak.invariants import (
     HomologyDecomp,
     InvariantError,
@@ -160,16 +160,24 @@ def snf_by_full_scan(t):
     return HomologyDecomp(tuple(sorted(t.grading(i) for i in alive)), tuple(sorted(torsion)))
 
 
-@given(st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=1, max_size=3))
-@settings(max_examples=30, deadline=None)
-def test_snf_matches_full_scan(parts):
-    """Sums with mirrored parts have W^k pivots with k > 0, and their
-    cancellations leave stale heap keys behind."""
+# sums of 1-3 random staircases, each mirrored or not
+staircase_sums = st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=1, max_size=3)
+
+
+def sum_tower(parts):
     ics = [mirror(staircase_complex(s)) if flip else staircase_complex(s) for s, flip in parts]
     ic = ics[0]
     for other in ics[1:]:
         ic = product(ic, other, verify=False)
-    t = tower(ic)
+    return tower(ic)
+
+
+@given(staircase_sums)
+@settings(max_examples=30, deadline=None)
+def test_snf_matches_full_scan(parts):
+    """Sums with mirrored parts have W^k pivots with k > 0, and their
+    cancellations leave stale heap keys behind."""
+    t = sum_tower(parts)
     for cx in (t, involutive_cone(t)):
         assert homology_snf(cx) == snf_by_full_scan(cx)
 
@@ -294,6 +302,25 @@ def test_obstruction_patterns():
     assert r.pattern1 and r.pattern2
     r = obstruction_pattern(report(-1, 0, 0))
     assert r.pattern2
+
+
+@given(staircase_sums)
+@settings(max_examples=25, deadline=None)
+def test_oracle_matches_cone(parts):
+    t = sum_tower(parts)
+    rep = involutive_invariants(t)
+    assert lemma_criteria_oracle(t) == (rep.d_bar, rep.d_under)
+
+
+def test_oracle_d_under_combinations_modulo_boundaries():
+    """A combination of cycles whose (1 + iota)-images sum to a boundary
+    must count even when their reduce residues do not cancel."""
+    parts = [(palindromic_staircase([3, 3]), False), (palindromic_staircase([3]), False),
+             (palindromic_staircase([2, 2]), True)]
+    t = sum_tower(parts)
+    rep = involutive_invariants(t)
+    assert (rep.d_bar, rep.d_under) == (-8, -8)
+    assert lemma_criteria_oracle(t) == (-8, -8)
 
 
 def test_oracle_witness_below_generator_gradings():
