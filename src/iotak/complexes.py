@@ -132,6 +132,14 @@ class Morphism:
         return f"Morphism({self.variance}, bidegree={self.bidegree}, {nnz} entries)"
 
 
+def _built(source, target, entries: Entries, variance, bidegree) -> Morphism:
+    """A Morphism over entries with no zero entry and no empty row,
+    taken as they are instead of through the normalizing copy."""
+    m = Morphism(source, target, {}, variance, bidegree)
+    m.entries = entries
+    return m
+
+
 def zero_morphism(source, target, variance, bidegree) -> Morphism:
     return Morphism(source, target, {}, variance, bidegree)
 
@@ -159,18 +167,26 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     out: Entries = {}
     for i, row_g in g.entries.items():
         acc: Dict[int, LaurentPoly] = {}
+        cancelled = False
         for j, p in row_g.items():
             fr = f.entries.get(j)
             if not fr:
                 continue
             scalar = p.swap_uv() if skew_f else p
+            # the ring is a domain, so no product of nonzero entries is zero
             for k, q in fr.items():
                 prod = scalar * q
-                if prod:
-                    acc[k] = acc.get(k, ZERO) + prod
+                prev = acc.get(k)
+                if prev is None:
+                    acc[k] = prod
+                else:
+                    acc[k] = s = prev + prod
+                    cancelled = cancelled or not s
+        if cancelled:
+            acc = {k: p for k, p in acc.items() if p}
         if acc:
             out[i] = acc
-    return Morphism(g.source, f.target, out, variance, bidegree)
+    return _built(g.source, f.target, out, variance, bidegree)
 
 
 def forced_monomial(x: BasisElement, y: BasisElement, variance: str,
@@ -203,10 +219,8 @@ def morphism_is_homogeneous(f: Morphism) -> bool:
 
 
 def differential_morphism(c: FreeComplex) -> Morphism:
-    d = Morphism(c, c, {}, EQUIVARIANT, (-1, -1))
     # c.diff is normalized already, and neither object is mutated
-    d.entries = c.diff
-    return d
+    return _built(c, c, c.diff, EQUIVARIANT, (-1, -1))
 
 
 def is_chain_map(f: Morphism) -> bool:
@@ -282,18 +296,25 @@ def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
     diff: Entries = {}
     for i1 in range(len(c1)):
         row1 = c1.diff.get(i1, {})
-        for i2 in range(len(c2)):
+        for i2 in range(n2):
+            row2 = c2.diff.get(i2, {})
             src = i1 * n2 + i2
-            acc: Dict[int, LaurentPoly] = {}
-            for j1, p in row1.items():
-                tgt = j1 * n2 + i2
-                acc[tgt] = acc.get(tgt, ZERO) + p
-            for j2, q in c2.diff.get(i2, {}).items():
-                tgt = i1 * n2 + j2
-                acc[tgt] = acc.get(tgt, ZERO) + q
+            acc = {j1 * n2 + i2: p for j1, p in row1.items()}
+            acc.update({i1 * n2 + j2: q for j2, q in row2.items()})
+            if i1 in row1 and i2 in row2:
+                # j1 * n2 + i2 == i1 * n2 + j2 only for j1 == i1 and j2 == i2:
+                # both differentials have a diagonal entry, and the terms add
+                s = row1[i1] + row2[i2]
+                if s:
+                    acc[src] = s
+                else:
+                    del acc[src]
             if acc:
                 diff[src] = acc
-    return FreeComplex(basis, diff)
+    c = FreeComplex(basis, {})
+    # diff is normalized and in range by construction
+    c.diff = diff
+    return c
 
 
 def tensor_morphism(f: Morphism, g: Morphism, source: FreeComplex, target: FreeComplex) -> Morphism:
@@ -306,21 +327,15 @@ def tensor_morphism(f: Morphism, g: Morphism, source: FreeComplex, target: FreeC
         raise ValueError("tensor of morphisms needs equal variances")
     n2s = len(g.source)
     n2t = len(g.target)
+    # targets (j1, j2) are distinct within a row, and the ring is a domain,
+    # so every product is a nonzero entry of its own
     out: Entries = {}
     for i1, row_f in f.entries.items():
         for i2, row_g in g.entries.items():
-            src = i1 * n2s + i2
-            acc: Dict[int, LaurentPoly] = {}
-            for j1, p in row_f.items():
-                for j2, q in row_g.items():
-                    prod = p * q
-                    if prod:
-                        tgt = j1 * n2t + j2
-                        acc[tgt] = acc.get(tgt, ZERO) + prod
-            if acc:
-                out[src] = acc
+            out[i1 * n2s + i2] = {j1 * n2t + j2: p * q
+                                  for j1, p in row_f.items() for j2, q in row_g.items()}
     bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    return Morphism(source, target, out, f.variance, bidegree)
+    return _built(source, target, out, f.variance, bidegree)
 
 
 def dual(c: FreeComplex) -> FreeComplex:
@@ -439,18 +454,19 @@ def homology_class_map(f: Morphism) -> bool:
     if not is_chain_map(f):
         raise ValueError("homology_class_map rejects non-chain-maps")
     src, tgt = f.source, f.target
-    members1 = slice_members(src, 0, 0)
-    out_rows = slice_map_rows(src.diff, members1, slice_members(src, 0, -1))
-    cycle_eqs = gf2.transpose(out_rows, len(slice_members(src, 0, -1)))
-    cycles = gf2.nullspace(cycle_eqs, len(members1))
-    boundaries = gf2.RowBasis(slice_map_rows(src.diff, slice_members(src, 0, 1), members1))
+    below, members1, above = (slice_members(src, 0, gr) for gr in (-1, 0, 1))
+    out_rows = slice_map_rows(src.diff, members1, below)
+    cycles = gf2.nullspace(gf2.transpose(out_rows, len(below)), len(members1))
+    boundaries = gf2.RowBasis(slice_map_rows(src.diff, above, members1))
     gen = next((z for z in cycles if not boundaries.contains(z)), None)
     if gen is None:
         raise ValueError("source slice homology has no generator class")
-    members2 = slice_members(tgt, 0, 0)
-    f_rows = slice_map_rows(f.entries, members1, members2)
-    image = gf2.apply_rows(f_rows, gen)
-    boundaries2 = gf2.RowBasis(slice_map_rows(tgt.diff, slice_members(tgt, 0, 1), members2))
+    if tgt is src:
+        members2, boundaries2 = members1, boundaries
+    else:
+        members2 = slice_members(tgt, 0, 0)
+        boundaries2 = gf2.RowBasis(slice_map_rows(tgt.diff, slice_members(tgt, 0, 1), members2))
+    image = gf2.apply_rows(slice_map_rows(f.entries, members1, members2), gen)
     return not boundaries2.contains(image)
 
 

@@ -2,8 +2,22 @@
 
 A Laurent polynomial is a finite set of monomials U^i V^j with i, j in Z;
 the F2 coefficient of a monomial is encoded by its presence in the set.
-Terms are kept sorted lexicographically on (i, j), so structural equality
-is semantic equality and serialized forms are canonical.
+
+Canonical form: `terms` is a tuple of distinct (int, int) pairs sorted
+lexicographically, so structural equality is semantic equality and
+serialized forms are canonical. The constructor establishes this form
+from any iterable of pairs (reducing mod 2 and coercing to int); it is
+the checking entry point for parsed input. Operations whose result is
+canonical by construction skip it and wrap the tuple directly:
+
+- the sum of two distinct monomials is their sorted pair;
+- a product with a monomial translates every exponent pair by the same
+  amount, which keeps the pairs distinct and their order;
+- the U/V swap of a monomial is a monomial.
+
+Polynomials are immutable: nothing assigns to `terms` after
+construction. So `ZERO + p` and `p + ZERO` may return the operand `p`
+itself rather than a copy.
 """
 
 from __future__ import annotations
@@ -40,12 +54,30 @@ class LaurentPoly:
         return hash(self.terms)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        if len(a) == 1 and len(b) == 1:
+            if a == b:
+                return ZERO
+            return _canonical(a + b if a < b else b + a)
         # characteristic 2: addition is symmetric difference of term sets
-        return LaurentPoly(set(self.terms) ^ set(other.terms))
+        return LaurentPoly(set(a) ^ set(b))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        prods = [(i + a, j + b) for (i, j) in self.terms for (a, b) in other.terms]
-        return LaurentPoly(prods)
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            # the ring is commutative: take a monomial factor first
+            a, b = b, a
+        if len(a) == 1:
+            ((i, j),) = a
+            if len(b) == 1:
+                ((k, l),) = b
+                return _canonical(((i + k, j + l),))
+            return _canonical(tuple([(i + k, j + l) for (k, l) in b]))
+        return LaurentPoly([(i + k, j + l) for (i, j) in a for (k, l) in b])
 
     def derivative(self, var: str) -> "LaurentPoly":
         """Formal derivative d/dU or d/dV, reduced mod 2.
@@ -61,6 +93,9 @@ class LaurentPoly:
 
     def swap_uv(self) -> "LaurentPoly":
         """The ring automorphism exchanging U and V."""
+        if len(self.terms) == 1:
+            ((i, j),) = self.terms
+            return _canonical(((j, i),))
         return LaurentPoly((j, i) for (i, j) in self.terms)
 
     def is_filtered(self) -> bool:
@@ -83,6 +118,13 @@ class LaurentPoly:
             return "".join(parts) or "1"
 
         return " + ".join(fmt(i, j) for (i, j) in self.terms)
+
+
+def _canonical(terms: Tuple[Monomial, ...]) -> LaurentPoly:
+    """Wrap a tuple that is in canonical form already, skipping __init__."""
+    p = object.__new__(LaurentPoly)
+    p.terms = terms
+    return p
 
 
 ZERO = LaurentPoly()

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iotak import cli, serialize
 from iotak.models import torus_knot
@@ -246,3 +250,100 @@ def test_threads_env_validation(tmp_path, capsys, monkeypatch):
     assert run(capsys, "invariants", "--torus", "2", "3")[0] == 2
     monkeypatch.setenv("IOTAK_THREADS", "4")
     assert run(capsys, "invariants", "--torus", "2", "3")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: every mutation of a valid file is a usage error
+
+# one value of each JSON type, and a few that look almost right
+JSON_VALUES = [None, True, False, 0, -3, 2.0, 0.5, "", "x0", "2", [], [0], [[0, 0]], {}, {"name": "x0"}]
+FIELD_TYPES = {
+    "document": {"name": str, "generators": list, "differential": list, "iota": list},
+    "generators": {"name": str, "gr_u": int, "gr_v": int},
+    "differential": {"from": str, "to": str, "mono": list},
+    "iota": {"from": str, "to": str, "mono": list},
+}
+BAD_MONOS = [[], [[0]], [[0, 0, 0]], [[0.5, 0]], [["1", 0]], [[True, 0]], [[0, None]],
+             [0, 0], [[1, 0], [1, 0]], [[0, 0], [2, 1], [0, 0]]]
+sections = st.sampled_from(["generators", "differential", "iota"])
+entry_sections = st.sampled_from(["differential", "iota"])
+
+
+def _fits(value, kind) -> bool:
+    if kind is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _pick(data, doc, section):
+    items = doc[section]
+    return items[data.draw(st.integers(0, len(items) - 1))]
+
+
+def wrong_type(data, doc):
+    where = data.draw(st.sampled_from(["document", "generators", "differential", "iota"]))
+    if where == "document":
+        target = doc
+    else:
+        target = _pick(data, doc, where)
+        if data.draw(st.booleans()):
+            items = doc[where]
+            items[items.index(target)] = data.draw(
+                st.sampled_from([v for v in JSON_VALUES if not isinstance(v, dict)]))
+            return doc
+    key = data.draw(st.sampled_from(sorted(FIELD_TYPES[where])))
+    kind = FIELD_TYPES[where][key]
+    target[key] = data.draw(st.sampled_from([v for v in JSON_VALUES if not _fits(v, kind)]))
+    return doc
+
+
+def missing_key(data, doc):
+    where = data.draw(st.sampled_from(["document", "generators", "differential", "iota"]))
+    target = doc if where == "document" else _pick(data, doc, where)
+    del target[data.draw(st.sampled_from(sorted(target)))]
+    return doc
+
+
+def bad_monomial(data, doc):
+    _pick(data, doc, data.draw(entry_sections))["mono"] = data.draw(st.sampled_from(BAD_MONOS))
+    return doc
+
+
+def unknown_name(data, doc):
+    names = {g["name"] for g in doc["generators"]}
+    entry = _pick(data, doc, data.draw(entry_sections))
+    entry[data.draw(st.sampled_from(["from", "to"]))] = data.draw(
+        st.text(max_size=4).filter(lambda s: s not in names))
+    return doc
+
+
+def duplicate_entry(data, doc):
+    section = data.draw(sections)
+    copy = dict(_pick(data, doc, section))
+    if section == "generators":
+        copy["gr_u"] = copy["gr_v"] = data.draw(st.integers(-4, 4))
+    else:
+        copy["mono"] = [data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))]
+    doc[section].append(copy)
+    return doc
+
+
+def not_an_object(data, doc):
+    return data.draw(st.sampled_from([v for v in JSON_VALUES if not isinstance(v, dict)]))
+
+
+MUTATIONS = [wrong_type, missing_key, bad_monomial, unknown_name, duplicate_entry, not_an_object]
+
+
+@given(st.sampled_from(MUTATIONS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_malformed_documents_exit_2(tmp_path_factory, mutate, data):
+    doc = mutate(data, serialize.iota_complex_to_dict("T(2,3)", torus_knot(2, 3)))
+    path = tmp_path_factory.mktemp("fuzz") / "bad.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(path)])
+    assert code == 2, (doc, err.getvalue())
+    assert err.getvalue().startswith(("parse error: ", "error: ")), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import staircase_strategy
 from iotak.complexes import (
     EQUIVARIANT,
+    SKEW,
     BasisElement,
     FreeComplex,
     Morphism,
@@ -17,12 +19,13 @@ from iotak.complexes import (
     identity_morphism,
     skew,
     tensor,
+    tensor_morphism,
     verify_complex,
     zero_morphism,
 )
 from iotak.iota import dual_iota, product
 from iotak.models import staircase_complex, torus_knot
-from iotak.ring import ONE, monomial
+from iotak.ring import ONE, LaurentPoly, monomial
 
 
 def test_verify_trefoil_passes(hand_trefoil):
@@ -202,3 +205,151 @@ def test_differential_morphism_shares_diff():
     g = f + compose(d, h) + compose(h, d)
     assert homotopy_solve(f, g).entries == h.entries
     assert c.diff == before
+
+
+# ---------------------------------------------------------------------------
+# tensor, tensor_morphism, compose and Morphism.__add__ against a reference
+# that accumulates every monomial and reduces once
+
+small_exponents = st.integers(min_value=-1, max_value=1)
+bits = st.integers(min_value=0, max_value=1)
+# multi-term entries, and monomials from so few that sums often cancel
+small_polys = st.one_of(
+    st.builds(monomial, bits, bits),
+    st.lists(st.tuples(small_exponents, small_exponents), min_size=1, max_size=3).map(LaurentPoly),
+)
+
+
+@st.composite
+def matrices(draw, n_src, n_tgt):
+    """Entries {i: {j: poly}}, with zero polys and empty rows left in
+    for the constructors to drop."""
+    pairs = st.tuples(st.integers(0, n_src - 1), st.integers(0, n_tgt - 1))
+    cells = draw(st.dictionaries(pairs, small_polys, max_size=n_src * n_tgt))
+    out = {i: {} for i in range(n_src)}
+    for (i, j), p in cells.items():
+        out[i][j] = p
+    return out
+
+
+@st.composite
+def small_complexes(draw):
+    n = draw(st.integers(1, 3))
+    basis = [BasisElement(f"g{k}", 0, 0) for k in range(n)]
+    # arbitrary matrices: these constructions need neither d^2 = 0 nor gradings
+    return FreeComplex(basis, draw(matrices(n, n)))
+
+
+@st.composite
+def small_maps(draw, source, target, variance=None):
+    variance = variance or draw(st.sampled_from([EQUIVARIANT, SKEW]))
+    return Morphism(source, target, draw(matrices(len(source), len(target))), variance, (0, 0))
+
+
+def reference(cells):
+    """Normalized entries from {(i, j): [monomials]}, reduced mod 2."""
+    out = {}
+    for (i, j), terms in cells.items():
+        p = LaurentPoly(terms)
+        if p:
+            out.setdefault(i, {})[j] = p
+    return out
+
+
+def ref_tensor_diff(c1, c2):
+    n2 = len(c2)
+    cells = {}
+    for i1, row in c1.diff.items():
+        for j1, p in row.items():
+            for i2 in range(n2):
+                cells.setdefault((i1 * n2 + i2, j1 * n2 + i2), []).extend(p.terms)
+    for i2, row in c2.diff.items():
+        for j2, q in row.items():
+            for i1 in range(len(c1)):
+                cells.setdefault((i1 * n2 + i2, i1 * n2 + j2), []).extend(q.terms)
+    return reference(cells)
+
+
+def ref_products(p, q):
+    return [(a + c, b + d) for (a, b) in p.terms for (c, d) in q.terms]
+
+
+def ref_compose(f, g):
+    cells = {}
+    for i, row_g in g.entries.items():
+        for j, p in row_g.items():
+            if f.variance == SKEW:
+                p = LaurentPoly((b, a) for (a, b) in p.terms)
+            for k, q in f.entries.get(j, {}).items():
+                cells.setdefault((i, k), []).extend(ref_products(p, q))
+    return reference(cells)
+
+
+def ref_tensor_morphism(f, g):
+    n2s, n2t = len(g.source), len(g.target)
+    cells = {}
+    for i1, row_f in f.entries.items():
+        for j1, p in row_f.items():
+            for i2, row_g in g.entries.items():
+                for j2, q in row_g.items():
+                    cells.setdefault((i1 * n2s + i2, j1 * n2t + j2), []).extend(
+                        ref_products(p, q))
+    return reference(cells)
+
+
+def ref_sum(f, g):
+    cells = {}
+    for m in (f, g):
+        for i, row in m.entries.items():
+            for j, p in row.items():
+                cells.setdefault((i, j), []).extend(p.terms)
+    return reference(cells)
+
+
+def assert_normalized(entries):
+    assert all(row and all(p for p in row.values()) for row in entries.values())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_constructions_match_accumulating_reference(data):
+    c1, c2 = data.draw(small_complexes()), data.draw(small_complexes())
+    t = tensor(c1, c2)
+    assert t.diff == ref_tensor_diff(c1, c2)
+    assert_normalized(t.diff)
+
+    f = data.draw(small_maps(c1, c2))
+    g = data.draw(small_maps(c1, c2, f.variance))
+    h = data.draw(small_maps(c2, c1))
+    for got, want in [((f + g).entries, ref_sum(f, g)),
+                      ((f + f).entries, {}),
+                      (compose(h, f).entries, ref_compose(h, f)),
+                      (compose(f, h).entries, ref_compose(f, h))]:
+        assert got == want
+        assert_normalized(got)
+
+    k = data.draw(small_maps(c2, c1, f.variance))
+    fk = tensor_morphism(f, k, t, tensor(c2, c1))
+    assert fk.entries == ref_tensor_morphism(f, k)
+    assert_normalized(fk.entries)
+
+
+def test_tensor_diagonal_collision():
+    """x|y is reached from itself through d(x)|y and x|d(y) when both
+    differentials have a diagonal entry; the two terms add."""
+    def loop(p):
+        return FreeComplex([BasisElement("e", 0, 0)], {0: {0: p}})
+    assert tensor(loop(monomial(1, 0)), loop(monomial(0, 1))).diff == {
+        0: {0: monomial(1, 0) + monomial(0, 1)}}
+    assert tensor(loop(monomial(1, 0)), loop(monomial(1, 0))).diff == {}
+
+
+def test_compose_and_sum_cancel_to_zero():
+    c1 = FreeComplex([BasisElement("a", 0, 0)], {})
+    c2 = FreeComplex([BasisElement("b", 0, 0), BasisElement("c", 0, 0)], {})
+    g = Morphism(c1, c2, {0: {0: monomial(1, 0), 1: monomial(0, 1)}}, EQUIVARIANT, (0, 0))
+    f = Morphism(c2, c1, {0: {0: monomial(0, 1)}, 1: {0: monomial(1, 0)}}, EQUIVARIANT, (0, 0))
+    assert compose(f, g).entries == {}
+    assert (g + g).entries == {}
+    assert compose(g, f).entries == {0: {0: monomial(1, 1), 1: monomial(0, 2)},
+                                     1: {0: monomial(2, 0), 1: monomial(1, 1)}}

@@ -83,3 +83,72 @@ def test_addition_vector_space(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert p + q == q + p
     assert p + p == ZERO
+
+
+# ---------------------------------------------------------------------------
+# the fast paths against a set-based reference
+
+nonzero_monomials = st.builds(monomial, exponents, exponents)
+multi_term = st.lists(monomials, min_size=2, max_size=6).map(LaurentPoly)
+any_polys = st.one_of(st.just(ZERO), nonzero_monomials, multi_term, polys)
+
+
+def ref_poly(terms):
+    """The canonical tuple of a monomial multiset, reduced mod 2."""
+    odd = set()
+    for t in terms:
+        odd ^= {t}
+    return tuple(sorted(odd))
+
+
+def ref_add(p, q):
+    return ref_poly(list(p.terms) + list(q.terms))
+
+
+def ref_mul(p, q):
+    return ref_poly([(i + k, j + l) for (i, j) in p.terms for (k, l) in q.terms])
+
+
+def ref_swap(p):
+    return ref_poly([(j, i) for (i, j) in p.terms])
+
+
+def ref_derivative(p, var):
+    if var == "U":
+        return ref_poly([(i - 1, j) for (i, j) in p.terms if i % 2])
+    return ref_poly([(i, j - 1) for (i, j) in p.terms if j % 2])
+
+
+def assert_canonical(p):
+    assert type(p) is LaurentPoly
+    assert type(p.terms) is tuple
+    assert all(type(t) is tuple and len(t) == 2 and all(type(e) is int for e in t)
+               for t in p.terms)
+    assert list(p.terms) == sorted(set(p.terms))
+
+
+@given(any_polys, any_polys)
+def test_operations_match_set_reference(p, q):
+    before = (p.terms, q.terms)
+    results = {
+        "add": (p + q, ref_add(p, q)),
+        "mul": (p * q, ref_mul(p, q)),
+        "swap": (p.swap_uv(), ref_swap(p)),
+        "dU": (p.derivative("U"), ref_derivative(p, "U")),
+        "dV": (p.derivative("V"), ref_derivative(p, "V")),
+    }
+    for name, (got, want) in results.items():
+        assert_canonical(got)
+        assert got.terms == want, name
+        assert bool(got) == bool(want), name
+    assert (p.terms, q.terms) == before
+
+
+@given(any_polys)
+def test_sums_with_zero_leave_operands_alone(p):
+    terms = p.terms
+    for s in (ZERO + p, p + ZERO, p + p):
+        assert_canonical(s)
+    assert ZERO + p == p == p + ZERO
+    assert p.terms is terms and ZERO.terms == ()
+
