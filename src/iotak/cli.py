@@ -131,6 +131,9 @@ def _invariants_input(args) -> tuple[str, IotaComplex]:
     if args.file is None:
         print("need a complex file or --torus P Q", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    if args.mirror:
+        print("--mirror needs --torus; mirror a file with the dual subcommand", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     return _verified(args.file, full=False)
 
 
@@ -166,6 +169,9 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_local_equiv(args) -> int:
+    if args.cap < 0:
+        print(f"--cap must be a nonnegative integer, got {args.cap}", file=sys.stderr)
+        return EXIT_USAGE
     ic_a = _verified(args.file_a)[1]
     ic_b = ic_a if args.file_b == args.file_a else _verified(args.file_b)[1]
     try:

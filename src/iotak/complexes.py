@@ -374,59 +374,27 @@ def skew(c: FreeComplex) -> FreeComplex:
 # ---------------------------------------------------------------------------
 # finite slices and homology
 
-def slice_members(c: FreeComplex, alex: int, gr: int) -> List[Tuple[int, Monomial]]:
-    """Basis of the finite F2 slice at Alexander grading alex, gr_u = gr.
+def parity_index(c: FreeComplex) -> Tuple[Tuple[List[int], List[int]], ...]:
+    """The finite F2 slices at Alexander grading 0, by the parity of gr_u.
 
-    Each complex generator x contributes the unique monomial U^i V^j x
-    in the slice, when the parity of gr_u(x) - gr allows one.
+    U and V are invertible, so the slice at gr_u = g has exactly one
+    vector U^i V^j x for each generator x with gr_u(x) = g mod 2, and
+    translation by UV identifies slices of equal parity. The slice
+    matrix of a homogeneous map is then the support of its matrix.
+    Entry p is (members, positions) for parity p: those generators in
+    order, and each generator's place among them or -1.
     """
     out = []
-    for idx, x in enumerate(c.basis):
-        if (x.gr_u - gr) % 2:
-            continue
-        i = (x.gr_u - gr) // 2
-        j = i - (x.alexander - alex)
-        out.append((idx, (i, j)))
-    return out
+    for parity in (0, 1):
+        members = [i for i, x in enumerate(c.basis) if x.gr_u % 2 == parity]
+        out.append((members, gf2.positions(members, len(c))))
+    return tuple(out)
 
 
-def _slice_lookup(members: List[Tuple[int, Monomial]]) -> Dict[Tuple[int, Monomial], int]:
-    return {key: pos for pos, key in enumerate(members)}
-
-
-def slice_map_rows(entries: Entries, src_members, tgt_members) -> List[int]:
-    """F2 rows of a graded map between two slices, from the actual monomials.
-
-    Row k is the image of the k-th source slice generator, as a bitmask
-    over target slice generators. Raises if a term lands outside the
-    target slice, which cannot happen for a homogeneous map of matching
-    bidegree.
-    """
-    lookup = _slice_lookup(tgt_members)
-    rows = []
-    for idx, (i, j) in src_members:
-        row = 0
-        for tgt, p in entries.get(idx, {}).items():
-            for (a, b) in p.terms:
-                pos = lookup.get((tgt, (i + a, j + b)))
-                if pos is None:
-                    raise ValueError("slice map image left the target slice; map is not homogeneous")
-                row ^= 1 << pos
-        rows.append(row)
-    return rows
-
-
-def _diff_slice_rows(c: FreeComplex, alex: int, gr: int) -> List[int]:
-    src = slice_members(c, alex, gr)
-    tgt = slice_members(c, alex, gr - 1)
-    return slice_map_rows(c.diff, src, tgt)
-
-
-def slice_homology_dim(c: FreeComplex, alex: int, gr: int) -> int:
-    n = len(slice_members(c, alex, gr))
-    rank_out = gf2.rank(_diff_slice_rows(c, alex, gr))
-    rank_in = gf2.rank(_diff_slice_rows(c, alex, gr + 1))
-    return n - rank_out - rank_in
+def _require_homogeneous(*maps: Morphism) -> None:
+    # support rows see only the parity of a target, not its monomial
+    if not all(morphism_is_homogeneous(m) for m in maps):
+        raise ValueError("slice homology needs homogeneous maps and differentials")
 
 
 @dataclass
@@ -436,13 +404,17 @@ class SliceHomologyReport:
 
 
 def homology_is_r(c: FreeComplex) -> SliceHomologyReport:
-    """Decide H_*(C) = R by the two finite slices (A=0, gr_u in {0, 1}).
+    """Decide H_*(C) = R by the two parity slices (A=0, gr_u in {0, 1}).
 
-    U and V are invertible, so translation by V and by UV identifies all
-    slices with these two; homology R with generator in even bigrading
-    is exactly slice dimensions (1, 0).
+    Homology R with generator in even bigrading is exactly slice
+    dimensions (1, 0). Each slice's dimension is its size less the
+    ranks of the even-to-odd and the odd-to-even differential.
     """
-    dims = (slice_homology_dim(c, 0, 0), slice_homology_dim(c, 0, 1))
+    _require_homogeneous(differential_morphism(c))
+    (even, even_pos), (odd, odd_pos) = parity_index(c)
+    ranks = (gf2.rank(gf2.support_rows(c.diff, even, odd_pos))
+             + gf2.rank(gf2.support_rows(c.diff, odd, even_pos)))
+    dims = (len(even) - ranks, len(odd) - ranks)
     return SliceHomologyReport(dims == (1, 0), dims)
 
 
@@ -454,19 +426,20 @@ def homology_class_map(f: Morphism) -> bool:
     if not is_chain_map(f):
         raise ValueError("homology_class_map rejects non-chain-maps")
     src, tgt = f.source, f.target
-    below, members1, above = (slice_members(src, 0, gr) for gr in (-1, 0, 1))
-    out_rows = slice_map_rows(src.diff, members1, below)
-    cycles = gf2.nullspace(gf2.transpose(out_rows, len(below)), len(members1))
-    boundaries = gf2.RowBasis(slice_map_rows(src.diff, above, members1))
+    _require_homogeneous(f, differential_morphism(src), differential_morphism(tgt))
+    (even, even_pos), (odd, odd_pos) = parity_index(src)
+    out_rows = gf2.support_rows(src.diff, even, odd_pos)
+    cycles = gf2.nullspace(gf2.transpose(out_rows, len(odd)), len(even))
+    boundaries = gf2.RowBasis(gf2.support_rows(src.diff, odd, even_pos))
     gen = next((z for z in cycles if not boundaries.contains(z)), None)
     if gen is None:
         raise ValueError("source slice homology has no generator class")
     if tgt is src:
-        members2, boundaries2 = members1, boundaries
+        tgt_pos, boundaries2 = even_pos, boundaries
     else:
-        members2 = slice_members(tgt, 0, 0)
-        boundaries2 = gf2.RowBasis(slice_map_rows(tgt.diff, slice_members(tgt, 0, 1), members2))
-    image = gf2.apply_rows(slice_map_rows(f.entries, members1, members2), gen)
+        (_, tgt_pos), (tgt_odd, _) = parity_index(tgt)
+        boundaries2 = gf2.RowBasis(gf2.support_rows(tgt.diff, tgt_odd, tgt_pos))
+    image = gf2.apply_rows(gf2.support_rows(f.entries, even, tgt_pos), gen)
     return not boundaries2.contains(image)
 
 

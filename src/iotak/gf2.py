@@ -131,6 +131,31 @@ def apply_rows(rows: List[int], vec: int) -> int:
     return out
 
 
+def positions(members: List[int], n: int) -> List[int]:
+    """Entry i of range(n): the place of i in members, or -1."""
+    out = [-1] * n
+    for p, i in enumerate(members):
+        out[i] = p
+    return out
+
+
+def support_rows(mat: Dict[int, Dict[int, object]], members: List[int],
+                 target_positions: List[int]) -> List[int]:
+    """The support of the sparse matrix {i: {j: entry}} as bitset rows:
+    row k has bit target_positions[j] for each entry of members[k].
+    Raises ValueError on an entry whose target has position -1."""
+    rows = []
+    for i in members:
+        row = 0
+        for j in mat.get(i, ()):
+            p = target_positions[j]
+            if p < 0:
+                raise ValueError("map image left the target slice")
+            row |= 1 << p
+        rows.append(row)
+    return rows
+
+
 def transpose(rows: List[int], ncols: int) -> List[int]:
     out = [0] * ncols
     for k, row in enumerate(rows):

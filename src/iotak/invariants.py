@@ -349,31 +349,16 @@ class _TowerSlices:
     @_per_slice
     def positions(self, r: int) -> List[int]:
         """Entry i: the position of generator i in slice r, or -1."""
-        pos = [-1] * len(self.t)
-        for p, i in enumerate(self.members(r)):
-            pos[i] = p
-        return pos
-
-    def _map_rows(self, mat: TowerEntries, r: int, target: int) -> List[int]:
-        pos = self.positions(target)
-        rows = []
-        for i in self.members(r):
-            row = 0
-            for j in mat.get(i, ()):
-                if pos[j] < 0:
-                    raise InvariantError("tower slice image out of range")
-                row ^= 1 << pos[j]
-            rows.append(row)
-        return rows
+        return gf2.positions(self.members(r), len(self.t))
 
     @_per_slice
     def diff_rows(self, r: int) -> List[int]:
-        return self._map_rows(self.t.diff, r, r - 1)
+        return gf2.support_rows(self.t.diff, self.members(r), self.positions(r - 1))
 
     @_per_slice
     def one_plus_iota_rows(self, r: int) -> List[int]:
         assert self.t.endo is not None
-        rows = self._map_rows(self.t.endo, r, r)
+        rows = gf2.support_rows(self.t.endo, self.members(r), self.positions(r))
         return [row ^ (1 << pos) for pos, row in enumerate(rows)]
 
     def power_rows(self, r: int, m: int) -> List[int]:

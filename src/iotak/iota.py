@@ -265,6 +265,12 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
     x tensor y^dual to y^dual(x). Their composite is the mod-2 Euler
     characteristic times the identity, which is the identity since the
     homology is the ring.
+
+    The two "nonzero on homology" lines need no slice homology of the
+    product. Once both maps are homogeneous chain maps they induce maps
+    on slice homology, and trace_* o cotrace_* is then the identity on
+    the unknot's rank-one slice homology, which is not zero; so neither
+    cotrace_* nor trace_* is zero.
     """
     ce = identity_complex()
     dic = dual_iota(ic)
@@ -277,16 +283,18 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
     trace = Morphism(prod, ce.complex, {i * n + i: {0: ONE} for i in range(n)},
                      EQUIVARIANT, (0, 0))
 
-    checks: List[Tuple[str, bool]] = []
-    checks.append(("cotrace homogeneous", morphism_is_homogeneous(cotrace)))
-    checks.append(("trace homogeneous", morphism_is_homogeneous(trace)))
-    checks.append(("cotrace filtered", cotrace.is_filtered()))
-    checks.append(("trace filtered", trace.is_filtered()))
-    checks.append(("cotrace chain map", is_chain_map(cotrace)))
-    checks.append(("trace chain map", is_chain_map(trace)))
-    checks.append(("trace o cotrace = id", compose(trace, cotrace) == identity_morphism(ce.complex)))
-    checks.append(("cotrace nonzero on homology", homology_class_map(cotrace)))
-    checks.append(("trace nonzero on homology", homology_class_map(trace)))
+    checks: List[Tuple[str, bool]] = [
+        ("cotrace homogeneous", morphism_is_homogeneous(cotrace)),
+        ("trace homogeneous", morphism_is_homogeneous(trace)),
+        ("cotrace filtered", cotrace.is_filtered()),
+        ("trace filtered", trace.is_filtered()),
+        ("cotrace chain map", is_chain_map(cotrace)),
+        ("trace chain map", is_chain_map(trace)),
+        ("trace o cotrace = id", compose(trace, cotrace) == identity_morphism(ce.complex)),
+    ]
+    # the argument above needs every check so far but the filtrations
+    nonzero = all(ok for name, ok in checks if not name.endswith("filtered"))
+    checks += [("cotrace nonzero on homology", nonzero), ("trace nonzero on homology", nonzero)]
     h_f = homotopy_solve(compose(cotrace, ce.iota), compose(iota_prod, cotrace))
     checks.append(("cotrace intertwines involutions", h_f is not None))
     h_g = homotopy_solve(compose(trace, iota_prod), compose(ce.iota, trace))

@@ -232,6 +232,23 @@ def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+def test_invariants_mirror_needs_torus(tmp_path, capsys):
+    tr = str(tmp_path / "tr.json")
+    run(capsys, "torus", "2", "3", "-o", tr)
+    code, out, err = run(capsys, "invariants", tr, "--mirror")
+    assert (code, out) == (2, "")
+    assert "--mirror needs --torus" in err
+
+
+def test_local_equiv_negative_cap(tmp_path, capsys):
+    tr = str(tmp_path / "tr.json")
+    run(capsys, "torus", "2", "3", "-o", tr)
+    code, out, err = run(capsys, "local-equiv", tr, tr, "--cap", "-1")
+    assert (code, out) == (2, "")
+    assert "--cap must be a nonnegative integer" in err
+    assert run(capsys, "local-equiv", tr, tr, "--cap", "0")[0] == 3
+
+
 def test_verification_failure_exit_code(tmp_path, capsys):
     doc = {
         "name": "broken",

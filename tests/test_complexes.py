@@ -3,13 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import staircase_strategy
+from iotak import gf2
 from iotak.complexes import (
     EQUIVARIANT,
     SKEW,
     BasisElement,
     FreeComplex,
     Morphism,
-    _diff_slice_rows,
     compose,
     differential_morphism,
     dual,
@@ -17,6 +17,7 @@ from iotak.complexes import (
     homology_is_r,
     homotopy_solve,
     identity_morphism,
+    parity_index,
     skew,
     tensor,
     tensor_morphism,
@@ -125,7 +126,7 @@ def test_homology_is_r_examples(hand_trefoil):
     )
     rep = homology_is_r(acyclic)
     assert not rep.holds
-    assert rep.dims == (0, 0)
+    assert rep.dims == (0, 0) == ref_homology_dims(acyclic)
 
 
 @given(staircase_strategy, staircase_strategy)
@@ -141,17 +142,78 @@ def test_constructions_stay_clean(s1, s2):
     assert homology_is_r(t).holds
 
 
+# ---------------------------------------------------------------------------
+# parity slices against a reference that keys slice vectors by monomial
+
+def ref_slice_members(c, alex, gr):
+    """(generator, (i, j)) for each vector U^i V^j x of the slice at
+    Alexander grading alex and gr_u = gr, in generator order."""
+    out = []
+    for idx, x in enumerate(c.basis):
+        if (x.gr_u - gr) % 2:
+            continue
+        i = (x.gr_u - gr) // 2
+        out.append((idx, (i, i - (x.alexander - alex))))
+    return out
+
+
+def ref_map_rows(entries, src_members, tgt_members):
+    """Slice rows from the actual monomials; a term that misses the
+    target slice raises."""
+    lookup = {key: pos for pos, key in enumerate(tgt_members)}
+    rows = []
+    for idx, (i, j) in src_members:
+        row = 0
+        for tgt, p in entries.get(idx, {}).items():
+            for (a, b) in p.terms:
+                pos = lookup.get((tgt, (i + a, j + b)))
+                if pos is None:
+                    raise ValueError("slice map image left the target slice")
+                row ^= 1 << pos
+        rows.append(row)
+    return rows
+
+
+def ref_diff_rows(c, alex, gr):
+    return ref_map_rows(c.diff, ref_slice_members(c, alex, gr), ref_slice_members(c, alex, gr - 1))
+
+
+def ref_homology_dims(c):
+    def dim(gr):
+        n = len(ref_slice_members(c, 0, gr))
+        return n - gf2.rank(ref_diff_rows(c, 0, gr)) - gf2.rank(ref_diff_rows(c, 0, gr + 1))
+    return (dim(0), dim(1))
+
+
 @given(staircase_strategy)
 @settings(max_examples=20, deadline=None)
 def test_slice_translation_isomorphisms(s):
     # multiplication by V identifies the (A, m) and (A+1, m) slices,
     # multiplication by UV the (A, m) and (A, m-2) slices; in canonical
-    # slice bases the matrices agree on the nose
+    # slice bases the matrices agree on the nose, and they are the
+    # support rows of the parity slices
     c = tensor(staircase_complex(s).complex, torus_knot(2, 3).complex)
+    index = parity_index(c)
     for alex, gr in [(0, 0), (0, 1), (1, -1), (-2, 4)]:
-        base = _diff_slice_rows(c, alex, gr)
-        assert base == _diff_slice_rows(c, alex + 1, gr)
-        assert base == _diff_slice_rows(c, alex, gr - 2)
+        base = ref_diff_rows(c, alex, gr)
+        assert base == ref_diff_rows(c, alex + 1, gr)
+        assert base == ref_diff_rows(c, alex, gr - 2)
+        assert base == gf2.support_rows(c.diff, index[gr % 2][0], index[(gr - 1) % 2][1])
+    assert homology_is_r(c).dims == ref_homology_dims(c)
+
+
+def test_slice_homology_rejects_wrong_monomial(hand_trefoil):
+    """An entry U^3 where U is forced, or UV where 1 is, reaches a target
+    of the right parity, so only the homogeneity check rejects it."""
+    c = hand_trefoil.complex
+    bad = FreeComplex(c.basis, {1: {0: monomial(3, 0), 2: monomial(0, 1)}})
+    with pytest.raises(ValueError):
+        homology_is_r(bad)
+    with pytest.raises(ValueError):
+        homology_class_map(identity_morphism(bad))
+    uv = Morphism(c, c, {i: {i: monomial(1, 1)} for i in range(3)}, EQUIVARIANT, (0, 0))
+    with pytest.raises(ValueError):
+        homology_class_map(uv)
 
 
 def test_homology_class_map_identity_and_zero(hand_trefoil):

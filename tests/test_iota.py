@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import staircase_strategy
 from iotak.complexes import (
@@ -8,6 +9,7 @@ from iotak.complexes import (
     Morphism,
     compose,
     differential_morphism,
+    homology_class_map,
     identity_morphism,
     tensor,
     tensor_morphism,
@@ -28,7 +30,7 @@ from iotak.iota import (
     verify_iota_complex,
     verify_local_equivalence,
 )
-from iotak.models import staircase_complex, torus_knot, unknot_complex
+from iotak.models import mirror, staircase_complex, torus_knot, unknot_complex
 from iotak.ring import ONE, ZERO, monomial
 
 
@@ -165,6 +167,19 @@ def test_inverse_witnesses_trefoil(hand_trefoil):
     assert rep.passed, rep.first_failure
     # cotrace sends 1 to the sum of x tensor x-dual: three diagonal entries
     assert rep.cotrace.entries == {0: {0: ONE, 4: ONE, 8: ONE}}
+
+
+@given(st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=1, max_size=2))
+@settings(max_examples=25, deadline=None)
+def test_inverse_witnesses_match_slice_homology(parts):
+    """The two "nonzero on homology" lines, derived from the chain-map
+    and trace o cotrace = id checks, equal the slice homology maps."""
+    ics = [mirror(staircase_complex(s)) if flip else staircase_complex(s) for s, flip in parts]
+    ic = ics[0] if len(ics) == 1 else product(*ics, verify=False)
+    rep = inverse_witnesses(ic)
+    checks = dict(rep.checks)
+    assert checks["cotrace nonzero on homology"] == homology_class_map(rep.cotrace)
+    assert checks["trace nonzero on homology"] == homology_class_map(rep.trace)
 
 
 def test_verify_local_equivalence_identity(hand_trefoil):
