@@ -255,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except serialize.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvariantError, ValueError) as exc:
+    except (InvariantError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

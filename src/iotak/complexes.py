@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import gf2
-from .ring import ZERO, LaurentPoly, Monomial, monomial
+from .ring import ONE, ZERO, LaurentPoly, Monomial, monomial
 
 EQUIVARIANT = "equivariant"
 SKEW = "skew"
@@ -145,8 +145,6 @@ def zero_morphism(source, target, variance, bidegree) -> Morphism:
 
 
 def identity_morphism(c: FreeComplex) -> Morphism:
-    from .ring import ONE
-
     return Morphism(c, c, {i: {i: ONE} for i in range(len(c))}, EQUIVARIANT, (0, 0))
 
 
@@ -208,14 +206,19 @@ def forced_monomial(x: BasisElement, y: BasisElement, variance: str,
     return (du // 2, dv // 2)
 
 
-def morphism_is_homogeneous(f: Morphism) -> bool:
+def inhomogeneous_entries(f: Morphism):
+    """The (source, target) index pairs whose entry is not the
+    grading-forced monomial, in the order of f.entries."""
     for i, row in f.entries.items():
         x = f.source.basis[i]
         for j, p in row.items():
             m = forced_monomial(x, f.target.basis[j], f.variance, f.bidegree)
             if m is None or p.terms != (m,):
-                return False
-    return True
+                yield i, j
+
+
+def morphism_is_homogeneous(f: Morphism) -> bool:
+    return next(inhomogeneous_entries(f), None) is None
 
 
 def differential_morphism(c: FreeComplex) -> Morphism:
@@ -254,22 +257,16 @@ def verify_complex(c: FreeComplex) -> ComplexReport:
         if (x.gr_u - x.gr_v) % 2:
             homogeneous = False
             offenders.append(f"generator {x.name}: gr_u and gr_v have different parity")
-    for i, row in c.diff.items():
-        x = c.basis[i]
-        for j, p in row.items():
-            y = c.basis[j]
-            m = forced_monomial(x, y, EQUIVARIANT, (-1, -1))
-            if m is None or p.terms != (m,):
-                homogeneous = False
-                offenders.append(f"entry {x.name} -> {y.name}: {p!r} is not homogeneous of bidegree (-1,-1)")
-
     d = differential_morphism(c)
+    for i, j in inhomogeneous_entries(d):
+        homogeneous = False
+        offenders.append(f"entry {c.basis[i].name} -> {c.basis[j].name}: {c.diff[i][j]!r} "
+                         "is not homogeneous of bidegree (-1,-1)")
+
     d2 = compose(d, d)
-    d_squared_zero = d2.is_zero()
-    if not d_squared_zero:
-        for i, row in d2.entries.items():
-            for j in row:
-                offenders.append(f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}")
+    for i, row in d2.entries.items():
+        for j in row:
+            offenders.append(f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}")
 
     filtered_ok = True
     for i, row in c.diff.items():
@@ -278,7 +275,7 @@ def verify_complex(c: FreeComplex) -> ComplexReport:
                 filtered_ok = False
                 offenders.append(
                     f"entry {c.basis[i].name} -> {c.basis[j].name}: negative exponent in filtered complex")
-    return ComplexReport(homogeneous, d_squared_zero, filtered_ok, tuple(offenders))
+    return ComplexReport(homogeneous, d2.is_zero(), filtered_ok, tuple(offenders))
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +431,9 @@ def homology_class_map(f: Morphism) -> bool:
     gen = next((z for z in cycles if not boundaries.contains(z)), None)
     if gen is None:
         raise ValueError("source slice homology has no generator class")
-    if tgt is src:
-        tgt_pos, boundaries2 = even_pos, boundaries
-    else:
-        (_, tgt_pos), (tgt_odd, _) = parity_index(tgt)
-        boundaries2 = gf2.RowBasis(gf2.support_rows(tgt.diff, tgt_odd, tgt_pos))
-    image = gf2.apply_rows(gf2.support_rows(f.entries, even, tgt_pos), gen)
-    return not boundaries2.contains(image)
+    (_, tgt_pos), (tgt_odd, _) = parity_index(tgt)
+    boundaries2 = gf2.RowBasis(gf2.support_rows(tgt.diff, tgt_odd, tgt_pos))
+    return not boundaries2.contains(gf2.apply_rows(gf2.support_rows(f.entries, even, tgt_pos), gen))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The involution iota squares to id + Phi o Psi, where Phi and Psi are the
 formal derivatives of the differential with respect to U and V. This
 module builds those derivatives, verifies the six axioms, forms the two
 connected-sum products, duals, trace/cotrace inverse witnesses, and
-decides local equivalence at small scale.
+decides local equivalence by one F2 solve per direction.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .complexes import (
     tensor,
     tensor_morphism,
     verify_complex,
-    zero_morphism,
 )
 from .ring import ONE, LaurentPoly
 
@@ -334,40 +333,48 @@ def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
 
 
 class CapExceededError(Exception):
-    def __init__(self, dimension: int, cap: int):
-        super().__init__(f"chain-map solution space has dimension {dimension} > cap {cap}")
-        self.dimension = dimension
-        self.cap = cap
+    """A chain-map solution space is larger than the search's cap."""
 
 
 def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Optional[Morphism]:
     space = _HomEquations(src_ic.complex, tgt_ic.complex, EQUIVARIANT, (0, 0))
     basis = gf2.nullspace(space.equations.values(), len(space.unknowns))
     if len(basis) > cap:
-        raise CapExceededError(len(basis), cap)
-    for combo in range(1, 1 << len(basis)):
-        cand = space.morphism(gf2.apply_rows(basis, combo))
-        if not homology_class_map(cand):
-            continue
-        if homotopy_solve(compose(tgt_ic.iota, cand), compose(cand, src_ic.iota)) is not None:
-            return cand
-    return None
+        raise CapExceededError(f"chain-map solution space has dimension {len(basis)} > cap {cap}")
+    # unknowns: the bits of H, then one bit c_k per basis map above them; rows:
+    # dH + Hd = sum c_k (iota2 b_k + b_k iota1) entrywise, and c nonzero on homology
+    homotopies = _HomEquations(src_ic.complex, tgt_ic.complex, SKEW, (1, 1))
+    n = len(homotopies.unknowns)
+    rows = dict(homotopies.equations)
+    on_homology = 0
+    for k, b in enumerate(basis):
+        f = space.morphism(b)
+        bit = 1 << (n + k)
+        for i, row in (compose(tgt_ic.iota, f) + compose(f, src_ic.iota)).entries.items():
+            for j in row:
+                rows[(i, j)] = rows.get((i, j), 0) ^ bit
+        if homology_class_map(f):
+            on_homology |= bit
+    sol = gf2.solve([*rows.values(), on_homology], [0] * len(rows) + [1], n + len(basis))
+    return None if sol is None else space.morphism(gf2.apply_rows(basis, sol >> n))
 
 
 def search_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
                              cap: int = 24) -> Optional[Tuple[Morphism, Morphism]]:
-    """Exhaustive search for a local equivalence witness pair.
+    """A local equivalence witness pair (f, g), or None if there is none.
 
-    The candidates in each direction form the affine F2 solution space
-    of grading-forced filtered chain maps; intertwining with the
-    involutions is checked per candidate. A completed search without a
-    witness is a proof of non-equivalence. Raises CapExceededError when
-    a solution space is larger than 2^cap.
+    Per direction, over a basis b_k of the filtered chain maps: c = sum
+    c_k b_k is a witness iff c is nonzero on the rank-one slice homology
+    and iota2 c + c iota1 = dH + Hd for a filtered skew H. Both are
+    F2-linear in (c, H), so one gf2.solve decides; with c above H and
+    free unknowns zero it returns the least valid c. None proves
+    non-equivalence. The pair is checked by verify_local_equivalence.
+    Raises CapExceededError when a chain-map space has dimension > cap.
     """
     f = _search_direction(ic1, ic2, cap)
-    if f is None:
-        return None
-    g = _search_direction(ic2, ic1, cap)
+    g = None if f is None else _search_direction(ic2, ic1, cap)
     if g is None:
         return None
+    if not verify_local_equivalence(ic1, ic2, f, g).passed:
+        raise AssertionError("local-equivalence solve produced an invalid witness")
     return (f, g)

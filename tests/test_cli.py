@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotak import cli, serialize
+from iotak.complexes import EQUIVARIANT, Morphism
+from iotak.iota import verify_local_equivalence
 from iotak.models import torus_knot
 
 
@@ -247,6 +249,36 @@ def test_local_equiv_negative_cap(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "--cap must be a nonnegative integer" in err
     assert run(capsys, "local-equiv", tr, tr, "--cap", "0")[0] == 3
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    tr = str(tmp_path / "tr.json")
+    run(capsys, "torus", "2", "3", "-o", tr)
+    for out_path in (str(tmp_path / "no" / "such" / "x.json"), str(tmp_path)):
+        for args in (("torus", "2", "3"), ("sum", tr, tr), ("dual", tr)):
+            code, out, err = run(capsys, *args, "-o", out_path)
+            assert (code, out) == (2, ""), args
+            assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_local_equiv_above_default_cap(tmp_path, capsys):
+    """T(4,5) # T(4,5) has a 59-dimensional chain-map space: above the
+    default cap it exits 3, and with --cap 59 it prints a witness pair
+    that verify_local_equivalence accepts."""
+    t45, t44 = str(tmp_path / "t45.json"), str(tmp_path / "t44.json")
+    run(capsys, "torus", "4", "5", "-o", t45)
+    run(capsys, "sum", t45, t45, "-o", t44)
+    code, out, err = run(capsys, "local-equiv", t44, t44)
+    assert (code, out) == (3, "")
+    assert err == "chain-map solution space has dimension 59 > cap 24\n"
+    code, out, err = run(capsys, "local-equiv", t44, t44, "--cap", "59")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["locally_equivalent"] is True
+    ic = serialize.load(t44)[1]
+    f, g = (Morphism(ic.complex, ic.complex, serialize._parse_entries(doc[k], ic.complex.index, k),
+                     EQUIVARIANT, (0, 0)) for k in ("F", "G"))
+    assert verify_local_equivalence(ic, ic, f, g).passed
 
 
 def test_verification_failure_exit_code(tmp_path, capsys):

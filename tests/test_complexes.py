@@ -65,6 +65,33 @@ def test_verify_catches_d_squared():
     assert not report.d_squared_zero
 
 
+def test_verify_offenders_pinned():
+    """Every kind of offender, in the text and order recorded before the
+    homogeneity check was shared with morphism_is_homogeneous."""
+    basis = [BasisElement("a", 0, 0), BasisElement("b", -1, -1), BasisElement("c", -2, -2),
+             BasisElement("p", 0, -1)]
+    diff = {1: {0: monomial(0, 0) + monomial(1, 1), 2: monomial(-1, 2)},
+            2: {1: ONE, 0: monomial(1, 1)}, 0: {2: monomial(3, 0)}}
+    report = verify_complex(FreeComplex(basis, diff))
+    assert not (report.homogeneous or report.d_squared_zero or report.filtered_ok)
+    assert report.offenders == (
+        "generator p: gr_u and gr_v have different parity",
+        "entry b -> a: 1 + UV is not homogeneous of bidegree (-1,-1)",
+        "entry b -> c: U^-1V^2 is not homogeneous of bidegree (-1,-1)",
+        "entry c -> b: 1 is not homogeneous of bidegree (-1,-1)",
+        "entry c -> a: UV is not homogeneous of bidegree (-1,-1)",
+        "entry a -> c: U^3 is not homogeneous of bidegree (-1,-1)",
+        "d^2 nonzero: b -> c",
+        "d^2 nonzero: b -> b",
+        "d^2 nonzero: b -> a",
+        "d^2 nonzero: c -> a",
+        "d^2 nonzero: c -> c",
+        "d^2 nonzero: a -> b",
+        "d^2 nonzero: a -> a",
+        "entry b -> c: negative exponent in filtered complex",
+    )
+
+
 def test_tensor_trefoil_square(hand_trefoil):
     c = hand_trefoil.complex
     t = tensor(c, c)

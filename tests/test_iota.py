@@ -1,12 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import staircase_strategy
+from iotak import gf2
 from iotak.complexes import (
     EQUIVARIANT,
     SKEW,
     Morphism,
+    _HomEquations,
     compose,
     differential_morphism,
     homology_class_map,
@@ -19,6 +21,7 @@ from iotak.complexes import (
 from iotak.iota import (
     CapExceededError,
     IotaComplex,
+    _search_direction,
     build_phi,
     build_psi,
     dual_iota,
@@ -30,6 +33,7 @@ from iotak.iota import (
     verify_iota_complex,
     verify_local_equivalence,
 )
+from iotak.invariants import a_zero_minus, involutive_invariants
 from iotak.models import mirror, staircase_complex, torus_knot, unknot_complex
 from iotak.ring import ONE, ZERO, monomial
 
@@ -228,6 +232,118 @@ def test_search_product_variants(hand_trefoil):
 def test_search_cap_exceeded(hand_trefoil):
     with pytest.raises(CapExceededError):
         search_local_equivalence(hand_trefoil, hand_trefoil, cap=0)
+
+
+def _chain_map_basis(src, tgt):
+    space = _HomEquations(src.complex, tgt.complex, EQUIVARIANT, (0, 0))
+    return space, gf2.nullspace(space.equations.values(), len(space.unknowns))
+
+
+def exhaustive_direction(src, tgt):
+    """The reference search: try every combination of the chain-map
+    basis in increasing order, and return the first that is nonzero on
+    homology and intertwines the involutions up to filtered homotopy."""
+    space, basis = _chain_map_basis(src, tgt)
+    for combo in range(1, 1 << len(basis)):
+        cand = space.morphism(gf2.apply_rows(basis, combo))
+        if not homology_class_map(cand):
+            continue
+        if homotopy_solve(compose(tgt.iota, cand), compose(cand, src.iota)) is not None:
+            return cand
+    return None
+
+
+parts_strategy = st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=1, max_size=2)
+
+
+def staircase_sum(parts, variant=1):
+    """The product of staircases, each mirrored when its flag is set."""
+    ics = [mirror(staircase_complex(s)) if flip else staircase_complex(s) for s, flip in parts]
+    return ics[0] if len(ics) == 1 else product(*ics, variant=variant, verify=False)
+
+
+@st.composite
+def complex_pairs(draw):
+    """A sum of staircases and a second complex that is unrelated, or a
+    sum with the factors swapped, or the other product variant, or
+    K # K' # K'^dual."""
+    parts = draw(parts_strategy)
+    kind = draw(st.sampled_from(("unrelated", "swapped", "variant", "inverse pair")))
+    if kind == "unrelated":
+        return staircase_sum(parts), staircase_sum(draw(parts_strategy), draw(st.sampled_from((1, 2))))
+    if kind == "swapped":
+        return staircase_sum(parts), staircase_sum(parts[::-1])
+    if kind == "variant":
+        return staircase_sum(parts, 1), staircase_sum(parts, 2)
+    k, k2 = staircase_sum(parts[:1]), staircase_complex(draw(staircase_strategy))
+    return k, product(product(k, k2, verify=False), dual_iota(k2), verify=False)
+
+
+@given(complex_pairs())
+@settings(max_examples=15, deadline=None)
+def test_solve_matches_exhaustive_search(pair):
+    """The one-solve decision and witness equal the exhaustive search's,
+    in each direction whose chain-map space has dimension <= 12."""
+    a, b = pair
+    for src, tgt in ((a, b), (b, a)):
+        if len(_chain_map_basis(src, tgt)[1]) > 12:
+            with pytest.raises(CapExceededError):
+                _search_direction(src, tgt, 12)
+            continue
+        assert _search_direction(src, tgt, 12) == exhaustive_direction(src, tgt)
+
+
+def test_search_witness_pinned():
+    """T(2,3) # T(2,3), variant 1 to variant 2: the basis has dimension 5
+    and the least witness is combination 20, the swap of the factors.
+    Combinations 16-19 are nonzero on homology but do not intertwine."""
+    t23 = torus_knot(2, 3)
+    p1, p2 = product(t23, t23, variant=1), product(t23, t23, variant=2)
+    space, basis = _chain_map_basis(p1, p2)
+    assert len(basis) == 5
+    f = _search_direction(p1, p2, 24)
+    assert f.entries == {i * 3 + j: {j * 3 + i: ONE} for i in range(3) for j in range(3)}
+    assert f == space.morphism(gf2.apply_rows(basis, 20))
+    for combo in range(1, 20):
+        cand = space.morphism(gf2.apply_rows(basis, combo))
+        assert homology_class_map(cand) == (combo >= 16)
+    assert exhaustive_direction(p1, p2) == f
+
+
+BIG_CAP = 10_000
+
+
+def _witnessed(ic1, ic2):
+    found = search_local_equivalence(ic1, ic2, cap=BIG_CAP)
+    return found is not None and verify_local_equivalence(ic1, ic2, *found).passed
+
+
+@given(st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=2, max_size=2))
+@settings(max_examples=8, deadline=None)
+def test_product_variants_and_factor_order_locally_equivalent(parts):
+    """K1 # K2 in variant 1 ~ variant 2, and K1 # K2 ~ K2 # K1."""
+    k12 = staircase_sum(parts)
+    assert _witnessed(k12, staircase_sum(parts, 2))
+    assert _witnessed(k12, staircase_sum(parts[::-1]))
+
+
+@given(parts_strategy)
+@settings(max_examples=8, deadline=None)
+def test_sum_with_dual_locally_trivial(parts):
+    """K # K^dual ~ the unknot, for K of at most 25 generators."""
+    k = staircase_sum(parts)
+    assume(len(k.complex) <= 25)
+    assert _witnessed(product(k, dual_iota(k), verify=False), identity_complex())
+
+
+@given(complex_pairs())
+@settings(max_examples=10, deadline=None)
+def test_local_equivalence_preserves_invariants(pair):
+    """Locally equivalent complexes have equal (V0_bar, V0, V0_under)."""
+    a, b = pair
+    if search_local_equivalence(a, b, cap=BIG_CAP) is not None:
+        triples = [involutive_invariants(a_zero_minus(ic, verify=False)).triple() for ic in pair]
+        assert triples[0] == triples[1]
 
 
 def test_iota_fourth_power_homotopic_to_identity(hand_trefoil):
