@@ -15,6 +15,7 @@ F2[U, V].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -396,8 +397,32 @@ def _require_homogeneous(*maps: Morphism) -> None:
 
 @dataclass
 class SliceHomologyReport:
+    """The slice homology of one complex, built once: dims of the even
+    and the odd slice, its parity_index, the even-to-odd differential's
+    support rows, and the span of the even slice's boundaries. The
+    generator costs a nullspace, so it is built on first use."""
+
     holds: bool
     dims: Tuple[int, int]
+    index: Tuple[Tuple[List[int], List[int]], ...]
+    out_rows: List[int]
+    boundaries: gf2.RowBasis
+
+    @functools.cached_property
+    def generator(self) -> Optional[int]:
+        """The first even cycle in nullspace order that is not a
+        boundary, or None."""
+        (even, _), (odd, _) = self.index
+        cycles = gf2.nullspace(gf2.transpose(self.out_rows, len(odd)), len(even))
+        return next((z for z in cycles if not self.boundaries.contains(z)), None)
+
+    def maps_generator_nonzero(self, f: "Morphism", target: "SliceHomologyReport") -> bool:
+        """Whether f, a homogeneous degree-(0,0) chain map out of this
+        complex, sends the generator to a nonzero class of target."""
+        if self.generator is None:
+            raise ValueError("source slice homology has no generator class")
+        rows = gf2.support_rows(f.entries, self.index[0][0], target.index[0][1])
+        return not target.boundaries.contains(gf2.apply_rows(rows, self.generator))
 
 
 def homology_is_r(c: FreeComplex) -> SliceHomologyReport:
@@ -408,11 +433,13 @@ def homology_is_r(c: FreeComplex) -> SliceHomologyReport:
     ranks of the even-to-odd and the odd-to-even differential.
     """
     _require_homogeneous(differential_morphism(c))
-    (even, even_pos), (odd, odd_pos) = parity_index(c)
-    ranks = (gf2.rank(gf2.support_rows(c.diff, even, odd_pos))
-             + gf2.rank(gf2.support_rows(c.diff, odd, even_pos)))
+    index = parity_index(c)
+    (even, even_pos), (odd, odd_pos) = index
+    out_rows = gf2.support_rows(c.diff, even, odd_pos)
+    boundaries = gf2.RowBasis(gf2.support_rows(c.diff, odd, even_pos))
+    ranks = gf2.rank(out_rows) + boundaries.rank
     dims = (len(even) - ranks, len(odd) - ranks)
-    return SliceHomologyReport(dims == (1, 0), dims)
+    return SliceHomologyReport(dims == (1, 0), dims, index, out_rows, boundaries)
 
 
 def homology_class_map(f: Morphism) -> bool:
@@ -422,18 +449,8 @@ def homology_class_map(f: Morphism) -> bool:
         raise ValueError("homology_class_map needs an equivariant bidegree-(0,0) map")
     if not is_chain_map(f):
         raise ValueError("homology_class_map rejects non-chain-maps")
-    src, tgt = f.source, f.target
-    _require_homogeneous(f, differential_morphism(src), differential_morphism(tgt))
-    (even, even_pos), (odd, odd_pos) = parity_index(src)
-    out_rows = gf2.support_rows(src.diff, even, odd_pos)
-    cycles = gf2.nullspace(gf2.transpose(out_rows, len(odd)), len(even))
-    boundaries = gf2.RowBasis(gf2.support_rows(src.diff, odd, even_pos))
-    gen = next((z for z in cycles if not boundaries.contains(z)), None)
-    if gen is None:
-        raise ValueError("source slice homology has no generator class")
-    (_, tgt_pos), (tgt_odd, _) = parity_index(tgt)
-    boundaries2 = gf2.RowBasis(gf2.support_rows(tgt.diff, tgt_odd, tgt_pos))
-    return not boundaries2.contains(gf2.apply_rows(gf2.support_rows(f.entries, even, tgt_pos), gen))
+    _require_homogeneous(f)
+    return homology_is_r(f.source).maps_generator_nonzero(f, homology_is_r(f.target))
 
 
 # ---------------------------------------------------------------------------

@@ -13,42 +13,35 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import gf2
 from .iota import IotaComplex, verify_iota_complex
 
-# sparse F2[W] matrix: {source index: {target index: exponent of W}}
-TowerEntries = Dict[int, Dict[int, int]]
+# sparse F2[W] matrix: {source index: set of target indices}. Homogeneity
+# forces the power W^k of an entry x -> y: 2k = gr(y) - gr(x) + 1 for the
+# differential and 2k = gr(y) - gr(x) for the endomorphism.
+TowerEntries = Dict[int, Set[int]]
 
 
 class InvariantError(ValueError):
     """Structural assumption violated (odd d, missing free summand, ...)."""
 
 
-def _xor_power(row: Dict[int, int], j: int, k: int) -> None:
-    """Add W^k to entry j of a tower row over F2: equal powers cancel,
-    different powers would make the entry inhomogeneous."""
-    if j not in row:
-        row[j] = k
-    elif row[j] == k:
-        del row[j]
-    else:
-        raise InvariantError("inhomogeneous collision in a tower entry")
-
-
 class UTowerComplex:
     """A graded free F2[W]-complex, optionally with an endomorphism.
 
-    Entries are single powers W^k, k >= 0; an entry from x to y forces
-    gr(y) - 2k = gr(x) - 1 (and gr(y) - 2k = gr(x) for the endomorphism).
+    Matrices store supports only. An entry from x to y is the power W^k
+    that the gradings force, 2k = gr(y) - gr(x) + 1 for the differential
+    and 2k = gr(y) - gr(x) for the endomorphism, and that k must be a
+    nonnegative integer.
     """
 
     def __init__(self, basis: List[Tuple[str, int]], diff: TowerEntries,
                  endo: Optional[TowerEntries] = None):
         self.basis: Tuple[Tuple[str, int], ...] = tuple((str(n), int(g)) for n, g in basis)
-        self.diff = {i: dict(row) for i, row in diff.items() if row}
-        self.endo = None if endo is None else {i: dict(row) for i, row in endo.items() if row}
+        self.diff = {i: set(row) for i, row in diff.items() if row}
+        self.endo = None if endo is None else {i: set(row) for i, row in endo.items() if row}
         self._validate()
 
     def grading(self, i: int) -> int:
@@ -60,19 +53,17 @@ class UTowerComplex:
     def _validate(self) -> None:
         for mats, shift in ((self.diff, 1), (self.endo or {}, 0)):
             for i, row in mats.items():
-                for j, k in row.items():
-                    if k < 0:
-                        raise InvariantError("negative exponent in tower matrix")
-                    if self.grading(j) - 2 * k != self.grading(i) - shift:
-                        raise InvariantError(
-                            f"inhomogeneous tower entry {self.basis[i][0]} -> {self.basis[j][0]}")
+                for j in row:
+                    twice_k = self.grading(j) - self.grading(i) + shift
+                    if twice_k < 0 or twice_k % 2:
+                        raise InvariantError(f"tower entry {self.basis[i][0]} -> "
+                                             f"{self.basis[j][0]} forces no W^k, k >= 0")
         # d^2 = 0: homogeneity pins every path's exponent, so only parity matters
         for i, row in self.diff.items():
-            acc: Dict[int, int] = {}
+            acc: Set[int] = set()
             for j in row:
-                for k in self.diff.get(j, {}):
-                    acc[k] = acc.get(k, 0) ^ 1
-            if any(acc.values()):
+                acc ^= self.diff.get(j, set())
+            if acc:
                 raise InvariantError(f"d^2 != 0 at generator {self.basis[i][0]}")
 
 
@@ -106,16 +97,13 @@ def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
             i0, j0 = shifts[i]
             if skew:
                 i0, j0 = j0, i0
-            acc: Dict[int, int] = {}
             for j, poly in row.items():
                 ti, tj = shifts[j]
-                for (p, q) in poly.terms:
-                    k = i0 + p - ti
-                    if k != j0 + q - tj or k < 0:
-                        raise InvariantError("entry does not restrict to the tower subcomplex")
-                    _xor_power(acc, j, k)
-            if acc:
-                out[i] = acc
+                (p, q), *rest = poly.terms
+                k = i0 + p - ti
+                if rest or k != j0 + q - tj or k < 0:
+                    raise InvariantError("entry does not restrict to the tower subcomplex")
+            out[i] = set(row)
         return out
 
     diff = restrict(cx.diff, skew=False)
@@ -154,8 +142,10 @@ def homology_snf(t: UTowerComplex) -> HomologyDecomp:
     pushes its new least. The first key that names a live entry is the
     least of all, the same pivot a full scan would pick.
     """
-    cols: TowerEntries = {i: dict(row) for i, row in t.diff.items()}
-    rows: TowerEntries = {}
+    # working maps {source: {target: k}} and {target: {source: k}}, k forced
+    g = [gr for _, gr in t.basis]
+    cols = {i: {j: (g[j] - g[i] + 1) // 2 for j in row} for i, row in t.diff.items()}
+    rows: Dict[int, Dict[int, int]] = {}
     for i, row in cols.items():
         for j, k in row.items():
             rows.setdefault(j, {})[i] = k
@@ -197,13 +187,11 @@ def homology_snf(t: UTowerComplex) -> HomologyDecomp:
         targets = [(z, kz) for z, kz in cols[x].items() if z != y]
         for w, kw in sources:
             for z, kz in targets:
-                new = (kw - k) + kz
+                # a filled-in entry's power is forced: an existing one cancels
                 if z in cols.get(w, {}):
-                    if cols[w][z] != new:
-                        raise InvariantError("inhomogeneous collision during reduction")
                     drop(w, z)
                 else:
-                    put(w, z, new)
+                    put(w, z, (kw - k) + kz)
         for w, kw in list(rows.get(y, {}).items()):
             drop(w, y)
         for z, kz in list(cols.get(x, {}).items()):
@@ -226,20 +214,10 @@ def involutive_cone(t: UTowerComplex) -> UTowerComplex:
     n = len(t)
     basis = [(f"{name}.dom", g + 1) for name, g in t.basis]
     basis += [(f"{name}.q", g) for name, g in t.basis]
-    diff: TowerEntries = {}
+    diff: TowerEntries = {i + n: {j + n for j in row} for i, row in t.diff.items()}
     for i in range(n):
-        acc: Dict[int, int] = {}
-        for j, k in t.diff.get(i, {}).items():
-            acc[j] = k
-        one_plus_iota: Dict[int, int] = {i + n: 0}
-        for j, k in t.endo.get(i, {}).items():
-            _xor_power(one_plus_iota, j + n, k)
-        acc.update(one_plus_iota)
-        if acc:
-            diff[i] = acc
-        q_row = {j + n: k for j, k in t.diff.get(i, {}).items()}
-        if q_row:
-            diff[i + n] = q_row
+        # an endomorphism entry i -> i is forced to W^0 and cancels the 1
+        diff[i] = t.diff.get(i, set()) | ({i + n} ^ {j + n for j in t.endo.get(i, ())})
     return UTowerComplex(basis, diff, endo=None)
 
 

@@ -24,7 +24,6 @@ from .complexes import (
     compose,
     dual,
     dual_morphism,
-    homology_class_map,
     homology_is_r,
     homotopy_solve,
     identity_morphism,
@@ -323,8 +322,9 @@ def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
     if not all(ok for _, ok in checks):
         return CheckReport(tuple(checks))
 
-    checks.append(("f isomorphism on homology", homology_class_map(f)))
-    checks.append(("g isomorphism on homology", homology_class_map(g)))
+    hom1, hom2 = homology_is_r(ic1.complex), homology_is_r(ic2.complex)
+    checks.append(("f isomorphism on homology", hom1.maps_generator_nonzero(f, hom2)))
+    checks.append(("g isomorphism on homology", hom2.maps_generator_nonzero(g, hom1)))
     h1 = homotopy_solve(compose(ic2.iota, f), compose(f, ic1.iota))
     checks.append(("iota2 f ~ f iota1", h1 is not None))
     h2 = homotopy_solve(compose(ic1.iota, g), compose(g, ic2.iota))
@@ -346,6 +346,7 @@ def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Opt
     homotopies = _HomEquations(src_ic.complex, tgt_ic.complex, SKEW, (1, 1))
     n = len(homotopies.unknowns)
     rows = dict(homotopies.equations)
+    src_hom, tgt_hom = homology_is_r(src_ic.complex), homology_is_r(tgt_ic.complex)
     on_homology = 0
     for k, b in enumerate(basis):
         f = space.morphism(b)
@@ -353,7 +354,7 @@ def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Opt
         for i, row in (compose(tgt_ic.iota, f) + compose(f, src_ic.iota)).entries.items():
             for j in row:
                 rows[(i, j)] = rows.get((i, j), 0) ^ bit
-        if homology_class_map(f):
+        if src_hom.maps_generator_nonzero(f, tgt_hom):
             on_homology |= bit
     sol = gf2.solve([*rows.values(), on_homology], [0] * len(rows) + [1], n + len(basis))
     return None if sol is None else space.morphism(gf2.apply_rows(basis, sol >> n))

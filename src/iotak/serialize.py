@@ -124,9 +124,9 @@ def save(path: str, name: str, ic: IotaComplex) -> None:
 
 def load(path: str) -> tuple[str, IotaComplex]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -1,8 +1,10 @@
 """The names the benchmark's tracer wraps and counts exist in iotak.
 
 perfbench/tracing.py rebinds functions by module attribute, patches a
-few methods, and reads every Morphism.entries row with len(). A refactor
-of src/ that renames one of them breaks the traced benchmark run
+few methods, reads every Morphism.entries row with len(), and sizes
+homology_snf from its tower's diff rows (len() again) and its result.
+A refactor of src/ that renames one of them, or changes those rows so
+that len() no longer counts entries, breaks the traced benchmark run
 without failing any other test.
 """
 
@@ -11,6 +13,8 @@ import importlib.util
 from pathlib import Path
 
 from iotak.complexes import identity_morphism
+from iotak.invariants import a_zero_minus, homology_snf
+from iotak.iota import product
 from iotak.models import torus_knot
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -39,3 +43,10 @@ def test_morphism_entry_rows_are_dicts():
     m = identity_morphism(torus_knot(2, 3).complex)
     assert m.entries and all(isinstance(row, dict) for row in m.entries.values())
     assert _tracing()._nnz(m) == 3
+
+
+def test_homology_snf_sizes_on_a_tower():
+    # T(2,3)#T(2,3): 12 entries, W^0 and W^1 pivots, one torsion tower
+    t = a_zero_minus(product(torus_knot(2, 3), torus_knot(2, 3)))
+    sizes = _tracing().SIZERS["invariants.homology_snf"]((t,), homology_snf(t))
+    assert sizes == {"gens": 9, "nnz": 12, "pivots": 4, "torsion": 1}

@@ -261,6 +261,16 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
             assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [b"[" * 100_000, b'{"name": "\xe9"}'],
+                         ids=["deeply nested", "not utf-8"])
+def test_undecodable_file_is_a_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {path}: ") and "Traceback" not in err
+
+
 def test_local_equiv_above_default_cap(tmp_path, capsys):
     """T(4,5) # T(4,5) has a 59-dimensional chain-map space: above the
     default cap it exits 3, and with --cap 59 it prints a witness pair

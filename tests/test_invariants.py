@@ -32,14 +32,14 @@ def test_a_zero_minus_unknot():
     t = tower(identity_complex())
     assert t.basis == (("e", 0),)
     assert t.diff == {}
-    assert t.endo == {0: {0: 0}}
+    assert t.endo == {0: {0}}
 
 
 def test_a_zero_minus_trefoil(hand_trefoil):
     t = tower(hand_trefoil)
     assert t.basis == (("a", -2), ("b", -1), ("c", -2))
-    assert t.diff == {1: {0: 0, 2: 0}}
-    assert t.endo == {0: {2: 0}, 1: {1: 0}, 2: {0: 0}}
+    assert t.diff == {1: {0, 2}}
+    assert t.endo == {0: {2}, 1: {1}, 2: {0}}
 
 
 def test_a_zero_minus_trefoil_square(hand_trefoil):
@@ -68,14 +68,28 @@ def test_a_zero_minus_validates_input(hand_trefoil):
         a_zero_minus(bad)
 
 
+def test_a_zero_minus_rejects_two_term_entry(hand_trefoil):
+    # iota(b) = (1 + UV) b would restrict to W^0 + W^1, which no grading allows
+    from iotak.complexes import Morphism, SKEW
+    from iotak.iota import IotaComplex
+    from iotak.ring import LaurentPoly
+
+    c = hand_trefoil.complex
+    entries = dict(hand_trefoil.iota.entries)
+    entries[1] = {1: LaurentPoly([(0, 0), (1, 1)])}
+    bad = IotaComplex(c, Morphism(c, c, entries, SKEW, (0, 0)))
+    with pytest.raises(InvariantError):
+        a_zero_minus(bad, verify=False)
+
+
 def test_snf_plain_cancellation():
-    t = UTowerComplex([("a", 1), ("b", 0)], {0: {1: 0}})
+    t = UTowerComplex([("a", 1), ("b", 0)], {0: {1}})
     assert homology_snf(t) == HomologyDecomp((), ())
 
 
 def test_snf_single_torsion_tower():
-    # da = W^2 b forces gr(a) = gr(b) - 2*2 + 1
-    t = UTowerComplex([("a", -3), ("b", 0)], {0: {1: 2}})
+    # gr(a) = gr(b) - 2*2 + 1 forces da = W^2 b
+    t = UTowerComplex([("a", -3), ("b", 0)], {0: {1}})
     assert homology_snf(t) == HomologyDecomp((), ((0, 2),))
 
 
@@ -87,14 +101,22 @@ def test_snf_trefoil_tower(hand_trefoil):
 
 def test_snf_rejects_inhomogeneous():
     with pytest.raises(InvariantError):
-        UTowerComplex([("a", 0), ("b", 0)], {0: {1: 0}})
+        UTowerComplex([("a", 0), ("b", 0)], {0: {1}})
+
+
+def test_tower_rejects_forced_negative_or_odd_power():
+    # d: 2k = gr(b) - gr(a) + 1 = -2; endo: 2k = gr(b) - gr(a) = 1
+    with pytest.raises(InvariantError):
+        UTowerComplex([("a", 0), ("b", -3)], {0: {1}})
+    with pytest.raises(InvariantError):
+        UTowerComplex([("a", 0), ("b", 1)], {}, endo={0: {1}})
 
 
 def test_snf_mixed_exponents():
     # da = b + c, dd = W(b + c): homology is free on [b] and [d + Wa]
     t = UTowerComplex(
         [("a", 0), ("b", -1), ("c", -1), ("d", -2)],
-        {0: {1: 0, 2: 0}, 3: {1: 1, 2: 1}},
+        {0: {1, 2}, 3: {1, 2}},
     )
     decomp = homology_snf(t)
     assert decomp == HomologyDecomp((-2, -1), ())
@@ -112,15 +134,17 @@ def test_snf_basis_permutation_invariant():
         for new, old in enumerate(perm):
             inv[old] = new
         basis = [base.basis[old] for old in perm]
-        diff = {inv[i]: {inv[j]: k for j, k in row.items()} for i, row in base.diff.items()}
-        endo = {inv[i]: {inv[j]: k for j, k in row.items()} for i, row in base.endo.items()}
+        diff = {inv[i]: {inv[j] for j in row} for i, row in base.diff.items()}
+        endo = {inv[i]: {inv[j] for j in row} for i, row in base.endo.items()}
         assert homology_snf(UTowerComplex(basis, diff, endo)) == expected
 
 
 def snf_by_full_scan(t):
     """Reference SNF: the same cancellation, each pivot the least
-    (k, source, target) found by scanning every entry."""
-    cols = {i: dict(row) for i, row in t.diff.items()}
+    (k, source, target) found by scanning every entry, with each k
+    read from the gradings."""
+    cols = {i: {j: (t.grading(j) - t.grading(i) + 1) // 2 for j in row}
+            for i, row in t.diff.items()}
     rows = {}
     for i, row in cols.items():
         for j, k in row.items():
@@ -208,10 +232,10 @@ def test_cone_trefoil(hand_trefoil):
     cone = involutive_cone(t)
     assert len(cone) == 6
     # db.dom = a.dom + c.dom since (1 + iota) kills b; da.dom = (a + c).q
-    assert cone.diff[1] == {0: 0, 2: 0}
-    assert cone.diff[0] == {3: 0, 5: 0}
-    assert cone.diff[2] == {3: 0, 5: 0}
-    assert cone.diff[4] == {3: 0, 5: 0}
+    assert cone.diff[1] == {0, 2}
+    assert cone.diff[0] == {3, 5}
+    assert cone.diff[2] == {3, 5}
+    assert cone.diff[4] == {3, 5}
 
 
 def test_cone_rank_doubles_and_is_complex():
@@ -328,8 +352,8 @@ def test_oracle_witness_below_generator_gradings():
     # is W v at grading -2, below every generator grading
     t = UTowerComplex(
         [("v", 0), ("tsrc", -1), ("ttgt", 0)],
-        {1: {2: 1}},
-        endo={0: {0: 0, 2: 0}, 1: {1: 0}, 2: {2: 0}},
+        {1: {2}},
+        endo={0: {0, 2}, 1: {1}, 2: {2}},
     )
     rep = involutive_invariants(t)
     assert (rep.d, rep.d_bar, rep.d_under) == (0, 0, -2)
