@@ -371,6 +371,40 @@ class _TowerSlices:
         return any(gf2.apply_rows(table, v) for v in vectors)
 
 
+def _d_bar_hits(slices: _TowerSlices, c: int, m: int) -> bool:
+    """Whether a d_bar criterion holds at grading c for this m: (a) some
+    solution of dy = (1+iota)x, dz = W^m x with x != 0 at grading c - 1
+    has W^m y + (1+iota)z nontorsion, or (b) cycles y != 0 at grading c
+    and z at c - 2m have W^m y + (1+iota)z nontorsion."""
+    r = c - 1
+    xs = slices.members(r)
+    if xs:
+        ys = slices.members(r + 1)
+        zs = slices.members(r - 2 * m + 1)
+        nx, ny, nz = len(xs), len(ys), len(zs)
+        zero = [0]
+        images1 = slices.one_plus_iota_rows(r) + slices.diff_rows(r + 1) + zero * nz
+        eqs = gf2.transpose(images1, nx)
+        images2 = slices.power_rows(r, m) + zero * ny + slices.diff_rows(r - 2 * m + 1)
+        eqs += gf2.transpose(images2, len(slices.members(r - 2 * m)))
+        sols = gf2.nullspace(eqs, nx + ny + nz)
+        x_mask = (1 << nx) - 1
+        if any(v & x_mask for v in sols):
+            l_rows = (zero * nx + slices.power_rows(r + 1, m)
+                      + slices.one_plus_iota_rows(r - 2 * m + 1))
+            images = [gf2.apply_rows(l_rows, v) for v in sols]
+            if slices.spans_nontorsion(r + 1 - 2 * m, images):
+                return True
+    y_cycles = slices.cycle_basis(c)
+    if not y_cycles:
+        return False
+    ym_rows = slices.power_rows(c, m)
+    zi_rows = slices.one_plus_iota_rows(c - 2 * m)
+    images = [gf2.apply_rows(ym_rows, y) for y in y_cycles]
+    images += [gf2.apply_rows(zi_rows, z) for z in slices.cycle_basis(c - 2 * m)]
+    return slices.spans_nontorsion(c - 2 * m, images)
+
+
 def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
     """(d_bar, d_under) by the maximum-grading criteria, independently of
     the cone construction.
@@ -381,6 +415,12 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
     W^m y + (1+iota)z nontorsion, and (b) gr(y) for cycle pairs y != 0, z
     with W^m y + (1+iota)z nontorsion, for m up to the grading span
     n_power. Raises when allowing m = n_power + 1 changes the answer.
+
+    Both d_bar criteria are monotone in m: if (x, y, z) solves (a) for m,
+    then (x, y, Wz) solves it for m + 1 with image W (W^m y + (1+iota)z),
+    and (y, Wz) does the same for (b); W times a nontorsion class is
+    nontorsion. So some m <= n_power hits exactly when m = n_power hits,
+    and each grading needs only the tests at n_power and n_power + 1.
     """
     if t.endo is None:
         raise InvariantError("oracle needs the endomorphism")
@@ -410,69 +450,13 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
     if d_under is None:
         raise InvariantError("no d_under witness in the grading range")
 
-    def case_triples(r: int, m: int) -> bool:
-        """dy = (1+iota)x, dz = W^m x solvable with x != 0 and the class
-        of W^m y + (1+iota)z nontorsion."""
-        xs = slices.members(r)
-        if not xs:
-            return False
-        ys = slices.members(r + 1)
-        zs = slices.members(r - 2 * m + 1)
-        nx, ny, nz = len(xs), len(ys), len(zs)
-        x_rows = slices.one_plus_iota_rows(r)
-        y_rows = slices.diff_rows(r + 1)
-        zero = [0]
-        images1 = x_rows + y_rows + zero * nz
-        eqs = gf2.transpose(images1, len(slices.members(r)))
-        xm_rows = slices.power_rows(r, m)
-        z_rows = slices.diff_rows(r - 2 * m + 1)
-        images2 = xm_rows + zero * ny + z_rows
-        eqs += gf2.transpose(images2, len(slices.members(r - 2 * m)))
-        sols = gf2.nullspace(eqs, nx + ny + nz)
-        if not sols:
-            return False
-        x_mask = (1 << nx) - 1
-        if not any(v & x_mask for v in sols):
-            return False
-        ym_rows = slices.power_rows(r + 1, m)
-        zi_rows = slices.one_plus_iota_rows(r - 2 * m + 1)
-        l_rows = zero * nx + ym_rows + zi_rows
-        images = [gf2.apply_rows(l_rows, v) for v in sols]
-        return slices.spans_nontorsion(r + 1 - 2 * m, images)
-
-    def case_pairs(c: int, m: int) -> bool:
-        """Cycles y != 0 at grading c, z at c - 2m, with W^m y + (1+iota)z
-        nontorsion."""
-        y_cycles = slices.cycle_basis(c)
-        if not y_cycles:
-            return False
-        z_cycles = slices.cycle_basis(c - 2 * m)
-        ym_rows = slices.power_rows(c, m)
-        zi_rows = slices.one_plus_iota_rows(c - 2 * m)
-        images = [gf2.apply_rows(ym_rows, y) for y in y_cycles]
-        images += [gf2.apply_rows(zi_rows, z) for z in z_cycles]
-        return slices.spans_nontorsion(c - 2 * m, images)
-
-    d_bar = None
     for c in range(max_gr + 1, min_gr - 1, -1):
-        hit_small = False
-        hit_extended = False
-        for m in range(0, n_power + 2):
-            if case_triples(c - 1, m) or case_pairs(c, m):
-                if m <= n_power:
-                    hit_small = True
-                else:
-                    hit_extended = True
-                break
-        if hit_small:
-            d_bar = c
-            break
-        if hit_extended:
+        if _d_bar_hits(slices, c, n_power):
+            return (c, d_under)
+        if _d_bar_hits(slices, c, n_power + 1):
             raise InvariantError(
                 f"m bound {n_power} too small: raising it changes d_bar")
-    if d_bar is None:
-        raise InvariantError("no d_bar witness in the grading range")
-    return (d_bar, d_under)
+    raise InvariantError("no d_bar witness in the grading range")
 
 
 @dataclass(frozen=True)

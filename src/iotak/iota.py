@@ -20,6 +20,7 @@ from .complexes import (
     Entries,
     FreeComplex,
     Morphism,
+    SliceHomologyReport,
     _HomEquations,
     compose,
     dual,
@@ -306,6 +307,15 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
 def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
                              f: Morphism, g: Morphism) -> CheckReport:
     """Check that (f, g) witnesses a local equivalence ic1 ~ ic2."""
+    return _verify_local_equivalence(ic1, ic2, f, g)
+
+
+# the slice homology reports of a pair of complexes, built once per search
+_HomologyPair = Tuple[SliceHomologyReport, SliceHomologyReport]
+
+
+def _verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex, f: Morphism, g: Morphism,
+                              homs: Optional[_HomologyPair] = None) -> CheckReport:
     if f.source != ic1.complex or f.target != ic2.complex:
         raise ValueError("f must map ic1 to ic2")
     if g.source != ic2.complex or g.target != ic1.complex:
@@ -322,7 +332,7 @@ def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
     if not all(ok for _, ok in checks):
         return CheckReport(tuple(checks))
 
-    hom1, hom2 = homology_is_r(ic1.complex), homology_is_r(ic2.complex)
+    hom1, hom2 = homs or (homology_is_r(ic1.complex), homology_is_r(ic2.complex))
     checks.append(("f isomorphism on homology", hom1.maps_generator_nonzero(f, hom2)))
     checks.append(("g isomorphism on homology", hom2.maps_generator_nonzero(g, hom1)))
     h1 = homotopy_solve(compose(ic2.iota, f), compose(f, ic1.iota))
@@ -336,7 +346,8 @@ class CapExceededError(Exception):
     """A chain-map solution space is larger than the search's cap."""
 
 
-def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Optional[Morphism]:
+def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int,
+                      homs: Optional[_HomologyPair] = None) -> Optional[Morphism]:
     space = _HomEquations(src_ic.complex, tgt_ic.complex, EQUIVARIANT, (0, 0))
     basis = gf2.nullspace(space.equations.values(), len(space.unknowns))
     if len(basis) > cap:
@@ -346,7 +357,7 @@ def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Opt
     homotopies = _HomEquations(src_ic.complex, tgt_ic.complex, SKEW, (1, 1))
     n = len(homotopies.unknowns)
     rows = dict(homotopies.equations)
-    src_hom, tgt_hom = homology_is_r(src_ic.complex), homology_is_r(tgt_ic.complex)
+    src_hom, tgt_hom = homs or (homology_is_r(src_ic.complex), homology_is_r(tgt_ic.complex))
     on_homology = 0
     for k, b in enumerate(basis):
         f = space.morphism(b)
@@ -370,12 +381,15 @@ def search_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
     F2-linear in (c, H), so one gf2.solve decides; with c above H and
     free unknowns zero it returns the least valid c. None proves
     non-equivalence. The pair is checked by verify_local_equivalence.
+    Each complex's slice homology is built once and serves both
+    directions and the check.
     Raises CapExceededError when a chain-map space has dimension > cap.
     """
-    f = _search_direction(ic1, ic2, cap)
-    g = None if f is None else _search_direction(ic2, ic1, cap)
+    homs = (homology_is_r(ic1.complex), homology_is_r(ic2.complex))
+    f = _search_direction(ic1, ic2, cap, homs)
+    g = None if f is None else _search_direction(ic2, ic1, cap, (homs[1], homs[0]))
     if g is None:
         return None
-    if not verify_local_equivalence(ic1, ic2, f, g).passed:
+    if not _verify_local_equivalence(ic1, ic2, f, g, homs).passed:
         raise AssertionError("local-equivalence solve produced an invalid witness")
     return (f, g)

@@ -21,7 +21,7 @@ from iotak.invariants import (
 from iotak.iota import identity_complex, product
 from iotak.models import mirror, staircase_complex, torus_knot
 from iotak import gf2
-from iotak.invariants import _TowerSlices
+from iotak.invariants import _TowerSlices, _d_bar_hits
 
 
 def tower(ic):
@@ -334,6 +334,61 @@ def test_oracle_matches_cone(parts):
     t = sum_tower(parts)
     rep = involutive_invariants(t)
     assert lemma_criteria_oracle(t) == (rep.d_bar, rep.d_under)
+
+
+def d_bar_every_m(slices):
+    """The reference d_bar loop: at each grading c from the top down, try
+    every m from 0 to n_power + 1 in turn. Returns d_bar and, for each c
+    tried, the first m that hits or None."""
+    firsts = {}
+    for c in range(slices.max_gr + 1, slices.min_gr - 1, -1):
+        hit = (m for m in range(slices.n_power + 2) if _d_bar_hits(slices, c, m))
+        firsts[c] = next(hit, None)
+        if firsts[c] is not None:
+            if firsts[c] > slices.n_power:
+                raise InvariantError("m bound too small")
+            return c, firsts
+    raise InvariantError("no d_bar witness in the grading range")
+
+
+@given(staircase_sums)
+@settings(max_examples=15, deadline=None)
+def test_oracle_d_bar_matches_every_m(parts):
+    """The oracle's two tests per grading, at n_power and n_power + 1,
+    give the every-m loop's d_bar because the criteria are monotone in m."""
+    t = sum_tower(parts)
+    slices = _TowerSlices(t)
+    n = slices.n_power
+    d_bar, firsts = d_bar_every_m(slices)
+    assert lemma_criteria_oracle(t)[0] == d_bar
+    for c, first in firsts.items():
+        hits = [_d_bar_hits(slices, c, m) for m in range(n + 2)]
+        assert all(hits[m + 1] for m in range(n + 1) if hits[m])
+        assert (first is not None and first <= n) == hits[n]
+
+
+@pytest.mark.parametrize("parts", [
+    [(6, 7, True)] * 3,
+    [(6, 7, True), (6, 7, False), (6, 7, False)],
+    [(7, 8, False)] * 3,
+], ids=["(T(6,7)^-1)^#3", "T(6,7)^-1 # T(6,7)^#2", "T(7,8)^#3"])
+def test_oracle_matches_cone_on_large_sums(parts):
+    """Sums of 1 331-2 197 generators, above the sizes the benchmark
+    checks with the oracle."""
+    ics = [mirror(torus_knot(p, q)) if flip else torus_knot(p, q) for p, q, flip in parts]
+    t = tower(product(product(ics[0], ics[1], verify=False), ics[2], verify=False))
+    rep = involutive_invariants(t)
+    assert lemma_criteria_oracle(t) == (rep.d_bar, rep.d_under)
+
+
+def test_oracle_raises_when_the_m_bound_matters(monkeypatch, hand_trefoil):
+    """A criterion that first holds at m = n_power + 1 is an error, not
+    an answer."""
+    import iotak.invariants as inv
+
+    monkeypatch.setattr(inv, "_d_bar_hits", lambda slices, c, m: m > slices.n_power)
+    with pytest.raises(InvariantError, match="m bound 1 too small"):
+        lemma_criteria_oracle(tower(hand_trefoil))
 
 
 def test_oracle_d_under_combinations_modulo_boundaries():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import staircase_strategy
+from conftest import palindromic_staircase, staircase_strategy
 from iotak import gf2
 from iotak.complexes import (
     EQUIVARIANT,
@@ -344,6 +344,25 @@ def test_local_equivalence_preserves_invariants(pair):
     if search_local_equivalence(a, b, cap=BIG_CAP) is not None:
         triples = [involutive_invariants(a_zero_minus(ic, verify=False)).triple() for ic in pair]
         assert triples[0] == triples[1]
+
+
+# staircases of at most 5 generators, so a sum of three has at most 125
+small_parts = st.lists(
+    st.tuples(st.lists(st.integers(1, 2), min_size=1, max_size=2).map(palindromic_staircase),
+              st.booleans()),
+    min_size=3, max_size=3)
+
+
+@given(small_parts)
+@settings(max_examples=6, deadline=None)
+def test_sum_associative_up_to_local_equivalence(parts):
+    """(K1 # K2) # K3 ~ K1 # (K2 # K3)."""
+    k1, k2, k3 = (mirror(staircase_complex(s)) if flip else staircase_complex(s)
+                  for s, flip in parts)
+    left = product(product(k1, k2, verify=False), k3, verify=False)
+    right = product(k1, product(k2, k3, verify=False), verify=False)
+    found = search_local_equivalence(left, right, cap=BIG_CAP)
+    assert found is not None and verify_local_equivalence(left, right, *found).passed
 
 
 def test_iota_fourth_power_homotopic_to_identity(hand_trefoil):
