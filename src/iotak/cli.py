@@ -107,7 +107,8 @@ def cmd_torus(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    loaded = [_verified(path) for path in args.files]
+    verified = {path: _verified(path) for path in dict.fromkeys(args.files)}
+    loaded = [verified[path] for path in args.files]
     name, acc = loaded[0]
     for part_name, part in loaded[1:]:
         acc = product(acc, part, variant=args.variant, verify=False)

@@ -6,11 +6,18 @@ and the differential and involution as sparse entry lists; monomials are
 sorted by source then target, monomials in ring order), so emit, parse,
 emit round-trips byte-identically. Parsing is strict: a malformed
 document raises ParseError and is never coerced.
+
+dumps writes the text of json.dumps(doc, indent=2) + "\n" from the fixed
+schema through the C encoder (an indent forces the pure-Python one).
+save encodes the whole file before opening it, then writes over the old
+bytes and cuts the file at their end: truncating it to zero first frees
+the old blocks, which costs tens of milliseconds per rewrite on ext4.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict, List
 
 from .complexes import SKEW, BasisElement, Entries, FreeComplex, Morphism, differential_morphism
@@ -47,8 +54,23 @@ def iota_complex_to_dict(name: str, ic: IotaComplex) -> Dict:
     }
 
 
+def _array(items: List[str], pad: str) -> str:
+    """A JSON array of encoded items as indent=2 lays it out at indent pad."""
+    if not items:
+        return "[]"
+    inner = f"\n{pad}  "
+    return f"[{inner}{f',{inner}'.join(items)}\n{pad}]"
+
+
 def dumps(doc: Dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    q = json.dumps
+    gens = [f'{{\n      "name": {q(g["name"])},\n      "gr_u": {g["gr_u"]},\n'
+            f'      "gr_v": {g["gr_v"]}\n    }}' for g in doc["generators"]]
+    maps = [[f'{{\n      "from": {q(e["from"])},\n      "to": {q(e["to"])},\n      "mono": '
+             f'{_array([_array([str(i), str(j)], " " * 8) for i, j in e["mono"]], " " * 6)}\n    }}'
+             for e in doc[key]] for key in ("differential", "iota")]
+    return (f'{{\n  "name": {q(doc["name"])},\n  "generators": {_array(gens, "  ")},\n'
+            f'  "differential": {_array(maps[0], "  ")},\n  "iota": {_array(maps[1], "  ")}\n}}\n')
 
 
 def _is_int(v) -> bool:
@@ -118,8 +140,12 @@ def iota_complex_from_dict(doc: Dict) -> tuple[str, IotaComplex]:
 
 
 def save(path: str, name: str, ic: IotaComplex) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(iota_complex_to_dict(name, ic)))
+    data = dumps(iota_complex_to_dict(name, ic)).encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        stale = os.fstat(fh.fileno()).st_size > len(data)  # never so for a pipe or device
+        fh.write(data)
+        if stale:
+            fh.truncate()
 
 
 def load(path: str) -> tuple[str, IotaComplex]:

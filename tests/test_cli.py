@@ -1,15 +1,17 @@
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import staircase_strategy
 from iotak import cli, serialize
 from iotak.complexes import EQUIVARIANT, Morphism
-from iotak.iota import verify_local_equivalence
-from iotak.models import torus_knot
+from iotak.iota import product, verify_local_equivalence
+from iotak.models import staircase_complex, torus_knot
 
 
 def run(capsys, *args):
@@ -259,6 +261,84 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
             code, out, err = run(capsys, *args, "-o", out_path)
             assert (code, out) == (2, ""), args
             assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_output_is_rewritten_in_place(tmp_path, capsys):
+    """-o over a longer file leaves exactly the fresh bytes, on the same
+    inode (a hard link sees them); the same step twice gives the same
+    bytes; a device that cannot be truncated is written to as before."""
+    t45, out, fresh = (str(tmp_path / n) for n in ("t45.json", "out.json", "fresh.json"))
+    run(capsys, "torus", "4", "5", "-o", t45)
+    run(capsys, "sum", t45, t45, "-o", out)
+    os.link(out, tmp_path / "link.json")
+    run(capsys, "torus", "2", "3", "-o", fresh)
+    assert run(capsys, "torus", "2", "3", "-o", out) == (0, "", "")
+    assert (tmp_path / "out.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+    assert (tmp_path / "link.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+    for args in (("sum", t45, t45, t45), ("dual", t45)):
+        run(capsys, *args, "-o", out)
+        first = (tmp_path / "out.json").read_bytes()
+        assert run(capsys, *args, "-o", out) == (0, "", "")
+        assert (tmp_path / "out.json").read_bytes() == first
+    assert run(capsys, "torus", "2", "3", "-o", os.devnull) == (0, "", "")
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t23.json"
+    run(capsys, "torus", "2", "3", "-o", str(path))
+    old = path.read_bytes()
+
+    def fail(name, ic):
+        raise ValueError("cannot encode")
+
+    monkeypatch.setattr(serialize, "iota_complex_to_dict", fail)
+    assert run(capsys, "torus", "3", "4", "-o", str(path)) == (2, "", "error: cannot encode\n")
+    assert path.read_bytes() == old
+
+
+def test_sum_loads_each_path_once(tmp_path, capsys, monkeypatch):
+    t23, t34, out = (str(tmp_path / n) for n in ("t23.json", "t34.json", "out.json"))
+    run(capsys, "torus", "2", "3", "-o", t23)
+    run(capsys, "torus", "3", "4", "-o", t34)
+    loads = []
+    load = serialize.load
+    monkeypatch.setattr(serialize, "load", lambda path: loads.append(path) or load(path))
+    assert run(capsys, "sum", t23, t34, t23, t23, "-o", out) == (0, "", "")
+    assert loads == [t23, t34]
+    k23, k34 = torus_knot(2, 3), torus_knot(3, 4)
+    acc = product(product(product(k23, k34, verify=False), k23, verify=False), k23, verify=False)
+    expected = serialize.dumps(serialize.iota_complex_to_dict(
+        "T(2,3) # T(3,4) # T(2,3) # T(2,3)", acc))
+    assert (tmp_path / "out.json").read_text() == expected
+
+
+def _indent2(doc):
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(staircase_strategy, min_size=1, max_size=3))
+def test_dumps_matches_json_indent2_on_sums(parts):
+    acc = staircase_complex(parts[0])
+    for part in parts[1:]:
+        acc = product(acc, staircase_complex(part), verify=False)
+    doc = serialize.iota_complex_to_dict("K", acc)
+    assert serialize.dumps(doc) == _indent2(doc)
+
+
+def test_dumps_matches_json_indent2_on_edge_cases():
+    unknot = serialize.iota_complex_to_dict("T(1,1)", torus_knot(1, 1))
+    assert unknot["differential"] == []
+    odd = "q\"b\\s/é☃\t\U0001d54c"
+    escaped = {
+        "name": odd,
+        "generators": [{"name": odd, "gr_u": -3, "gr_v": 0}, {"name": "x\"", "gr_u": 1, "gr_v": -1}],
+        "differential": [],
+        "iota": [{"from": odd, "to": "x\"", "mono": [[0, 0], [2, -1]]},
+                 {"from": "x\"", "to": odd, "mono": [[-1, 1]]}],
+    }
+    for doc in (unknot, escaped, dict(escaped, generators=[], iota=[])):
+        assert serialize.dumps(doc) == _indent2(doc)
 
 
 @pytest.mark.parametrize("content", [b"[" * 100_000, b'{"name": "\xe9"}'],
