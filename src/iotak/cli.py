@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -78,6 +79,17 @@ def _verified(path: str, full: bool = True) -> tuple[str, IotaComplex]:
     return name, ic
 
 
+@contextlib.contextmanager
+def _explained_by_axiom_six(path: Optional[str]):
+    """Check all six axioms of a file on an InvariantError: exit 1 or re-raise."""
+    try:
+        yield
+    except InvariantError:
+        if path is not None:
+            _verified(path)
+        raise
+
+
 def cmd_check(args) -> int:
     name, ic = serialize.load(args.file)
     report = verify_iota_complex(ic)
@@ -140,17 +152,14 @@ def _invariants_input(args) -> tuple[str, IotaComplex]:
 
 def cmd_invariants(args) -> int:
     name, ic = _invariants_input(args)
-    tower = a_zero_minus(ic, verify=False)
-    rep = involutive_invariants(tower)
-    if args.oracle:
-        d_bar, d_under = lemma_criteria_oracle(tower)
-        if (d_bar, d_under) != (rep.d_bar, rep.d_under):
-            print(
-                f"oracle disagreement: cone gives (d_bar, d_under) = "
-                f"({rep.d_bar}, {rep.d_under}), max-grading oracle gives ({d_bar}, {d_under})",
-                file=sys.stderr,
-            )
-            return EXIT_CAP
+    with _explained_by_axiom_six(args.file):
+        tower = a_zero_minus(ic, verify=False)
+        rep = involutive_invariants(tower)
+        oracle = lemma_criteria_oracle(tower) if args.oracle else None
+    if oracle is not None and oracle != (rep.d_bar, rep.d_under):
+        print(f"oracle disagreement: cone gives (d_bar, d_under) = ({rep.d_bar}, "
+              f"{rep.d_under}), max-grading oracle gives {oracle}", file=sys.stderr)
+        return EXIT_CAP
     if args.format == "json":
         print(json.dumps(rep.to_dict()))
     else:
@@ -161,7 +170,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_obstruct(args) -> int:
     name, ic = _verified(args.file, full=False)
-    rep = involutive_invariants(a_zero_minus(ic, verify=False))
+    with _explained_by_axiom_six(args.file):
+        rep = involutive_invariants(a_zero_minus(ic, verify=False))
     verdict = obstruction_pattern(rep)
     out = {"name": name, "V0_bar": rep.V0_bar, "V0": rep.V0, "V0_under": rep.V0_under}
     out.update(verdict.to_dict())

@@ -68,6 +68,11 @@ class FreeComplex:
             raise ValueError("differential entry index out of range")
         self.index: Dict[str, int] = {n: k for k, n in enumerate(names)}
 
+    @functools.cached_property
+    def slice_homology(self) -> "SliceHomologyReport":
+        """homology_is_r of this complex, built on first use."""
+        return homology_is_r(self)
+
     def __len__(self) -> int:
         return len(self.basis)
 
@@ -400,7 +405,7 @@ class SliceHomologyReport:
     """The slice homology of one complex, built once: dims of the even
     and the odd slice, its parity_index, the even-to-odd differential's
     support rows, and the span of the even slice's boundaries. The
-    generator costs a nullspace, so it is built on first use."""
+    generator and the functional cost a solve each, so are built on use."""
 
     holds: bool
     dims: Tuple[int, int]
@@ -415,6 +420,16 @@ class SliceHomologyReport:
         (even, _), (odd, _) = self.index
         cycles = gf2.nullspace(gf2.transpose(self.out_rows, len(odd)), len(even))
         return next((z for z in cycles if not self.boundaries.contains(z)), None)
+
+    @functools.cached_property
+    def functional(self) -> Optional[int]:
+        """An even-slice functional phi, zero on the boundaries and one on
+        the generator, or None unless the homology is the ring. Then a
+        cycle c is a nonzero class exactly when phi . c = 1."""
+        if not self.holds:
+            return None
+        rows = [*self.boundaries.pivots.values(), self.generator]
+        return gf2.solve(rows, [0] * (len(rows) - 1) + [1], len(self.index[0][0]))
 
     def maps_generator_nonzero(self, f: "Morphism", target: "SliceHomologyReport") -> bool:
         """Whether f, a homogeneous degree-(0,0) chain map out of this
@@ -450,7 +465,7 @@ def homology_class_map(f: Morphism) -> bool:
     if not is_chain_map(f):
         raise ValueError("homology_class_map rejects non-chain-maps")
     _require_homogeneous(f)
-    return homology_is_r(f.source).maps_generator_nonzero(f, homology_is_r(f.target))
+    return f.source.slice_homology.maps_generator_nonzero(f, f.target.slice_homology)
 
 
 # ---------------------------------------------------------------------------
@@ -469,30 +484,34 @@ class _HomEquations:
         self.src, self.tgt = src, tgt
         self.variance, self.bidegree = variance, bidegree
         self.unknowns: List[Tuple[int, int, Monomial]] = []
-        by_source: Dict[int, List[Tuple[int, int]]] = {}
+        # the unknowns out of each source index, as (target, unknown)
+        self.by_source: Dict[int, List[Tuple[int, int]]] = {}
         for i, x in enumerate(src.basis):
             for j, y in enumerate(tgt.basis):
                 m = forced_monomial(x, y, variance, bidegree)
                 if m is None or m[0] < 0 or m[1] < 0:
                     continue
-                by_source.setdefault(i, []).append((j, len(self.unknowns)))
+                self.by_source.setdefault(i, []).append((j, len(self.unknowns)))
                 self.unknowns.append((i, j, m))
+        for side, c in (("target", tgt), ("source", src)):
+            if not all(p.is_monomial() for row in c.diff.values() for p in row.values()):
+                raise ValueError(f"{side} differential is not homogeneous")
+        self.equations = self.residue(tgt.diff, src.diff)
 
+    def residue(self, after: Entries, before: Entries) -> Dict[Tuple[int, int], int]:
+        """after o X + X o before as bitmask equations over the unknowns X,
+        keyed by (source, target) index, for after out of tgt and before
+        into src. With one monomial per entry the gradings force every
+        product's monomial, so an entry is the parity of its terms."""
         equations: Dict[Tuple[int, int], int] = {}
-        # d_target o H
         for var, (i, j, _) in enumerate(self.unknowns):
-            for k, p in tgt.diff.get(j, {}).items():
-                if not p.is_monomial():
-                    raise ValueError("target differential is not homogeneous")
+            for k in after.get(j, ()):
                 equations[(i, k)] = equations.get((i, k), 0) ^ (1 << var)
-        # H o d_source
-        for i, row in src.diff.items():
-            for j, p in row.items():
-                if not p.is_monomial():
-                    raise ValueError("source differential is not homogeneous")
-                for k, var in by_source.get(j, ()):
+        for i, row in before.items():
+            for j in row:
+                for k, var in self.by_source.get(j, ()):
                     equations[(i, k)] = equations.get((i, k), 0) ^ (1 << var)
-        self.equations = equations
+        return equations
 
     def morphism(self, bits: int) -> Morphism:
         """The map whose entries are the unknowns set in bits."""
@@ -519,20 +538,16 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
     if not (is_chain_map(f) and is_chain_map(g)):
         raise ValueError("homotopy_solve requires chain maps")
     src, tgt = f.source, f.target
-    a, b = f.bidegree
-    hdeg = (a + 1, b + 1)
+    hdeg = (f.bidegree[0] + 1, f.bidegree[1] + 1)
 
     target_entries = (f + g).entries
     if not target_entries:
         return zero_morphism(src, tgt, f.variance, hdeg)
 
     space = _HomEquations(src, tgt, f.variance, hdeg)
-    rhs_keys = set()
-    for i, row in target_entries.items():
-        for j, p in row.items():
-            if not p.is_monomial():
-                raise ValueError("f + g is not homogeneous")
-            rhs_keys.add((i, j))
+    if not all(p.is_monomial() for row in target_entries.values() for p in row.values()):
+        raise ValueError("f + g is not homogeneous")
+    rhs_keys = {(i, j) for i, row in target_entries.items() for j in row}
 
     keys = sorted(set(space.equations) | rhs_keys)
     rows = [space.equations.get(k, 0) for k in keys]
@@ -542,9 +557,7 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
         return None
     h = space.morphism(sol)
 
-    d_src = differential_morphism(src)
-    d_tgt = differential_morphism(tgt)
-    check = compose(d_tgt, h) + compose(h, d_src)
+    check = compose(differential_morphism(tgt), h) + compose(h, differential_morphism(src))
     if check.entries != target_entries:
         raise AssertionError("homotopy solver produced an invalid solution")
     return h

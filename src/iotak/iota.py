@@ -20,12 +20,10 @@ from .complexes import (
     Entries,
     FreeComplex,
     Morphism,
-    SliceHomologyReport,
     _HomEquations,
     compose,
     dual,
     dual_morphism,
-    homology_is_r,
     homotopy_solve,
     identity_morphism,
     is_chain_map,
@@ -135,10 +133,7 @@ class IotaReport:
 
     @property
     def first_failure(self) -> Optional[int]:
-        for k, ok in sorted(self.conditions.items()):
-            if not ok:
-                return k
-        return None
+        return next((k for k, ok in sorted(self.conditions.items()) if not ok), None)
 
 
 def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaReport:
@@ -152,7 +147,7 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
     base = verify_complex(cx)
     offenders.extend(base.offenders)
 
-    hom = homology_is_r(cx) if base.passed else None
+    hom = cx.slice_homology if base.passed else None
     homology_r_ok = bool(hom and hom.holds)
     dims = hom.dims if hom else (-1, -1)
     if hom and not hom.holds:
@@ -169,7 +164,8 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
         iota_ok = False
         offenders.append("iota is not a chain map")
 
-    involution_ok = False
+    # unchecked, axiom (6) counts as passed; checked, it needs the others
+    involution_ok = not check_involution
     witness = None
     if check_involution and base.passed and homology_r_ok and iota_ok:
         lhs = compose(ic.iota, ic.iota)
@@ -178,8 +174,6 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
         involution_ok = witness is not None
         if not involution_ok:
             offenders.append("no filtered equivariant homotopy from iota^2 to id + Phi Psi")
-    elif not check_involution:
-        involution_ok = True
 
     return IotaReport(
         d_squared_zero=base.d_squared_zero,
@@ -245,10 +239,7 @@ class CheckReport:
 
     @property
     def first_failure(self) -> Optional[str]:
-        for name, ok in self.checks:
-            if not ok:
-                return name
-        return None
+        return next((name for name, ok in self.checks if not ok), None)
 
 
 @dataclass
@@ -307,32 +298,19 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
 def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
                              f: Morphism, g: Morphism) -> CheckReport:
     """Check that (f, g) witnesses a local equivalence ic1 ~ ic2."""
-    return _verify_local_equivalence(ic1, ic2, f, g)
-
-
-# the slice homology reports of a pair of complexes, built once per search
-_HomologyPair = Tuple[SliceHomologyReport, SliceHomologyReport]
-
-
-def _verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex, f: Morphism, g: Morphism,
-                              homs: Optional[_HomologyPair] = None) -> CheckReport:
-    if f.source != ic1.complex or f.target != ic2.complex:
-        raise ValueError("f must map ic1 to ic2")
-    if g.source != ic2.complex or g.target != ic1.complex:
-        raise ValueError("g must map ic2 to ic1")
-    for name, m in (("f", f), ("g", g)):
+    checks: List[Tuple[str, bool]] = []
+    for name, m, a, b, ends in (("f", f, ic1, ic2, "ic1 to ic2"), ("g", g, ic2, ic1, "ic2 to ic1")):
+        if m.source != a.complex or m.target != b.complex:
+            raise ValueError(f"{name} must map {ends}")
         if m.variance != EQUIVARIANT or m.bidegree != (0, 0):
             raise ValueError(f"{name} must be equivariant of bidegree (0, 0)")
-
-    checks: List[Tuple[str, bool]] = []
-    for name, m in (("f", f), ("g", g)):
         checks.append((f"{name} homogeneous", morphism_is_homogeneous(m)))
         checks.append((f"{name} filtered", m.is_filtered()))
         checks.append((f"{name} chain map", is_chain_map(m)))
     if not all(ok for _, ok in checks):
         return CheckReport(tuple(checks))
 
-    hom1, hom2 = homs or (homology_is_r(ic1.complex), homology_is_r(ic2.complex))
+    hom1, hom2 = ic1.complex.slice_homology, ic2.complex.slice_homology
     checks.append(("f isomorphism on homology", hom1.maps_generator_nonzero(f, hom2)))
     checks.append(("g isomorphism on homology", hom2.maps_generator_nonzero(g, hom1)))
     h1 = homotopy_solve(compose(ic2.iota, f), compose(f, ic1.iota))
@@ -346,50 +324,49 @@ class CapExceededError(Exception):
     """A chain-map solution space is larger than the search's cap."""
 
 
-def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int,
-                      homs: Optional[_HomologyPair] = None) -> Optional[Morphism]:
-    space = _HomEquations(src_ic.complex, tgt_ic.complex, EQUIVARIANT, (0, 0))
-    basis = gf2.nullspace(space.equations.values(), len(space.unknowns))
-    if len(basis) > cap:
-        raise CapExceededError(f"chain-map solution space has dimension {len(basis)} > cap {cap}")
-    # unknowns: the bits of H, then one bit c_k per basis map above them; rows:
-    # dH + Hd = sum c_k (iota2 b_k + b_k iota1) entrywise, and c nonzero on homology
-    homotopies = _HomEquations(src_ic.complex, tgt_ic.complex, SKEW, (1, 1))
+def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Optional[Morphism]:
+    """The least witness map src -> tgt, or None (see search_local_equivalence)."""
+    src, tgt = src_ic.complex, tgt_ic.complex
+    z, phi = src.slice_homology.generator, tgt.slice_homology.functional
+    if z is None or phi is None:
+        raise ValueError(f"{'target' if z else 'source'} slice homology has no generator class")
+    maps = _HomEquations(src, tgt, EQUIVARIANT, (0, 0))
+    dim = len(maps.unknowns) - gf2.rank(maps.equations.values())
+    if dim > cap:
+        raise CapExceededError(f"chain-map solution space has dimension {dim} > cap {cap}")
+    homotopies = _HomEquations(src, tgt, SKEW, (1, 1))
     n = len(homotopies.unknowns)
-    rows = dict(homotopies.equations)
-    src_hom, tgt_hom = homs or (homology_is_r(src_ic.complex), homology_is_r(tgt_ic.complex))
-    on_homology = 0
-    for k, b in enumerate(basis):
-        f = space.morphism(b)
-        bit = 1 << (n + k)
-        for i, row in (compose(tgt_ic.iota, f) + compose(f, src_ic.iota)).entries.items():
-            for j in row:
-                rows[(i, j)] = rows.get((i, j), 0) ^ bit
-        if src_hom.maps_generator_nonzero(f, tgt_hom):
-            on_homology |= bit
-    sol = gf2.solve([*rows.values(), on_homology], [0] * len(rows) + [1], n + len(basis))
-    return None if sol is None else space.morphism(gf2.apply_rows(basis, sol >> n))
+    skew_rows = homotopies.equations
+    for key, eq in maps.residue(tgt_ic.iota.entries, src_ic.iota.entries).items():
+        skew_rows[key] = skew_rows.get(key, 0) ^ (eq << n)
+    even, tgt_positions = src.slice_homology.index[0][0], tgt.slice_homology.index[0][1]
+    on_homology = sum(1 << var for p, i in enumerate(even) if z >> p & 1
+                      for j, var in maps.by_source.get(i, ()) if phi >> tgt_positions[j] & 1)
+    rows = [*skew_rows.values(), *(eq << n for eq in maps.equations.values()), on_homology << n]
+    sol = gf2.solve(rows, [0] * (len(rows) - 1) + [1], n + len(maps.unknowns))
+    return None if sol is None else maps.morphism(sol >> n)
 
 
 def search_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
                              cap: int = 24) -> Optional[Tuple[Morphism, Morphism]]:
     """A local equivalence witness pair (f, g), or None if there is none.
 
-    Per direction, over a basis b_k of the filtered chain maps: c = sum
-    c_k b_k is a witness iff c is nonzero on the rank-one slice homology
-    and iota2 c + c iota1 = dH + Hd for a filtered skew H. Both are
-    F2-linear in (c, H), so one gf2.solve decides; with c above H and
-    free unknowns zero it returns the least valid c. None proves
-    non-equivalence. The pair is checked by verify_local_equivalence.
-    Each complex's slice homology is built once and serves both
-    directions and the check.
-    Raises CapExceededError when a chain-map space has dimension > cap.
+    Each direction is one F2 system over the filtered skew homotopy bits
+    H, low, and the filtered chain-map bits F above them: dF + Fd = 0,
+    dH + Hd = iota2 F + F iota1 entrywise (exact on supports: gradings
+    force every monomial), and lambda . F = 1, where lambda has the bit
+    of F's entry i -> j when the source's slice generator has i and the
+    target's functional has j. gf2.solve returns the least solution, so
+    F is the least valid chain map, the least valid combination c of a
+    chain-map nullspace basis: vector k alone has its free column f_k,
+    as its top bit, so bit f_k of F is c_k and maps compare as their c.
+    None proves non-equivalence; verify_local_equivalence checks a pair.
+    CapExceededError: a chain-map dimension (F bits less a rank) > cap.
     """
-    homs = (homology_is_r(ic1.complex), homology_is_r(ic2.complex))
-    f = _search_direction(ic1, ic2, cap, homs)
-    g = None if f is None else _search_direction(ic2, ic1, cap, (homs[1], homs[0]))
+    f = _search_direction(ic1, ic2, cap)
+    g = None if f is None else _search_direction(ic2, ic1, cap)
     if g is None:
         return None
-    if not _verify_local_equivalence(ic1, ic2, f, g, homs).passed:
+    if not verify_local_equivalence(ic1, ic2, f, g).passed:
         raise AssertionError("local-equivalence solve produced an invalid witness")
     return (f, g)

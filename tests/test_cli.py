@@ -371,6 +371,19 @@ def test_local_equiv_above_default_cap(tmp_path, capsys):
     assert verify_local_equivalence(ic, ic, f, g).passed
 
 
+def test_file_failing_only_axiom_six_exits_1(tmp_path, capsys):
+    """T(2,3) with no iota entries passes axioms (1)-(5), which is all
+    that invariants and obstruct check up front; the cone then fails,
+    and the full check names axiom (6) instead of exiting 2."""
+    t23, bad = tmp_path / "t23.json", tmp_path / "bad.json"
+    run(capsys, "torus", "2", "3", "-o", str(t23))
+    bad.write_text(json.dumps(dict(json.loads(t23.read_text()), iota=[])))
+    for command in ("invariants", "obstruct"):
+        code, out, err = run(capsys, command, str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{bad}: fails axiom (6) ")
+
+
 def test_verification_failure_exit_code(tmp_path, capsys):
     doc = {
         "name": "broken",

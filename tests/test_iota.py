@@ -1,18 +1,24 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import palindromic_staircase, staircase_strategy
+from conftest import staircase_strategy
 from iotak import gf2
 from iotak.complexes import (
     EQUIVARIANT,
     SKEW,
+    BasisElement,
+    FreeComplex,
     Morphism,
     _HomEquations,
     compose,
     differential_morphism,
     homology_class_map,
     identity_morphism,
+    morphism_is_homogeneous,
     tensor,
     tensor_morphism,
     homotopy_solve,
@@ -36,6 +42,7 @@ from iotak.iota import (
 from iotak.invariants import a_zero_minus, involutive_invariants
 from iotak.models import mirror, staircase_complex, torus_knot, unknot_complex
 from iotak.ring import ONE, ZERO, monomial
+from iotak.serialize import morphism_to_list
 
 
 def test_build_phi_psi_trefoil(hand_trefoil):
@@ -234,6 +241,24 @@ def test_search_cap_exceeded(hand_trefoil):
         search_local_equivalence(hand_trefoil, hand_trefoil, cap=0)
 
 
+def _with_identity_iota(basis, diff):
+    c = FreeComplex(basis, diff)
+    return IotaComplex(c, Morphism(c, c, {i: {i: ONE} for i in range(len(c))}, SKEW, (0, 0)))
+
+
+def test_search_needs_homology_the_ring_on_both_sides(hand_trefoil):
+    """An acyclic complex has no generator class; on two unknot
+    generators the functional would not decide "nonzero on homology"."""
+    acyclic = _with_identity_iota([BasisElement("x", 0, 0), BasisElement("y", 1, 1)], {1: {0: ONE}})
+    two = _with_identity_iota([BasisElement("x", 0, 0), BasisElement("y", 0, 0)], {})
+    for ic in (acyclic, two):
+        assert ic.complex.slice_homology.functional is None
+        with pytest.raises(ValueError, match="target slice homology has no generator class"):
+            _search_direction(hand_trefoil, ic, 24)
+    with pytest.raises(ValueError, match="source slice homology has no generator class"):
+        _search_direction(acyclic, hand_trefoil, 24)
+
+
 def _chain_map_basis(src, tgt):
     space = _HomEquations(src.complex, tgt.complex, EQUIVARIANT, (0, 0))
     return space, gf2.nullspace(space.equations.values(), len(space.unknowns))
@@ -330,9 +355,9 @@ def test_product_variants_and_factor_order_locally_equivalent(parts):
 @given(parts_strategy)
 @settings(max_examples=8, deadline=None)
 def test_sum_with_dual_locally_trivial(parts):
-    """K # K^dual ~ the unknot, for K of at most 25 generators."""
+    """K # K^dual ~ the unknot, for K of at most 49 generators."""
     k = staircase_sum(parts)
-    assume(len(k.complex) <= 25)
+    assume(len(k.complex) <= 49)
     assert _witnessed(product(k, dual_iota(k), verify=False), identity_complex())
 
 
@@ -346,23 +371,75 @@ def test_local_equivalence_preserves_invariants(pair):
         assert triples[0] == triples[1]
 
 
-# staircases of at most 5 generators, so a sum of three has at most 125
-small_parts = st.lists(
-    st.tuples(st.lists(st.integers(1, 2), min_size=1, max_size=2).map(palindromic_staircase),
-              st.booleans()),
-    min_size=3, max_size=3)
-
-
-@given(small_parts)
+@given(st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=3, max_size=3))
 @settings(max_examples=6, deadline=None)
 def test_sum_associative_up_to_local_equivalence(parts):
-    """(K1 # K2) # K3 ~ K1 # (K2 # K3)."""
+    """(K1 # K2) # K3 ~ K1 # (K2 # K3), for sums of up to 343 generators."""
     k1, k2, k3 = (mirror(staircase_complex(s)) if flip else staircase_complex(s)
                   for s, flip in parts)
     left = product(product(k1, k2, verify=False), k3, verify=False)
     right = product(k1, product(k2, k3, verify=False), verify=False)
     found = search_local_equivalence(left, right, cap=BIG_CAP)
     assert found is not None and verify_local_equivalence(left, right, *found).passed
+
+
+def _sha256(m):
+    return hashlib.sha256(json.dumps(morphism_to_list(m)).encode()).hexdigest()
+
+
+def test_associativity_witness_pinned():
+    """(T(3,4) # T(4,5)) # T(5,6) vs T(3,4) # (T(4,5) # T(5,6)): 315
+    generators and a chain-map space of dimension 1 983, far above what
+    the exhaustive search covers. The hashes are of the witnesses the
+    chain-map-basis search returned before the (H, F) system."""
+    k1, k2, k3 = torus_knot(3, 4), torus_knot(4, 5), torus_knot(5, 6)
+    left = product(product(k1, k2, verify=False), k3, verify=False)
+    right = product(k1, product(k2, k3, verify=False), verify=False)
+    with pytest.raises(CapExceededError, match="dimension 1983 > cap 1982"):
+        search_local_equivalence(left, right, cap=1982)
+    f, g = search_local_equivalence(left, right, cap=1983)
+    pinned = "25d6536d7590738275bd6a079ef2cbcba34f2b1d11bb01361aa22abd614c51c4"
+    assert _sha256(f) == _sha256(g) == pinned
+
+
+@given(complex_pairs())
+@settings(max_examples=10, deadline=None)
+def test_residue_is_the_support_of_the_laurent_composites(pair):
+    """The iota residue row of each chain-map unknown e is the support of
+    the Laurent iota2 e + e iota1."""
+    src, tgt = pair
+    space = _HomEquations(src.complex, tgt.complex, EQUIVARIANT, (0, 0))
+    rows = space.residue(tgt.iota.entries, src.iota.entries)
+    for var in range(len(space.unknowns)):
+        e = space.morphism(1 << var)
+        laurent = compose(tgt.iota, e) + compose(e, src.iota)
+        assert morphism_is_homogeneous(laurent)
+        support = {(i, j) for i, row in laurent.entries.items() for j in row}
+        assert {key for key, eq in rows.items() if eq >> var & 1} == support
+
+
+@given(complex_pairs())
+@settings(max_examples=10, deadline=None)
+def test_functional_kills_boundaries_and_detects_the_generator(pair):
+    """phi is 0 on every boundary row and 1 on the generator, and phi(f(z))
+    is maps_generator_nonzero on the chain maps of a basis and on sums of
+    two of them."""
+    src, tgt = pair
+    for c in (src.complex, tgt.complex):
+        hom = c.slice_homology
+        (_, even_positions), (odd, _) = hom.index
+        phi = hom.functional
+        for row in gf2.support_rows(c.diff, odd, even_positions):
+            assert (phi & row).bit_count() % 2 == 0
+        assert (phi & hom.generator).bit_count() % 2 == 1
+    space, basis = _chain_map_basis(src, tgt)
+    hom, tgt_hom = src.complex.slice_homology, tgt.complex.slice_homology
+    for b in basis[:20] + [x ^ y for x, y in zip(basis, basis[1:20])]:
+        f = space.morphism(b)
+        rows = gf2.support_rows(f.entries, hom.index[0][0], tgt_hom.index[0][1])
+        image = gf2.apply_rows(rows, hom.generator)
+        on_homology = (tgt_hom.functional & image).bit_count() % 2 == 1
+        assert on_homology == hom.maps_generator_nonzero(f, tgt_hom)
 
 
 def test_iota_fourth_power_homotopic_to_identity(hand_trefoil):
