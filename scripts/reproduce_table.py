@@ -9,7 +9,13 @@ import argparse
 import sys
 import time
 
-from iotak.invariants import a_zero_minus, involutive_invariants, lemma_criteria_oracle, obstruction_pattern
+from iotak.invariants import (
+    InvariantError,
+    a_zero_minus,
+    involutive_invariants,
+    lemma_criteria_oracle,
+    obstruction_pattern,
+)
 from iotak.iota import product
 from iotak.models import mirror, torus_knot
 
@@ -51,7 +57,12 @@ def main():
         tower = a_zero_minus(ic, verify=False)
         rep = involutive_invariants(tower)
         if args.oracle:
-            if lemma_criteria_oracle(tower) != (rep.d_bar, rep.d_under):
+            try:
+                agrees = lemma_criteria_oracle(tower) == (rep.d_bar, rep.d_under)
+            except InvariantError as exc:
+                print(f"{name}: oracle failed: {exc}", file=sys.stderr)
+                agrees = False
+            if not agrees:
                 print(f"{name}: ORACLE DISAGREEMENT", file=sys.stderr)
                 return 3
         verdict = obstruction_pattern(rep)

@@ -6,7 +6,7 @@ cross-checked against an independent oracle), evaluate the
 obstruction patterns, and search for local equivalences.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
-3 cap exceeded or oracle disagreement.
+3 cap exceeded, oracle disagreement or oracle failure.
 """
 
 from __future__ import annotations
@@ -155,7 +155,12 @@ def cmd_invariants(args) -> int:
     with _explained_by_axiom_six(args.file):
         tower = a_zero_minus(ic, verify=False)
         rep = involutive_invariants(tower)
-        oracle = lemma_criteria_oracle(tower) if args.oracle else None
+    try:
+        with _explained_by_axiom_six(args.file):
+            oracle = lemma_criteria_oracle(tower) if args.oracle else None
+    except InvariantError as exc:
+        print(f"oracle failed: {exc}", file=sys.stderr)
+        return EXIT_CAP
     if oracle is not None and oracle != (rep.d_bar, rep.d_under):
         print(f"oracle disagreement: cone gives (d_bar, d_under) = ({rep.d_bar}, "
               f"{rep.d_under}), max-grading oracle gives {oracle}", file=sys.stderr)

@@ -15,6 +15,7 @@ F2[U, V].
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -193,33 +194,25 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     return _built(g.source, f.target, out, variance, bidegree)
 
 
-def forced_monomial(x: BasisElement, y: BasisElement, variance: str,
-                    bidegree: Tuple[int, int]) -> Optional[Monomial]:
-    """The unique exponent pair a homogeneous entry from x to y may carry.
-
-    Returns None when the grading equations have no integer solution,
-    in which case the entry is forced to vanish.
-    """
+def forced_base(x: BasisElement, variance: str, bidegree: Tuple[int, int]) -> Tuple[int, int]:
+    """The bigrading (gu, gv) that the monomial 1 reaches from x. A
+    homogeneous entry from x to y is forced to U^((y.gr_u - gu)/2)
+    V^((y.gr_v - gv)/2), and to vanish when either difference is odd."""
     a, b = bidegree
     if variance == EQUIVARIANT:
-        du = y.gr_u - x.gr_u - a
-        dv = y.gr_v - x.gr_v - b
-    else:
-        du = y.gr_u - x.gr_v - a
-        dv = y.gr_v - x.gr_u - b
-    if du % 2 or dv % 2:
-        return None
-    return (du // 2, dv // 2)
+        return x.gr_u + a, x.gr_v + b
+    return x.gr_v + a, x.gr_u + b
 
 
 def inhomogeneous_entries(f: Morphism):
     """The (source, target) index pairs whose entry is not the
     grading-forced monomial, in the order of f.entries."""
     for i, row in f.entries.items():
-        x = f.source.basis[i]
+        gu, gv = forced_base(f.source.basis[i], f.variance, f.bidegree)
         for j, p in row.items():
-            m = forced_monomial(x, f.target.basis[j], f.variance, f.bidegree)
-            if m is None or p.terms != (m,):
+            y = f.target.basis[j]
+            du, dv = y.gr_u - gu, y.gr_v - gv
+            if du % 2 or dv % 2 or p.terms != ((du // 2, dv // 2),):
                 yield i, j
 
 
@@ -486,11 +479,17 @@ class _HomEquations:
         self.unknowns: List[Tuple[int, int, Monomial]] = []
         # the unknowns out of each source index, as (target, unknown)
         self.by_source: Dict[int, List[Tuple[int, int]]] = {}
+        # the targets by bigrading; a source reaches those at or above its base
+        buckets: Dict[Tuple[int, int], List[int]] = {}
+        for j, y in enumerate(tgt.basis):
+            buckets.setdefault((y.gr_u, y.gr_v), []).append(j)
+        keys = sorted(buckets)
         for i, x in enumerate(src.basis):
-            for j, y in enumerate(tgt.basis):
-                m = forced_monomial(x, y, variance, bidegree)
-                if m is None or m[0] < 0 or m[1] < 0:
-                    continue
+            gu, gv = forced_base(x, variance, bidegree)
+            hits = sorted((j, ((u - gu) // 2, (v - gv) // 2))
+                          for u, v in keys[bisect.bisect_left(keys, (gu,)):]
+                          if v >= gv and (u - gu) % 2 == (v - gv) % 2 == 0 for j in buckets[u, v])
+            for j, m in hits:
                 self.by_source.setdefault(i, []).append((j, len(self.unknowns)))
                 self.unknowns.append((i, j, m))
         for side, c in (("target", tgt), ("source", src)):

@@ -131,6 +131,12 @@ def apply_rows(rows: List[int], vec: int) -> int:
     return out
 
 
+def pullback(rows: List[int], phi: int) -> int:
+    """The functional phi after the map e_k -> rows[k]: bit k is the
+    parity of rows[k] & phi, so pullback . v = phi . apply_rows(rows, v)."""
+    return sum(1 << k for k, row in enumerate(rows) if (row & phi).bit_count() & 1)
+
+
 def positions(members: List[int], n: int) -> List[int]:
     """Entry i of range(n): the place of i in members, or -1."""
     out = [-1] * n

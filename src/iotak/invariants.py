@@ -300,7 +300,9 @@ class _TowerSlices:
     lowest generator grading min_gr a slice holds every generator of its
     parity, so slices far below min_gr share a canonical grading, and
     every per-slice result is built once for it. Callers must not mutate
-    what these methods return.
+    what these methods return. A cycle v of slice r <= max_gr is
+    nontorsion iff it pairs oddly with a cocycle of the canonical slice
+    of r - 2 n_power (below min_gr) pulled back along W^n_power.
     """
 
     def __init__(self, t: UTowerComplex):
@@ -350,51 +352,59 @@ class _TowerSlices:
         return gf2.nullspace(eqs, len(self.members(r)))
 
     @_per_slice
-    def boundary_basis(self, r: int) -> gf2.RowBasis:
-        return gf2.RowBasis(self.diff_rows(r + 1))
+    def cocycles(self, r: int) -> List[int]:
+        """Functionals phi_a, zero on the boundaries of slice r, with phi_a(g_b) = delta_ab on
+        a basis g_b of its cycles modulo boundaries: a cycle is a boundary iff all vanish."""
+        span = gf2.RowBasis(self.diff_rows(r + 1))
+        rows = list(span.pivots.values())
+        first = len(rows)
+        rows += [z for z in self.cycle_basis(r) if span.add(z)]
+        return [gf2.solve(rows, [k == a for k in range(len(rows))], len(self.members(r)))
+                for a in range(first, len(rows))]
 
     @_per_slice
-    def nontorsion_table(self, r: int) -> List[int]:
-        """Row i: the normal form of W^n_power e_i modulo the boundaries
-        of slice r - 2 n_power."""
-        low = self.boundary_basis(r - 2 * self.n_power)
-        return [low.normal_form(e) for e in self.power_rows(r, self.n_power)]
+    def nontorsion_tests(self, r: int) -> List[int]:
+        """The cocycles of slice r - 2 n_power pulled back along W^n_power: a
+        cycle of slice r is nontorsion iff it pairs oddly with one of them."""
+        rows = self.power_rows(r, self.n_power)
+        return [gf2.pullback(rows, phi) for phi in self.cocycles(r - 2 * self.n_power)]
 
-    def spans_nontorsion(self, r: int, vectors: List[int]) -> bool:
-        """Whether some F2 combination of the given grading-r cycles has
-        W^n_power times it outside the boundaries, i.e. a nontorsion
-        class. Such a combination exists iff one of the vectors is one,
-        and the normal form is linear and zero exactly on boundaries."""
-        if not vectors:
-            return False
-        table = self.nontorsion_table(r)
-        return any(gf2.apply_rows(table, v) for v in vectors)
+    def spans_nontorsion(self, r: int, cycles: List[int]) -> bool:
+        """Whether some F2 combination of the given grading-r cycles (the inputs
+        must be cycles) is nontorsion: iff one cycle pairs oddly with a test."""
+        return any((v & phi).bit_count() & 1 for phi in self.nontorsion_tests(r) for v in cycles)
 
 
 def _d_bar_hits(slices: _TowerSlices, c: int, m: int) -> bool:
     """Whether a d_bar criterion holds at grading c for this m: (a) some
     solution of dy = (1+iota)x, dz = W^m x with x != 0 at grading c - 1
     has W^m y + (1+iota)z nontorsion, or (b) cycles y != 0 at grading c
-    and z at c - 2m have W^m y + (1+iota)z nontorsion."""
+    and z at c - 2m have W^m y + (1+iota)z nontorsion.
+
+    The solutions v = (x, y, z) of (a), x in the low bits, are the null
+    space of the row space E of its equations: one has x_k = 1 iff e_k is
+    outside E, one has a nontorsion image iff a pulled-back nontorsion test
+    is outside E, and if v has the image and u has x != 0, v, u or v + u has both.
+    """
     r = c - 1
     xs = slices.members(r)
-    if xs:
+    tests = slices.nontorsion_tests(r + 1 - 2 * m)
+    if xs and tests:
         ys = slices.members(r + 1)
         zs = slices.members(r - 2 * m + 1)
         nx, ny, nz = len(xs), len(ys), len(zs)
         zero = [0]
+        l_rows = (zero * nx + slices.power_rows(r + 1, m)
+                  + slices.one_plus_iota_rows(r - 2 * m + 1))
+        pulls = [gf2.pullback(l_rows, phi) for phi in tests]
         images1 = slices.one_plus_iota_rows(r) + slices.diff_rows(r + 1) + zero * nz
         eqs = gf2.transpose(images1, nx)
         images2 = slices.power_rows(r, m) + zero * ny + slices.diff_rows(r - 2 * m + 1)
         eqs += gf2.transpose(images2, len(slices.members(r - 2 * m)))
-        sols = gf2.nullspace(eqs, nx + ny + nz)
-        x_mask = (1 << nx) - 1
-        if any(v & x_mask for v in sols):
-            l_rows = (zero * nx + slices.power_rows(r + 1, m)
-                      + slices.one_plus_iota_rows(r - 2 * m + 1))
-            images = [gf2.apply_rows(l_rows, v) for v in sols]
-            if slices.spans_nontorsion(r + 1 - 2 * m, images):
-                return True
+        span = gf2.RowBasis(eqs)
+        if (not all(span.contains(p) for p in pulls)
+                and not all(span.contains(1 << k) for k in range(nx))):
+            return True
     y_cycles = slices.cycle_basis(c)
     if not y_cycles:
         return False
@@ -403,6 +413,19 @@ def _d_bar_hits(slices: _TowerSlices, c: int, m: int) -> bool:
     images = [gf2.apply_rows(ym_rows, y) for y in y_cycles]
     images += [gf2.apply_rows(zi_rows, z) for z in slices.cycle_basis(c - 2 * m)]
     return slices.spans_nontorsion(c - 2 * m, images)
+
+
+def _d_under_hits(slices: _TowerSlices, r: int) -> bool:
+    """Whether some cycle v at grading r has a nontorsion class and (1 + iota)v a boundary."""
+    # psi_a has bit k when cycle k pairs oddly with nontorsion test a
+    psis = [gf2.pullback(slices.cycle_basis(r), phi) for phi in slices.nontorsion_tests(r)]
+    if not any(psis):
+        return False
+    # the cycle combinations with (1 + iota)-image killed by every cocycle of
+    # slice r are these rows' null space; one pairs oddly with psi iff psi is outside
+    images = [gf2.apply_rows(slices.one_plus_iota_rows(r), z) for z in slices.cycle_basis(r)]
+    span = gf2.RowBasis(gf2.pullback(images, phi) for phi in slices.cocycles(r))
+    return not all(span.contains(psi) for psi in psis)
 
 
 def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
@@ -415,6 +438,7 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
     W^m y + (1+iota)z nontorsion, and (b) gr(y) for cycle pairs y != 0, z
     with W^m y + (1+iota)z nontorsion, for m up to the grading span
     n_power. Raises when allowing m = n_power + 1 changes the answer.
+    Tests pair with the tower's own cocycles; existence is row-space membership.
 
     Both d_bar criteria are monotone in m: if (x, y, z) solves (a) for m,
     then (x, y, Wz) solves it for m + 1 with image W (W^m y + (1+iota)z),
@@ -431,22 +455,8 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
 
     # a witness W^N v for a free class v can sit as far as 2 n_power
     # below the lowest generator grading
-    d_under = None
-    for r in range(max_gr, min_gr - 2 * n_power - 1, -1):
-        cycles = slices.cycle_basis(r)
-        if not cycles:
-            continue
-        bnd = slices.boundary_basis(r)
-        one_plus = slices.one_plus_iota_rows(r)
-        # normal forms are linear: a combination of residues vanishes
-        # exactly when its (1 + iota)-image is a boundary
-        residues = [bnd.normal_form(gf2.apply_rows(one_plus, z)) for z in cycles]
-        eqs = gf2.transpose(residues, len(slices.members(r)))
-        combos = gf2.nullspace(eqs, len(cycles))
-        candidates = [gf2.apply_rows(cycles, combo) for combo in combos]
-        if slices.spans_nontorsion(r, candidates):
-            d_under = r
-            break
+    d_under = next((r for r in range(max_gr, min_gr - 2 * n_power - 1, -1)
+                    if _d_under_hits(slices, r)), None)
     if d_under is None:
         raise InvariantError("no d_under witness in the grading range")
 

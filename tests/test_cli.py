@@ -1,7 +1,10 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import staircase_strategy
 from iotak import cli, serialize
 from iotak.complexes import EQUIVARIANT, Morphism
+from iotak.invariants import InvariantError
 from iotak.iota import product, verify_local_equivalence
 from iotak.models import staircase_complex, torus_knot
 
@@ -382,6 +386,38 @@ def test_file_failing_only_axiom_six_exits_1(tmp_path, capsys):
         code, out, err = run(capsys, command, str(bad))
         assert (code, out) == (1, "")
         assert err.startswith(f"{bad}: fails axiom (6) ")
+
+
+def _failing_oracle(tower):
+    raise InvariantError("m bound 1 too small: raising it changes d_bar")
+
+
+def test_oracle_failure_exits_3(tmp_path, capsys, monkeypatch):
+    """An oracle that raises on a valid complex is an oracle failure,
+    exit 3, not a parse or usage error; a file failing axiom (6) still
+    exits 1 and names the axiom."""
+    t23, bad = tmp_path / "t23.json", tmp_path / "bad.json"
+    run(capsys, "torus", "2", "3", "-o", str(t23))
+    bad.write_text(json.dumps(dict(json.loads(t23.read_text()), iota=[])))
+    monkeypatch.setattr(cli, "lemma_criteria_oracle", _failing_oracle)
+    code, out, err = run(capsys, "invariants", str(t23), "--oracle")
+    assert (code, out) == (3, "")
+    assert err == "oracle failed: m bound 1 too small: raising it changes d_bar\n"
+    code, out, err = run(capsys, "invariants", str(bad), "--oracle")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{bad}: fails axiom (6) ")
+
+
+def test_reproduce_table_reports_oracle_failure(capsys, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_table.py"
+    spec = importlib.util.spec_from_file_location("reproduce_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "lemma_criteria_oracle", _failing_oracle)
+    monkeypatch.setattr(sys, "argv", [str(path), "--oracle"])
+    assert script.main() == 3
+    err = capsys.readouterr().err
+    assert "T(2,3): ORACLE DISAGREEMENT" in err and "m bound 1 too small" in err
 
 
 def test_verification_failure_exit_code(tmp_path, capsys):

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from iotak import gf2
 
 
@@ -109,3 +112,13 @@ def test_reduce_is_not_linear():
     a, b = 0b110, 0b010
     assert basis.reduce(a) ^ basis.reduce(b) == 0b100 != basis.reduce(a ^ b)
     assert basis.normal_form(a) ^ basis.normal_form(b) == 0 == basis.normal_form(a ^ b)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 70) - 1), max_size=40),
+       st.integers(min_value=0, max_value=(1 << 70) - 1), st.integers(min_value=0))
+@settings(max_examples=200, deadline=None)
+def test_pullback_is_the_transpose_pairing(rows, phi, v):
+    """pullback(rows, phi) . v = phi . apply_rows(rows, v) (mod 2)."""
+    v &= (1 << len(rows)) - 1
+    assert dot(gf2.pullback(rows, phi), v) == dot(phi, gf2.apply_rows(rows, v))
+    assert gf2.pullback(rows, phi) >> len(rows) == 0

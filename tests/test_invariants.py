@@ -21,7 +21,7 @@ from iotak.invariants import (
 from iotak.iota import identity_complex, product
 from iotak.models import mirror, staircase_complex, torus_knot
 from iotak import gf2
-from iotak.invariants import _TowerSlices, _d_bar_hits
+from iotak.invariants import _TowerSlices, _d_bar_hits, _d_under_hits
 
 
 def tower(ic):
@@ -379,6 +379,159 @@ def test_oracle_matches_cone_on_large_sums(parts):
     t = tower(product(product(ics[0], ics[1], verify=False), ics[2], verify=False))
     rep = involutive_invariants(t)
     assert lemma_criteria_oracle(t) == (rep.d_bar, rep.d_under)
+
+
+# References: the normal-form table and null-space forms of the oracle's
+# nontorsion tests and criteria, which the cocycle forms must reproduce.
+
+def reference_spans_nontorsion(slices, r, vectors):
+    """Row i of the table: the normal form of W^n_power e_i modulo the
+    boundaries of slice r - 2 n_power, linear and zero on boundaries."""
+    if not vectors:
+        return False
+    low = gf2.RowBasis(slices.diff_rows(r - 2 * slices.n_power + 1))
+    table = [low.normal_form(e) for e in slices.power_rows(r, slices.n_power)]
+    return any(gf2.apply_rows(table, v) for v in vectors)
+
+
+def reference_d_under_hits(slices, r):
+    """Enumerate the combinations of cycles whose (1 + iota)-image is a
+    boundary, then test their span for a nontorsion class."""
+    cycles = slices.cycle_basis(r)
+    if not cycles:
+        return False
+    bnd = gf2.RowBasis(slices.diff_rows(r + 1))
+    one_plus = slices.one_plus_iota_rows(r)
+    residues = [bnd.normal_form(gf2.apply_rows(one_plus, z)) for z in cycles]
+    combos = gf2.nullspace(gf2.transpose(residues, len(slices.members(r))), len(cycles))
+    return reference_spans_nontorsion(slices, r, [gf2.apply_rows(cycles, c) for c in combos])
+
+
+def reference_d_bar_hits(slices, c, m):
+    """Criterion (a) from a null-space basis of its solutions, each
+    existence test on its own; criterion (b) from the cycle images."""
+    r = c - 1
+    xs = slices.members(r)
+    if xs:
+        ys, zs = slices.members(r + 1), slices.members(r - 2 * m + 1)
+        nx, ny, nz = len(xs), len(ys), len(zs)
+        zero = [0]
+        images1 = slices.one_plus_iota_rows(r) + slices.diff_rows(r + 1) + zero * nz
+        eqs = gf2.transpose(images1, nx)
+        images2 = slices.power_rows(r, m) + zero * ny + slices.diff_rows(r - 2 * m + 1)
+        eqs += gf2.transpose(images2, len(slices.members(r - 2 * m)))
+        sols = gf2.nullspace(eqs, nx + ny + nz)
+        if any(v & ((1 << nx) - 1) for v in sols):
+            l_rows = (zero * nx + slices.power_rows(r + 1, m)
+                      + slices.one_plus_iota_rows(r - 2 * m + 1))
+            images = [gf2.apply_rows(l_rows, v) for v in sols]
+            if reference_spans_nontorsion(slices, r + 1 - 2 * m, images):
+                return True
+    y_cycles = slices.cycle_basis(c)
+    if not y_cycles:
+        return False
+    images = [gf2.apply_rows(slices.power_rows(c, m), y) for y in y_cycles]
+    images += [gf2.apply_rows(slices.one_plus_iota_rows(c - 2 * m), z)
+               for z in slices.cycle_basis(c - 2 * m)]
+    return reference_spans_nontorsion(slices, c - 2 * m, images)
+
+
+def reference_oracle(t):
+    """lemma_criteria_oracle's scan over the reference criteria."""
+    slices = _TowerSlices(t)
+    max_gr, min_gr, n = slices.max_gr, slices.min_gr, slices.n_power
+    d_under = next((r for r in range(max_gr, min_gr - 2 * n - 1, -1)
+                    if reference_d_under_hits(slices, r)), None)
+    if d_under is None:
+        raise InvariantError("no d_under witness in the grading range")
+    for c in range(max_gr + 1, min_gr - 1, -1):
+        if reference_d_bar_hits(slices, c, n):
+            return (c, d_under)
+        if reference_d_bar_hits(slices, c, n + 1):
+            raise InvariantError(f"m bound {n} too small: raising it changes d_bar")
+    raise InvariantError("no d_bar witness in the grading range")
+
+
+def outcome(oracle, t):
+    try:
+        return oracle(t)
+    except InvariantError as exc:
+        return str(exc)
+
+
+@given(staircase_sums)
+@settings(max_examples=20, deadline=None)
+def test_oracle_criteria_match_references(parts):
+    """At every grading the oracle scans, the cocycle forms of the d_under
+    test and of both d_bar tests (m = n_power, n_power + 1) decide as
+    the references do, and so does spans_nontorsion on each cycle."""
+    t = sum_tower(parts)
+    slices = _TowerSlices(t)
+    n = slices.n_power
+    for r in range(slices.max_gr, slices.min_gr - 2 * n - 1, -1):
+        assert _d_under_hits(slices, r) == reference_d_under_hits(slices, r), r
+        for z in slices.cycle_basis(r):
+            assert slices.spans_nontorsion(r, [z]) == reference_spans_nontorsion(slices, r, [z])
+    for c in range(slices.max_gr + 1, slices.min_gr - 1, -1):
+        for m in (n, n + 1):
+            assert _d_bar_hits(slices, c, m) == reference_d_bar_hits(slices, c, m), (c, m)
+
+
+@given(staircase_sums)
+@settings(max_examples=20, deadline=None)
+def test_cocycles_are_dual_to_homology(parts):
+    """Each slice's cocycles vanish on its boundaries, pair with the
+    homology representatives as the identity, and number as many as the
+    slice homology's dimension from the Smith normal form."""
+    t = sum_tower(parts)
+    slices = _TowerSlices(t)
+    decomp = homology_snf(t)
+    for r in range(slices.max_gr + 1, slices.min_gr - 2 * slices.n_power - 3, -1):
+        phis = slices.cocycles(r)
+        assert len(phis) == decomp.slice_dim(r)
+        span = gf2.RowBasis(slices.diff_rows(r + 1))
+        assert all((phi & b).bit_count() % 2 == 0 for phi in phis for b in slices.diff_rows(r + 1))
+        reps = [z for z in slices.cycle_basis(r) if span.add(z)]
+        assert [[(phi & g).bit_count() % 2 for g in reps] for phi in phis] == [
+            [int(a == b) for b in range(len(reps))] for a in range(len(phis))]
+
+
+def test_stable_cocycles_of_an_iota_complex():
+    """The homology of an iota-complex is one free tower, so the stable
+    slices carry one cocycle in d's parity and none in the other, and
+    the other parity has no nontorsion tests at all."""
+    t = sum_tower([(palindromic_staircase([1, 2]), False), (palindromic_staircase([2]), True)])
+    slices = _TowerSlices(t)
+    d = involutive_invariants(t).d
+    low = slices.min_gr - 2
+    assert {r % 2: len(slices.cocycles(r)) for r in (low, low + 1)} == {d % 2: 1, (d + 1) % 2: 0}
+    for r in range(slices.max_gr, low - 1, -1):
+        assert (len(slices.nontorsion_tests(r)) == 1) == ((r - d) % 2 == 0)
+        if (r - d) % 2:
+            assert not _d_under_hits(slices, r)
+
+
+@pytest.mark.parametrize("t, stable_dims", [
+    # free a, b at 0 and 2 with iota(a) = a + W b, and a W^2 torsion tower
+    (UTowerComplex([("a", 0), ("b", 2), ("p", -1), ("q", 2)], {2: {3}},
+                   endo={0: {0, 1}, 1: {1}, 2: {2}, 3: {3}}), {0: 2, 1: 0}),
+    # the same with the free towers' gradings exchanged
+    (UTowerComplex([("a", 2), ("b", 0)], {}, endo={0: {0}, 1: {0, 1}}), {0: 2, 1: 0}),
+    # free a, b at 0 swapped by iota
+    (UTowerComplex([("a", 0), ("b", 0)], {}, endo={0: {1}, 1: {0}}), {0: 2, 1: 0}),
+    # a fixed free e at 0 over a swapped pair at -1: (1 + iota)a is
+    # nontorsion, so criterion (a) must insist on x != 0
+    (UTowerComplex([("e", 0), ("a", -1), ("b", -1)], {}, endo={0: {0}, 1: {2}, 2: {1}}),
+     {0: 1, 1: 2}),
+], ids=["free at 0 and 2", "free at 2 and 0", "swapped pair", "swapped pair below e"])
+def test_oracle_with_several_stable_cocycles(t, stable_dims):
+    """Towers whose homology has two free summands of one parity, so
+    stable slices carry two cocycles: the oracle's answer (or its error)
+    equals the reference's."""
+    slices = _TowerSlices(t)
+    low = slices.min_gr - 2
+    assert {r % 2: len(slices.cocycles(r)) for r in (low, low + 1)} == stable_dims
+    assert outcome(lemma_criteria_oracle, t) == outcome(reference_oracle, t)
 
 
 def test_oracle_raises_when_the_m_bound_matters(monkeypatch, hand_trefoil):
