@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -207,7 +208,9 @@ def cmd_local_equiv(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="iotak",
         description="involutive knot Floer complexes: products, duals, invariants",
@@ -273,6 +276,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except (InvariantError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -11,7 +11,6 @@ d, d-bar, d-under and the V-invariants.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -126,83 +125,49 @@ class HomologyDecomp:
 
 
 def homology_snf(t: UTowerComplex) -> HomologyDecomp:
-    """Graded Smith normal form by cancellation on minimal-exponent pivots.
+    """Graded Smith normal form by F2 column reduction with clearing.
 
-    W^0 pivots are plain F2 cancellations; a W^k pivot with k > 0 splits
-    off a torsion tower F2[W]/W^k at the target's grading. Survivors are
-    free summands. Minimality of the pivot keeps all quotients in the
-    ring, and ties break by basis order for determinism: the pivot is
-    the least (k, source, target) over all entries.
-
-    The pivots come from a heap of keys (k, i, j) packed into one int,
-    one key per column, no larger than the column's least entry. A
-    filled-in entry (kw - k + kz, w, z) never undercuts the entry
-    (kw, w, y) it comes from, since kz >= k and kz == k forces z > y;
-    so only a popped key whose entry has gone is stale, and its column
-    pushes its new least. The first key that names a live entry is the
-    least of all, the same pivot a full scan would pick.
+    Generators sort by (-grading, index), and position p is bit p of an
+    int column, so a column's low bit is its entry of least power of W.
+    The change x_b += W^m x_a is allowed exactly when g_a >= g_b with
+    equal parity, so columns of one source parity, reduced in that
+    order, only take on earlier columns: XOR with the pivot column of
+    the same low until the column is zero or has a new low y, which
+    pairs with the source x and splits off F2[W]/W^k at gr(y),
+    2k = gr(y) - gr(x) + 1, when k > 0. Odd sources go first. Clearing:
+    a reduced odd column with low y is W^k (y + earlier terms), and
+    y -> y + earlier terms is an allowed change whose image is a cycle,
+    so y's own column would reduce to zero and is skipped. Unpaired
+    generators are the free summands. The decomposition is an
+    isomorphism invariant, so the pivot order cannot change it.
     """
-    # working maps {source: {target: k}} and {target: {source: k}}, k forced
     g = [gr for _, gr in t.basis]
-    cols = {i: {j: (g[j] - g[i] + 1) // 2 for j in row} for i, row in t.diff.items()}
-    rows: Dict[int, Dict[int, int]] = {}
-    for i, row in cols.items():
-        for j, k in row.items():
-            rows.setdefault(j, {})[i] = k
-    n = len(t)
-    alive = bytearray(b"\x01") * n
+    order = sorted(range(len(t)), key=lambda i: (-g[i], i))
+    pos = [0] * len(t)
+    for p, i in enumerate(order):
+        pos[i] = p
+    pivots: Dict[int, int] = {}  # low -> reduced column
+    paired = bytearray(len(t))
     torsion: List[Tuple[int, int]] = []
-    b = n.bit_length()
-    mask = (1 << b) - 1
-
-    def least(i: int) -> int:
-        return min(((k << b | i) << b) | j for j, k in cols[i].items())
-
-    heap = [least(i) for i in cols]
-    heapq.heapify(heap)
-
-    def drop(i: int, j: int) -> None:
-        del cols[i][j]
-        if not cols[i]:
-            del cols[i]
-        del rows[j][i]
-        if not rows[j]:
-            del rows[j]
-
-    def put(i: int, j: int, k: int) -> None:
-        cols.setdefault(i, {})[j] = k
-        rows.setdefault(j, {})[i] = k
-
-    while heap:
-        key = heapq.heappop(heap)
-        k, x, y = key >> 2 * b, key >> b & mask, key & mask
-        if x not in cols:
-            continue
-        if cols[x].get(y) != k:
-            heapq.heappush(heap, least(x))
-            continue
-        if k > 0:
-            torsion.append((t.grading(y), k))
-        sources = [(w, kw) for w, kw in rows[y].items() if w != x]
-        targets = [(z, kz) for z, kz in cols[x].items() if z != y]
-        for w, kw in sources:
-            for z, kz in targets:
-                # a filled-in entry's power is forced: an existing one cancels
-                if z in cols.get(w, {}):
-                    drop(w, z)
-                else:
-                    put(w, z, (kw - k) + kz)
-        for w, kw in list(rows.get(y, {}).items()):
-            drop(w, y)
-        for z, kz in list(cols.get(x, {}).items()):
-            drop(x, z)
-        for z, kz in list(cols.get(y, {}).items()):
-            drop(y, z)
-        for w, kw in list(rows.get(x, {}).items()):
-            drop(w, x)
-        alive[x] = alive[y] = 0
-
-    free = tuple(sorted(t.grading(i) for i in range(n) if alive[i]))
+    for parity in (1, 0):
+        for x in order:
+            if g[x] % 2 != parity or paired[x] or x not in t.diff:
+                continue
+            col = 0
+            for y in t.diff[x]:
+                col |= 1 << pos[y]
+            low = col.bit_length() - 1
+            while low in pivots:
+                col ^= pivots[low]
+                low = col.bit_length() - 1
+            if col:
+                pivots[low] = col
+                y = order[low]
+                paired[x] = paired[y] = 1
+                k = (g[y] - g[x] + 1) // 2
+                if k:
+                    torsion.append((g[y], k))
+    free = tuple(sorted(g[i] for i in range(len(t)) if not paired[i]))
     return HomologyDecomp(free, tuple(sorted(torsion)))
 
 

@@ -240,6 +240,29 @@ def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+def test_usage_error_then_valid_arguments(tmp_path, capsys):
+    """main parses every call with one parser; a usage error leaves it
+    as it was for the next call."""
+    first = run(capsys, "torus", "2")
+    assert first[:2] == (2, "") and first[2].startswith("usage: iotak torus")
+    path = tmp_path / "t23.json"
+    assert run(capsys, "torus", "2", "3", "-o", str(path)) == (0, "", "")
+    assert serialize.load(str(path))[0] == "T(2,3)"
+    assert run(capsys, "torus", "2") == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(p, q):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "torus_knot", exhausted)
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, "torus", "100000", "100001", "-o", str(path))
+    assert (code, out, err) == (2, "", "error: out of memory; the input is too large\n")
+    assert not path.exists()
+
+
 def test_invariants_mirror_needs_torus(tmp_path, capsys):
     tr = str(tmp_path / "tr.json")
     run(capsys, "torus", "2", "3", "-o", tr)

@@ -199,11 +199,56 @@ def sum_tower(parts):
 @given(staircase_sums)
 @settings(max_examples=30, deadline=None)
 def test_snf_matches_full_scan(parts):
-    """Sums with mirrored parts have W^k pivots with k > 0, and their
-    cancellations leave stale heap keys behind."""
+    """Sums with mirrored parts have W^k pivots with k > 0, which the
+    column reduction must pair as the full-scan cancellation does."""
     t = sum_tower(parts)
     for cx in (t, involutive_cone(t)):
         assert homology_snf(cx) == snf_by_full_scan(cx)
+
+
+# a summand: ("free", g), or ("pair", g, k) for x -> W^k y with gr(y) = g
+summands = st.one_of(
+    st.tuples(st.just("free"), st.integers(-6, 6)),
+    st.tuples(st.just("pair"), st.integers(-6, 6), st.integers(0, 3)),
+)
+
+
+@given(st.lists(summands, max_size=12), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_snf_recovers_a_conjugated_direct_sum(parts, rng):
+    """A direct sum of free generators and pairs x -> W^k y, written in a
+    random basis x_i + sum W^m x_j (g_j >= g_i, same parity), has the
+    known decomposition."""
+    gradings, diff = [], {}
+    for part in parts:
+        if part[0] == "pair":
+            _, gy, k = part
+            diff[len(gradings)] = {len(gradings) + 1}
+            gradings += [gy - 2 * k + 1, gy]
+        else:
+            gradings.append(part[1])
+    n = len(gradings)
+    perm = rng.sample(range(n), n)
+    g = [gradings[i] for i in perm]
+    d = [sum(1 << perm.index(j) for j in diff.get(i, ())) for i in perm]
+    # new basis vector i is row i of P = 1 + N, N[i][j] != 0 only for j before i
+    order = sorted(range(n), key=lambda i: (-g[i], i))
+    p_rows, q_rows = [0] * n, [0] * n
+    for a, i in enumerate(order):
+        earlier = [j for j in order[:a] if (g[j] - g[i]) % 2 == 0 and rng.random() < 0.3]
+        p_rows[i] = (1 << i) | sum(1 << j for j in earlier)
+        q_rows[i] = 1 << i  # Q = P^-1 = 1 + N Q
+        for j in earlier:
+            q_rows[i] ^= q_rows[j]
+    new_diff = {}
+    for i in range(n):
+        image = gf2.apply_rows(d, p_rows[i])
+        row = gf2.apply_rows(q_rows, image)
+        new_diff[i] = {j for j in range(n) if row >> j & 1}
+    t = UTowerComplex([(f"x{i}", g[i]) for i in range(n)], new_diff)
+    free = sorted(part[1] for part in parts if part[0] == "free")
+    torsion = sorted(part[1:] for part in parts if part[0] == "pair" and part[2] > 0)
+    assert homology_snf(t) == HomologyDecomp(tuple(free), tuple(torsion))
 
 
 def slice_dims_direct(t, r):
