@@ -32,7 +32,7 @@ from .complexes import (
     tensor_morphism,
     verify_complex,
 )
-from .ring import ONE, LaurentPoly
+from .ring import ONE, ZERO, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -188,17 +188,25 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
     )
 
 
-def _product_iota(c1: FreeComplex, iota1: Morphism, c2: FreeComplex, iota2: Morphism,
-                  variant: int, prod: FreeComplex) -> Morphism:
+def _product_terms(c1: FreeComplex, iota1: Morphism, c2: FreeComplex, iota2: Morphism,
+                   variant: int) -> Tuple[Tuple[Morphism, Morphism], ...]:
+    """The factor pairs (f, g) whose tensors f|g sum to the involution of
+    the product: (iota1, iota2) and (Phi1 iota1, Psi2 iota2) for variant
+    1, (Psi1 iota1, Phi2 iota2) for variant 2. Each f|g is skew of
+    bidegree (0, 0)."""
     if variant == 1:
         left, right = compose(build_phi(c1), iota1), compose(build_psi(c2), iota2)
     elif variant == 2:
         left, right = compose(build_psi(c1), iota1), compose(build_phi(c2), iota2)
     else:
         raise ValueError("variant must be 1 or 2")
-    plain = tensor_morphism(iota1, iota2, prod, prod)
-    correction = tensor_morphism(left, right, prod, prod)
-    return plain + correction
+    return (iota1, iota2), (left, right)
+
+
+def _product_iota(c1: FreeComplex, iota1: Morphism, c2: FreeComplex, iota2: Morphism,
+                  variant: int, prod: FreeComplex) -> Morphism:
+    (f1, g1), (f2, g2) = _product_terms(c1, iota1, c2, iota2, variant)
+    return tensor_morphism(f1, g1, prod, prod) + tensor_morphism(f2, g2, prod, prod)
 
 
 def product(ic1: IotaComplex, ic2: IotaComplex, variant: int = 1,
@@ -248,6 +256,49 @@ class InverseWitnessReport(CheckReport):
     trace: Morphism
 
 
+def _columns(entries: Entries) -> Dict[int, List[Tuple[int, LaurentPoly]]]:
+    """{target: [(source, entry)]}, the transpose of a sparse matrix."""
+    out: Dict[int, List[Tuple[int, LaurentPoly]]] = {}
+    for i, row in entries.items():
+        for j, p in row.items():
+            out.setdefault(j, []).append((i, p))
+    return out
+
+
+def _iota_through_trace(ic: IotaComplex, dic: IotaComplex, prod: FreeComplex,
+                        unit: FreeComplex) -> Tuple[Morphism, Morphism]:
+    """iota o cotrace and trace o iota, for iota the variant-1 involution
+    of prod = C x C^dual, without building iota.
+
+    With iota the sum of f|g over the factor pairs, iota o cotrace sends
+    1 to the sum over x of f(x) tensor g(x^), and trace o iota sends
+    a tensor b^ to the sum over c of f[a][c] g[b][c]. The second is
+    grouped by c, so its work is the number of products that land on
+    the diagonal.
+    """
+    n = len(ic.complex)
+    image: Dict[int, LaurentPoly] = {}
+    to_unit: Entries = {}
+    for f, g in _product_terms(ic.complex, ic.iota, dic.complex, dic.iota, 1):
+        for x, row_f in f.entries.items():
+            row_g = g.entries.get(x)
+            if row_g:
+                for a, p in row_f.items():
+                    for b, q in row_g.items():
+                        k = a * n + b
+                        image[k] = image.get(k, ZERO) + p * q
+        into_g = _columns(g.entries)
+        for c, ins_f in _columns(f.entries).items():
+            for b, q in into_g.get(c, ()):
+                for a, p in ins_f:
+                    row = to_unit.setdefault(a * n + b, {})
+                    row[0] = row.get(0, ZERO) + p * q
+    # the composites of the skew (0, 0) involution with the two
+    # equivariant (0, 0) maps; Morphism drops the cancelled entries
+    return (Morphism(unit, prod, {0: image}, SKEW, (0, 0)),
+            Morphism(prod, unit, to_unit, SKEW, (0, 0)))
+
+
 def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
     """Construct and verify the local equivalence C x C^dual ~ identity.
 
@@ -255,6 +306,11 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
     x tensor y^dual to y^dual(x). Their composite is the mod-2 Euler
     characteristic times the identity, which is the identity since the
     homology is the ring.
+
+    The involution of C x C^dual (variant 1) is read only through the
+    cotrace and the trace, as iota o cotrace and trace o iota, and is
+    never built (see _iota_through_trace): it has n^2 x n^2 entries,
+    and the two composites need n of its rows and n of its columns.
 
     The two "nonzero on homology" lines need no slice homology of the
     product. Once both maps are homogeneous chain maps they induce maps
@@ -265,7 +321,6 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
     ce = identity_complex()
     dic = dual_iota(ic)
     prod = tensor(ic.complex, dic.complex)
-    iota_prod = _product_iota(ic.complex, ic.iota, dic.complex, dic.iota, 1, prod)
 
     n = len(ic.complex)
     cotrace = Morphism(ce.complex, prod, {0: {i * n + i: ONE for i in range(n)}},
@@ -285,9 +340,10 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
     # the argument above needs every check so far but the filtrations
     nonzero = all(ok for name, ok in checks if not name.endswith("filtered"))
     checks += [("cotrace nonzero on homology", nonzero), ("trace nonzero on homology", nonzero)]
-    h_f = homotopy_solve(compose(cotrace, ce.iota), compose(iota_prod, cotrace))
+    iota_cotrace, trace_iota = _iota_through_trace(ic, dic, prod, ce.complex)
+    h_f = homotopy_solve(compose(cotrace, ce.iota), iota_cotrace)
     checks.append(("cotrace intertwines involutions", h_f is not None))
-    h_g = homotopy_solve(compose(trace, iota_prod), compose(ce.iota, trace))
+    h_g = homotopy_solve(trace_iota, compose(ce.iota, trace))
     checks.append(("trace intertwines involutions", h_g is not None))
     return InverseWitnessReport(tuple(checks), cotrace, trace)
 

@@ -24,9 +24,12 @@ from iotak.complexes import (
     homotopy_solve,
     zero_morphism,
 )
+from iotak import iota
 from iotak.iota import (
     CapExceededError,
     IotaComplex,
+    _iota_through_trace,
+    _product_iota,
     _search_direction,
     build_phi,
     build_psi,
@@ -285,6 +288,66 @@ def staircase_sum(parts, variant=1):
     """The product of staircases, each mirrored when its flag is set."""
     ics = [mirror(staircase_complex(s)) if flip else staircase_complex(s) for s, flip in parts]
     return ics[0] if len(ics) == 1 else product(*ics, variant=variant, verify=False)
+
+
+def full_iota_through_trace(ic, dic, prod, unit):
+    """The reference for _iota_through_trace: the full involution of
+    prod = C x C^dual, composed with the cotrace and the trace."""
+    iota_prod = _product_iota(ic.complex, ic.iota, dic.complex, dic.iota, 1, prod)
+    n = len(ic.complex)
+    cotrace = Morphism(unit, prod, {0: {i * n + i: ONE for i in range(n)}}, EQUIVARIANT, (0, 0))
+    trace = Morphism(prod, unit, {i * n + i: {0: ONE} for i in range(n)}, EQUIVARIANT, (0, 0))
+    return compose(iota_prod, cotrace), compose(trace, iota_prod)
+
+
+def witness_outcome(ic):
+    """inverse_witnesses' checks, or the type and message of what it raised."""
+    try:
+        return inverse_witnesses(ic).checks
+    except Exception as e:  # the outcome is compared, whatever it is
+        return type(e), str(e)
+
+
+def reference_witness_outcome(ic, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(iota, "_iota_through_trace", full_iota_through_trace)
+        return witness_outcome(ic)
+
+
+@given(parts_strategy)
+@settings(max_examples=25, deadline=None)
+def test_iota_through_trace_matches_the_full_involution(parts):
+    ic = staircase_sum(parts)
+    dic, unit = dual_iota(ic), identity_complex().complex
+    prod = tensor(ic.complex, dic.complex)
+    assert _iota_through_trace(ic, dic, prod, unit) == full_iota_through_trace(ic, dic, prod, unit)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+@pytest.mark.parametrize("flip", [False, True])
+def test_inverse_witnesses_match_the_full_involution(p, flip, monkeypatch):
+    k = mirror(torus_knot(p, p + 1)) if flip else torus_knot(p, p + 1)
+    ic = product(k, k, verify=False)
+    outcome = witness_outcome(ic)
+    assert outcome == reference_witness_outcome(ic, monkeypatch)
+    assert all(ok for _, ok in outcome)
+
+
+def test_inverse_witnesses_on_a_corrupted_involution(monkeypatch):
+    """Each entry of iota on T(2,3) # T(3,4) dropped in turn: the outcome
+    is the reference path's, checks or exception, and some drops make
+    homotopy_solve reject a composite that is no chain map."""
+    ic = product(torus_knot(2, 3), torus_knot(3, 4))
+    c, entries = ic.complex, ic.iota.entries
+    outcomes = []
+    for i, row in entries.items():
+        for j in row:
+            kept = {a: {b: p for b, p in r.items() if (a, b) != (i, j)} for a, r in entries.items()}
+            bad = IotaComplex(c, Morphism(c, c, kept, SKEW, (0, 0)))
+            outcome = witness_outcome(bad)
+            assert outcome == reference_witness_outcome(bad, monkeypatch)
+            outcomes.append(outcome)
+    assert (ValueError, "homotopy_solve requires chain maps") in outcomes
 
 
 @st.composite
