@@ -522,20 +522,18 @@ class _HomEquations:
 
 
 def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
-    """Find a filtered H with dH + Hd = f + g, or report infeasibility.
+    """Find a filtered H with dH + Hd = f + g; None exactly when none exists.
 
-    H has the variance of f and g and bidegree one above theirs. Its
-    candidate entries are grading-forced single monomials, so the
-    unknowns are one F2 bit per basis pair whose forced monomial has
-    nonnegative exponents. Returns None exactly when the F2 system is
-    infeasible.
+    H has the variance of f and g and bidegree one above theirs; its
+    unknowns are one F2 bit per basis pair whose grading-forced monomial
+    has nonnegative exponents. f and g need not be chain maps (with
+    d^2 = 0, a non-chain f + g has no H). ValueError only for mismatched
+    endpoints, variance or bidegree, or a non-monomial entry.
     """
     if f.source != g.source or f.target != g.target:
         raise ValueError("homotopy_solve needs maps with equal endpoints")
     if f.bidegree != g.bidegree or f.variance != g.variance:
         raise ValueError("homotopy_solve needs maps of equal bidegree and variance")
-    if not (is_chain_map(f) and is_chain_map(g)):
-        raise ValueError("homotopy_solve requires chain maps")
     src, tgt = f.source, f.target
     hdeg = (f.bidegree[0] + 1, f.bidegree[1] + 1)
 

@@ -50,10 +50,11 @@ class UTowerComplex:
         return len(self.basis)
 
     def _validate(self) -> None:
+        gr = [g for _, g in self.basis]
         for mats, shift in ((self.diff, 1), (self.endo or {}, 0)):
             for i, row in mats.items():
                 for j in row:
-                    twice_k = self.grading(j) - self.grading(i) + shift
+                    twice_k = gr[j] - gr[i] + shift
                     if twice_k < 0 or twice_k % 2:
                         raise InvariantError(f"tower entry {self.basis[i][0]} -> "
                                              f"{self.basis[j][0]} forces no W^k, k >= 0")

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import strategies as st
 
 from iotak.complexes import SKEW, BasisElement, FreeComplex, Morphism
-from iotak.iota import IotaComplex
-from iotak.models import Staircase, staircase_complex, torus_knot
+from iotak.iota import IotaComplex, product
+from iotak.models import Staircase, mirror, staircase_complex, torus_knot
 from iotak.ring import ONE, monomial
 
 CORPUS_TORUS = [(2, 3), (2, 5), (3, 4), (4, 5), (5, 6), (6, 7)]
@@ -17,6 +17,14 @@ def palindromic_staircase(steps):
 staircase_strategy = st.lists(
     st.integers(min_value=1, max_value=3), min_size=1, max_size=3
 ).map(palindromic_staircase)
+# one or two staircases for staircase_sum, each with its mirror flag
+parts_strategy = st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=1, max_size=2)
+
+
+def staircase_sum(parts, variant=1):
+    """The product of staircases, each mirrored when its flag is set."""
+    ics = [mirror(staircase_complex(s)) if flip else staircase_complex(s) for s, flip in parts]
+    return ics[0] if len(ics) == 1 else product(*ics, variant=variant, verify=False)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import staircase_strategy
+from conftest import parts_strategy, staircase_strategy, staircase_sum
 from iotak import gf2
 from iotak.complexes import (
     EQUIVARIANT,
@@ -17,6 +17,7 @@ from iotak.complexes import (
     homology_is_r,
     homotopy_solve,
     identity_morphism,
+    is_chain_map,
     parity_index,
     skew,
     tensor,
@@ -24,7 +25,7 @@ from iotak.complexes import (
     verify_complex,
     zero_morphism,
 )
-from iotak.iota import dual_iota, product
+from iotak.iota import build_phi, build_psi, dual_iota, product
 from iotak.models import staircase_complex, torus_knot
 from iotak.ring import ONE, LaurentPoly, monomial
 
@@ -270,6 +271,39 @@ def test_homotopy_solve_rejects_mismatches(hand_trefoil):
     g = zero_morphism(c, c, EQUIVARIANT, (2, 0))
     with pytest.raises(ValueError):
         homotopy_solve(f, g)
+
+
+def reference_homotopy_solve(f, g):
+    """homotopy_solve behind its former precondition that f and g be
+    chain maps; the reference for dropping it."""
+    if not (is_chain_map(f) and is_chain_map(g)):
+        raise ValueError("homotopy_solve requires chain maps")
+    return homotopy_solve(f, g)
+
+
+@given(parts_strategy, st.integers(min_value=0))
+@settings(max_examples=25, deadline=None)
+def test_homotopy_solve_needs_no_chain_maps(parts, k):
+    """On (iota^2, id + Phi Psi) both paths give the same H. With entry k
+    of iota^2 dropped, f + g is homogeneous, and homotopy_solve answers
+    None whenever it is no chain map, where the reference raised."""
+    ic = staircase_sum(parts)
+    c = ic.complex
+    f = compose(ic.iota, ic.iota)
+    g = identity_morphism(c) + compose(build_phi(c), build_psi(c))
+    h = homotopy_solve(f, g)
+    assert h is not None and h.entries == reference_homotopy_solve(f, g).entries
+
+    cells = [(i, j) for i, row in f.entries.items() for j in row]
+    drop = cells[k % len(cells)]
+    kept = {i: {j: p for j, p in row.items() if (i, j) != drop} for i, row in f.entries.items()}
+    f = Morphism(c, c, kept, EQUIVARIANT, (0, 0))
+    if is_chain_map(f + g):
+        assert homotopy_solve(f, g) == reference_homotopy_solve(f, g)
+    else:
+        assert homotopy_solve(f, g) is None
+        with pytest.raises(ValueError, match="requires chain maps"):
+            reference_homotopy_solve(f, g)
 
 
 def test_compose_variance_and_bidegree(hand_trefoil):
