@@ -30,7 +30,7 @@ SKEW = "skew"
 Entries = Dict[int, Dict[int, LaurentPoly]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisElement:
     name: str
     gr_u: int
@@ -55,7 +55,9 @@ class FreeComplex:
 
     The differential is required to stay in F2[U, V] (nonnegative
     exponents); verify_complex checks it. Instances are treated as
-    immutable after construction.
+    immutable after construction. Whether the differential is
+    homogeneous is decided once, by inhomogeneous, for verify_complex,
+    the slice homology, the Hom-space equations and the tower.
     """
 
     def __init__(self, basis, diff: Entries):
@@ -68,6 +70,12 @@ class FreeComplex:
         if any(not (0 <= i < n and 0 <= j < n) for i, row in self.diff.items() for j in row):
             raise ValueError("differential entry index out of range")
         self.index: Dict[str, int] = {n: k for k, n in enumerate(names)}
+
+    @functools.cached_property
+    def inhomogeneous(self) -> Tuple[Tuple[int, int], ...]:
+        """The (source, target) index pairs of the differential whose
+        entry is not the grading-forced monomial, built on first use."""
+        return tuple(inhomogeneous_entries(differential_morphism(self)))
 
     @functools.cached_property
     def slice_homology(self) -> "SliceHomologyReport":
@@ -256,12 +264,12 @@ def verify_complex(c: FreeComplex) -> ComplexReport:
         if (x.gr_u - x.gr_v) % 2:
             homogeneous = False
             offenders.append(f"generator {x.name}: gr_u and gr_v have different parity")
-    d = differential_morphism(c)
-    for i, j in inhomogeneous_entries(d):
+    for i, j in c.inhomogeneous:
         homogeneous = False
         offenders.append(f"entry {c.basis[i].name} -> {c.basis[j].name}: {c.diff[i][j]!r} "
                          "is not homogeneous of bidegree (-1,-1)")
 
+    d = differential_morphism(c)
     d2 = compose(d, d)
     for i, row in d2.entries.items():
         for j in row:
@@ -387,10 +395,8 @@ def parity_index(c: FreeComplex) -> Tuple[Tuple[List[int], List[int]], ...]:
     return tuple(out)
 
 
-def _require_homogeneous(*maps: Morphism) -> None:
-    # support rows see only the parity of a target, not its monomial
-    if not all(morphism_is_homogeneous(m) for m in maps):
-        raise ValueError("slice homology needs homogeneous maps and differentials")
+# support rows see only the parity of a target, not its monomial
+_NOT_HOMOGENEOUS = "slice homology needs homogeneous maps and differentials"
 
 
 @dataclass
@@ -440,7 +446,8 @@ def homology_is_r(c: FreeComplex) -> SliceHomologyReport:
     dimensions (1, 0). Each slice's dimension is its size less the
     ranks of the even-to-odd and the odd-to-even differential.
     """
-    _require_homogeneous(differential_morphism(c))
+    if c.inhomogeneous:
+        raise ValueError(_NOT_HOMOGENEOUS)
     index = parity_index(c)
     (even, even_pos), (odd, odd_pos) = index
     out_rows = gf2.support_rows(c.diff, even, odd_pos)
@@ -457,7 +464,8 @@ def homology_class_map(f: Morphism) -> bool:
         raise ValueError("homology_class_map needs an equivariant bidegree-(0,0) map")
     if not is_chain_map(f):
         raise ValueError("homology_class_map rejects non-chain-maps")
-    _require_homogeneous(f)
+    if not morphism_is_homogeneous(f):
+        raise ValueError(_NOT_HOMOGENEOUS)
     return f.source.slice_homology.maps_generator_nonzero(f, f.target.slice_homology)
 
 
@@ -469,11 +477,16 @@ class _HomEquations:
 
     Each basis pair whose grading-forced monomial has nonnegative
     exponents is one unknown bit; each entry of dH + Hd is one equation,
-    a bitmask over the unknowns keyed by (source, target) index.
+    a bitmask over the unknowns keyed by (source, target) index. Both
+    differentials must be homogeneous, as FreeComplex.inhomogeneous
+    decides.
     """
 
     def __init__(self, src: FreeComplex, tgt: FreeComplex, variance: str,
                  bidegree: Tuple[int, int]):
+        for side, c in (("target", tgt), ("source", src)):
+            if c.inhomogeneous:
+                raise ValueError(f"{side} differential is not homogeneous")
         self.src, self.tgt = src, tgt
         self.variance, self.bidegree = variance, bidegree
         self.unknowns: List[Tuple[int, int, Monomial]] = []
@@ -492,9 +505,6 @@ class _HomEquations:
             for j, m in hits:
                 self.by_source.setdefault(i, []).append((j, len(self.unknowns)))
                 self.unknowns.append((i, j, m))
-        for side, c in (("target", tgt), ("source", src)):
-            if not all(p.is_monomial() for row in c.diff.values() for p in row.values()):
-                raise ValueError(f"{side} differential is not homogeneous")
         self.equations = self.residue(tgt.diff, src.diff)
 
     def residue(self, after: Entries, before: Entries) -> Dict[Tuple[int, int], int]:
@@ -528,7 +538,8 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
     unknowns are one F2 bit per basis pair whose grading-forced monomial
     has nonnegative exponents. f and g need not be chain maps (with
     d^2 = 0, a non-chain f + g has no H). ValueError only for mismatched
-    endpoints, variance or bidegree, or a non-monomial entry.
+    endpoints, variance or bidegree, or an entry that is not the
+    grading-forced monomial.
     """
     if f.source != g.source or f.target != g.target:
         raise ValueError("homotopy_solve needs maps with equal endpoints")
@@ -537,12 +548,13 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
     src, tgt = f.source, f.target
     hdeg = (f.bidegree[0] + 1, f.bidegree[1] + 1)
 
-    target_entries = (f + g).entries
+    fg = f + g
+    target_entries = fg.entries
     if not target_entries:
         return zero_morphism(src, tgt, f.variance, hdeg)
 
     space = _HomEquations(src, tgt, f.variance, hdeg)
-    if not all(p.is_monomial() for row in target_entries.values() for p in row.values()):
+    if not morphism_is_homogeneous(fg):
         raise ValueError("f + g is not homogeneous")
     rhs_keys = {(i, j) for i, row in target_entries.items() for j in row}
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import gf2
+from .complexes import morphism_is_homogeneous
 from .iota import IotaComplex, verify_iota_complex
 
 # sparse F2[W] matrix: {source index: set of target indices}. Homogeneity
@@ -75,6 +76,14 @@ def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
     verify=True checks the structural axioms (1)-(5) of the input first;
     the homotopy axiom (6) is the caller's responsibility (see the check
     subcommand).
+
+    Either way the differential must be homogeneous, as
+    FreeComplex.inhomogeneous decides, and so must iota. Then the
+    gradings force each entry x -> y to U^p V^q with one power
+    k = i0 + p - i0(y) = j0 + q - j0(y) of W (i0, j0 swapped for iota),
+    the k of 2k = gr(y) - gr(x) + 1 for d and 2k = gr(y) - gr(x) for
+    iota. So the rows keep only their supports, and
+    UTowerComplex._validate checks that each k is an integer >= 0.
     """
     if verify:
         report = verify_iota_complex(ic, check_involution=False)
@@ -83,32 +92,11 @@ def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
                 f"a_zero_minus input fails axiom ({report.first_failure}): "
                 + "; ".join(report.offenders))
     cx = ic.complex
-    shifts = []
-    basis = []
-    for x in cx.basis:
-        a = x.alexander
-        i0, j0 = max(a, 0), max(-a, 0)
-        shifts.append((i0, j0))
-        basis.append((x.name, x.gr_u - 2 * i0))
-
-    def restrict(entries, skew: bool) -> TowerEntries:
-        out: TowerEntries = {}
-        for i, row in entries.items():
-            i0, j0 = shifts[i]
-            if skew:
-                i0, j0 = j0, i0
-            for j, poly in row.items():
-                ti, tj = shifts[j]
-                (p, q), *rest = poly.terms
-                k = i0 + p - ti
-                if rest or k != j0 + q - tj or k < 0:
-                    raise InvariantError("entry does not restrict to the tower subcomplex")
-            out[i] = set(row)
-        return out
-
-    diff = restrict(cx.diff, skew=False)
-    endo = restrict(ic.iota.entries, skew=True)
-    return UTowerComplex(basis, diff, endo)
+    if cx.inhomogeneous or not morphism_is_homogeneous(ic.iota):
+        raise InvariantError("entry does not restrict to the tower subcomplex")
+    basis = [(x.name, x.gr_u - 2 * max(x.alexander, 0)) for x in cx.basis]
+    # UTowerComplex takes the support of each {target: entry} row
+    return UTowerComplex(basis, cx.diff, ic.iota.entries)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ decides local equivalence by one F2 solve per direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from . import gf2
 from .complexes import (
@@ -49,10 +49,6 @@ class IotaComplex:
             raise ValueError("iota must be skew of bidegree (0, 0)")
 
 
-def _underlying(c: Union[IotaComplex, FreeComplex]) -> FreeComplex:
-    return c.complex if isinstance(c, IotaComplex) else c
-
-
 def identity_complex() -> IotaComplex:
     """The unit: one generator in bigrading (0, 0), zero differential,
     iota fixing the generator."""
@@ -60,40 +56,37 @@ def identity_complex() -> IotaComplex:
     return IotaComplex(c, Morphism(c, c, {0: {0: ONE}}, SKEW, (0, 0)))
 
 
-def _derivative(c: Union[IotaComplex, FreeComplex], var: str,
-                bidegree: Tuple[int, int]) -> Morphism:
-    cx = _underlying(c)
+def _derivative(c: FreeComplex, var: str, bidegree: Tuple[int, int]) -> Morphism:
     entries: Entries = {
-        i: {j: p.derivative(var) for j, p in row.items()} for i, row in cx.diff.items()
+        i: {j: p.derivative(var) for j, p in row.items()} for i, row in c.diff.items()
     }
-    return Morphism(cx, cx, entries, EQUIVARIANT, bidegree)
+    return Morphism(c, c, entries, EQUIVARIANT, bidegree)
 
 
-def build_phi(c: Union[IotaComplex, FreeComplex]) -> Morphism:
+def build_phi(c: FreeComplex) -> Morphism:
     """Entrywise d/dU of the differential matrix; equivariant, bidegree (1, -1)."""
     return _derivative(c, "U", (1, -1))
 
 
-def build_psi(c: Union[IotaComplex, FreeComplex]) -> Morphism:
+def build_psi(c: FreeComplex) -> Morphism:
     """Entrywise d/dV of the differential matrix; equivariant, bidegree (-1, 1)."""
     return _derivative(c, "V", (-1, 1))
 
 
-def phi_squared_homotopy(c: Union[IotaComplex, FreeComplex]) -> Morphism:
+def phi_squared_homotopy(c: FreeComplex) -> Morphism:
     """The explicit homotopy H with Phi^2 = dH + Hd.
 
     Writing the differential as a sum of matrices P_n U^n, the homotopy
     keeps the terms with n(n-1)/2 odd and lowers the U-exponent by two.
     It is filtered whenever the differential is.
     """
-    cx = _underlying(c)
     entries: Entries = {}
-    for i, row in cx.diff.items():
+    for i, row in c.diff.items():
         for j, p in row.items():
             h = LaurentPoly((a - 2, b) for (a, b) in p.terms if (a * (a - 1) // 2) % 2)
             if h:
                 entries.setdefault(i, {})[j] = h
-    return Morphism(cx, cx, entries, EQUIVARIANT, (3, -1))
+    return Morphism(c, c, entries, EQUIVARIANT, (3, -1))
 
 
 @dataclass

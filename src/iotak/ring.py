@@ -102,9 +102,6 @@ class LaurentPoly:
         """True when all exponents are nonnegative (element of F2[U, V])."""
         return all(i >= 0 and j >= 0 for (i, j) in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

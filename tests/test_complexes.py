@@ -10,6 +10,7 @@ from iotak.complexes import (
     BasisElement,
     FreeComplex,
     Morphism,
+    _HomEquations,
     compose,
     differential_morphism,
     dual,
@@ -25,7 +26,8 @@ from iotak.complexes import (
     verify_complex,
     zero_morphism,
 )
-from iotak.iota import build_phi, build_psi, dual_iota, product
+from iotak.invariants import InvariantError, a_zero_minus
+from iotak.iota import IotaComplex, build_phi, build_psi, dual_iota, product
 from iotak.models import staircase_complex, torus_knot
 from iotak.ring import ONE, LaurentPoly, monomial
 
@@ -231,14 +233,24 @@ def test_slice_translation_isomorphisms(s):
 
 
 def test_slice_homology_rejects_wrong_monomial(hand_trefoil):
-    """An entry U^3 where U is forced, or UV where 1 is, reaches a target
-    of the right parity, so only the homogeneity check rejects it."""
+    """An entry U^3 where U is forced, UV^2 where V is, or UV where 1 is,
+    reaches a target of the right parity, so only the homogeneity check
+    rejects it: in the slice homology, the Hom-space equations, the
+    homotopy solver and the tower alike."""
     c = hand_trefoil.complex
-    bad = FreeComplex(c.basis, {1: {0: monomial(3, 0), 2: monomial(0, 1)}})
-    with pytest.raises(ValueError):
-        homology_is_r(bad)
-    with pytest.raises(ValueError):
-        homology_class_map(identity_morphism(bad))
+    for wrong in ({0: monomial(3, 0), 2: monomial(0, 1)}, {0: monomial(1, 0), 2: monomial(1, 2)}):
+        bad = FreeComplex(c.basis, {1: wrong})
+        with pytest.raises(ValueError):
+            homology_is_r(bad)
+        with pytest.raises(ValueError):
+            _HomEquations(bad, bad, EQUIVARIANT, (1, 1))
+        with pytest.raises(ValueError):
+            homotopy_solve(identity_morphism(bad), zero_morphism(bad, bad, EQUIVARIANT, (0, 0)))
+        reflection = Morphism(bad, bad, hand_trefoil.iota.entries, SKEW, (0, 0))
+        with pytest.raises(InvariantError):
+            a_zero_minus(IotaComplex(bad, reflection), verify=False)
+        with pytest.raises(ValueError):
+            homology_class_map(identity_morphism(bad))
     uv = Morphism(c, c, {i: {i: monomial(1, 1)} for i in range(3)}, EQUIVARIANT, (0, 0))
     with pytest.raises(ValueError):
         homology_class_map(uv)
@@ -271,6 +283,10 @@ def test_homotopy_solve_rejects_mismatches(hand_trefoil):
     g = zero_morphism(c, c, EQUIVARIANT, (2, 0))
     with pytest.raises(ValueError):
         homotopy_solve(f, g)
+    # UV on the diagonal, where bidegree (0, 0) forces 1
+    uv = Morphism(c, c, {i: {i: monomial(1, 1)} for i in range(3)}, EQUIVARIANT, (0, 0))
+    with pytest.raises(ValueError):
+        homotopy_solve(uv, zero_morphism(c, c, EQUIVARIANT, (0, 0)))
 
 
 def reference_homotopy_solve(f, g):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_TORUS, palindromic_staircase, staircase_strategy
+from conftest import (
+    CORPUS_TORUS,
+    palindromic_staircase,
+    parts_strategy,
+    staircase_strategy,
+    staircase_sum,
+)
 from iotak.invariants import (
     HomologyDecomp,
     InvariantError,
@@ -18,7 +24,7 @@ from iotak.invariants import (
     lemma_criteria_oracle,
     obstruction_pattern,
 )
-from iotak.iota import identity_complex, product
+from iotak.iota import dual_iota, identity_complex, product
 from iotak.models import mirror, staircase_complex, torus_knot
 from iotak import gf2
 from iotak.invariants import _TowerSlices, _d_bar_hits, _d_under_hits
@@ -356,6 +362,34 @@ def test_unit_summand_leaves_report_unchanged():
         base = involutive_invariants(tower(ic))
         summed = involutive_invariants(tower(product(ic, identity_complex(), verify=False)))
         assert base == summed
+
+
+def triple(ic):
+    return involutive_invariants(tower(ic)).triple()
+
+
+@given(parts_strategy)
+@settings(max_examples=25, deadline=None)
+def test_sum_with_dual_has_unknot_invariants(parts):
+    """K # K^dual is locally equivalent to the unknot, so its triple
+    (V0_bar, V0, V0_under) is (0, 0, 0)."""
+    k = staircase_sum(parts)
+    assert triple(product(k, dual_iota(k), verify=False)) == (0, 0, 0)
+
+
+def test_observed_v0_bar_not_superadditive():
+    """V0_bar(K1#K2) >= V0_bar(K1) + V0_bar(K2) fails on T(2,3)#T(2,3)."""
+    t23 = torus_knot(2, 3)
+    assert triple(t23)[0] == 1
+    assert triple(product(t23, t23, verify=False))[0] == 1
+
+
+def test_observed_v0_under_below_v0_under_plus_v0_bar():
+    """V0_under(K1#K2) >= V0_under(K1) + V0_bar(K2) fails on
+    T(3,4)^-1#T(2,3): 0 < 0 + 1."""
+    k1, k2 = mirror(torus_knot(3, 4)), torus_knot(2, 3)
+    assert (triple(k1)[2], triple(k2)[0]) == (0, 1)
+    assert triple(product(k1, k2, verify=False))[2] == 0
 
 
 def test_obstruction_patterns():
