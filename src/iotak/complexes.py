@@ -316,8 +316,11 @@ def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
             if acc:
                 diff[src] = acc
     c = FreeComplex(basis, {})
-    # diff is normalized and in range by construction
+    # diff is normalized and in range by construction, and homogeneous when
+    # both factors are: each entry is a factor's, between gradings shifted alike
     c.diff = diff
+    if not (c1.inhomogeneous or c2.inhomogeneous):
+        c.inhomogeneous = ()
     return c
 
 
@@ -550,7 +553,8 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
 
     fg = f + g
     target_entries = fg.entries
-    if not target_entries:
+    # f = g has the zero homotopy; an inhomogeneous d still gets _HomEquations' ValueError
+    if not target_entries and not (src.inhomogeneous or tgt.inhomogeneous):
         return zero_morphism(src, tgt, f.variance, hdeg)
 
     space = _HomEquations(src, tgt, f.variance, hdeg)

@@ -1,16 +1,16 @@
 """Iota-complexes: filtered complexes with a skew homotopy-involution.
 
-The involution iota squares to id + Phi o Psi, where Phi and Psi are the
-formal derivatives of the differential with respect to U and V. This
-module builds those derivatives, verifies the six axioms, forms the two
-connected-sum products, duals, trace/cotrace inverse witnesses, and
-decides local equivalence by one F2 solve per direction.
+The involution iota squares to id + Phi o Psi. Phi = dd/dU, Psi = dd/dV
+and the Phi^2 homotopy are read off the forced exponents of a homogeneous
+differential d (ValueError otherwise). The module verifies the six axioms,
+forms the connected-sum products, duals, trace/cotrace inverse witnesses,
+and decides local equivalence by one F2 solve per direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import gf2
 from .complexes import (
@@ -21,6 +21,7 @@ from .complexes import (
     FreeComplex,
     Morphism,
     _HomEquations,
+    _built,
     compose,
     dual,
     dual_morphism,
@@ -32,7 +33,7 @@ from .complexes import (
     tensor_morphism,
     verify_complex,
 )
-from .ring import ONE, ZERO, LaurentPoly
+from .ring import ONE, ZERO, LaurentPoly, Monomial, monomial
 
 
 @dataclass(frozen=True)
@@ -56,21 +57,30 @@ def identity_complex() -> IotaComplex:
     return IotaComplex(c, Morphism(c, c, {0: {0: ONE}}, SKEW, (0, 0)))
 
 
-def _derivative(c: FreeComplex, var: str, bidegree: Tuple[int, int]) -> Morphism:
-    entries: Entries = {
-        i: {j: p.derivative(var) for j, p in row.items()} for i, row in c.diff.items()
-    }
-    return Morphism(c, c, entries, EQUIVARIANT, bidegree)
+def _from_exponents(c: FreeComplex, bidegree: Tuple[int, int],
+                    rule: Callable[[int, int], Optional[Monomial]]) -> Morphism:
+    """The equivariant endomorphism of c that keeps each entry U^a V^b of
+    the differential as U^rule(a, b), and drops it where rule gives None.
+    ValueError unless every entry is the single monomial its gradings force.
+    """
+    if c.inhomogeneous:
+        raise ValueError("the differential is not homogeneous")
+    entries: Entries = {}
+    for i, row in c.diff.items():
+        kept = {j: monomial(*m) for j, p in row.items() if (m := rule(*p.terms[0])) is not None}
+        if kept:
+            entries[i] = kept
+    return _built(c, c, entries, EQUIVARIANT, bidegree)
 
 
 def build_phi(c: FreeComplex) -> Morphism:
-    """Entrywise d/dU of the differential matrix; equivariant, bidegree (1, -1)."""
-    return _derivative(c, "U", (1, -1))
+    """d/dU of each entry of d; equivariant, bidegree (1, -1); ValueError if d is inhomogeneous."""
+    return _from_exponents(c, (1, -1), lambda a, b: (a - 1, b) if a % 2 else None)
 
 
 def build_psi(c: FreeComplex) -> Morphism:
-    """Entrywise d/dV of the differential matrix; equivariant, bidegree (-1, 1)."""
-    return _derivative(c, "V", (-1, 1))
+    """d/dV of each entry of d; equivariant, bidegree (-1, 1); ValueError if d is inhomogeneous."""
+    return _from_exponents(c, (-1, 1), lambda a, b: (a, b - 1) if b % 2 else None)
 
 
 def phi_squared_homotopy(c: FreeComplex) -> Morphism:
@@ -78,15 +88,9 @@ def phi_squared_homotopy(c: FreeComplex) -> Morphism:
 
     Writing the differential as a sum of matrices P_n U^n, the homotopy
     keeps the terms with n(n-1)/2 odd and lowers the U-exponent by two.
-    It is filtered whenever the differential is.
+    It is filtered whenever the differential is; ValueError unless homogeneous.
     """
-    entries: Entries = {}
-    for i, row in c.diff.items():
-        for j, p in row.items():
-            h = LaurentPoly((a - 2, b) for (a, b) in p.terms if (a * (a - 1) // 2) % 2)
-            if h:
-                entries.setdefault(i, {})[j] = h
-    return Morphism(c, c, entries, EQUIVARIANT, (3, -1))
+    return _from_exponents(c, (3, -1), lambda a, b: (a - 2, b) if a * (a - 1) // 2 % 2 else None)
 
 
 @dataclass
@@ -206,7 +210,9 @@ def product(ic1: IotaComplex, ic2: IotaComplex, variant: int = 1,
             verify: bool = True) -> IotaComplex:
     """Connected-sum product: tensor complex with the involution
     iota1|iota2 + Phi1 iota1|Psi2 iota2 (variant 1) or the Psi/Phi
-    variant 2. Inputs failing verification are rejected."""
+    variant 2. Inputs failing verification are rejected. With
+    verify=False an inhomogeneous factor still raises ValueError, from
+    building its Phi or Psi."""
     if verify:
         for k, ic in ((1, ic1), (2, ic2)):
             report = verify_iota_complex(ic)

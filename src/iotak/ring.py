@@ -13,7 +13,8 @@ canonical by construction skip it and wrap the tuple directly:
 - the sum of two distinct monomials is their sorted pair;
 - a product with a monomial translates every exponent pair by the same
   amount, which keeps the pairs distinct and their order;
-- the U/V swap of a monomial is a monomial.
+- the U/V swap of a monomial is a monomial;
+- a single exponent pair is a monomial.
 
 Polynomials are immutable: nothing assigns to `terms` after
 construction. So `ZERO + p` and `p + ZERO` may return the operand `p`
@@ -79,18 +80,6 @@ class LaurentPoly:
             return _canonical(tuple([(i + k, j + l) for (k, l) in b]))
         return LaurentPoly([(i + k, j + l) for (i, j) in a for (k, l) in b])
 
-    def derivative(self, var: str) -> "LaurentPoly":
-        """Formal derivative d/dU or d/dV, reduced mod 2.
-
-        U^i V^j maps to i * U^(i-1) V^j for var "U"; terms with even
-        exponent vanish since i is reduced mod 2.
-        """
-        if var == "U":
-            return LaurentPoly((i - 1, j) for (i, j) in self.terms if i % 2 == 1)
-        if var == "V":
-            return LaurentPoly((i, j - 1) for (i, j) in self.terms if j % 2 == 1)
-        raise ValueError(f"unknown variable {var!r}, expected 'U' or 'V'")
-
     def swap_uv(self) -> "LaurentPoly":
         """The ring automorphism exchanging U and V."""
         if len(self.terms) == 1:
@@ -132,4 +121,4 @@ UHAT = LaurentPoly([(1, 1)])
 
 
 def monomial(i: int, j: int) -> LaurentPoly:
-    return LaurentPoly([(i, j)])
+    return _canonical(((int(i), int(j)),))

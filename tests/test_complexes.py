@@ -17,6 +17,7 @@ from iotak.complexes import (
     homology_class_map,
     homology_is_r,
     homotopy_solve,
+    inhomogeneous_entries,
     identity_morphism,
     is_chain_map,
     parity_index,
@@ -27,7 +28,15 @@ from iotak.complexes import (
     zero_morphism,
 )
 from iotak.invariants import InvariantError, a_zero_minus
-from iotak.iota import IotaComplex, build_phi, build_psi, dual_iota, product
+from iotak.iota import (
+    IotaComplex,
+    build_phi,
+    build_psi,
+    dual_iota,
+    identity_complex,
+    phi_squared_homotopy,
+    product,
+)
 from iotak.models import staircase_complex, torus_knot
 from iotak.ring import ONE, LaurentPoly, monomial
 
@@ -165,6 +174,8 @@ def test_constructions_stay_clean(s1, s2):
     c1 = staircase_complex(s1).complex
     c2 = staircase_complex(s2).complex
     t = tensor(c1, c2)
+    # tensor records t as homogeneous without a scan; the scan agrees
+    assert t.inhomogeneous == tuple(inhomogeneous_entries(differential_morphism(t))) == ()
     assert verify_complex(t).passed
     assert verify_complex(dual(t)).passed
     assert verify_complex(skew(t)).passed
@@ -236,7 +247,9 @@ def test_slice_homology_rejects_wrong_monomial(hand_trefoil):
     """An entry U^3 where U is forced, UV^2 where V is, or UV where 1 is,
     reaches a target of the right parity, so only the homogeneity check
     rejects it: in the slice homology, the Hom-space equations, the
-    homotopy solver and the tower alike."""
+    homotopy solver (also where f + g = 0), the tower, Phi, Psi, the
+    Phi^2 homotopy and an unverified product alike; a tensor with such a
+    factor is not taken as homogeneous."""
     c = hand_trefoil.complex
     for wrong in ({0: monomial(3, 0), 2: monomial(0, 1)}, {0: monomial(1, 0), 2: monomial(1, 2)}):
         bad = FreeComplex(c.basis, {1: wrong})
@@ -246,7 +259,15 @@ def test_slice_homology_rejects_wrong_monomial(hand_trefoil):
             _HomEquations(bad, bad, EQUIVARIANT, (1, 1))
         with pytest.raises(ValueError):
             homotopy_solve(identity_morphism(bad), zero_morphism(bad, bad, EQUIVARIANT, (0, 0)))
+        with pytest.raises(ValueError):
+            homotopy_solve(identity_morphism(bad), identity_morphism(bad))
+        assert tensor(bad, c).inhomogeneous and tensor(c, bad).inhomogeneous
+        for build in (build_phi, build_psi, phi_squared_homotopy):
+            with pytest.raises(ValueError):
+                build(bad)
         reflection = Morphism(bad, bad, hand_trefoil.iota.entries, SKEW, (0, 0))
+        with pytest.raises(ValueError):
+            product(IotaComplex(bad, reflection), identity_complex(), verify=False)
         with pytest.raises(InvariantError):
             a_zero_minus(IotaComplex(bad, reflection), verify=False)
         with pytest.raises(ValueError):

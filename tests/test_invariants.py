@@ -392,6 +392,21 @@ def test_observed_v0_under_below_v0_under_plus_v0_bar():
     assert triple(product(k1, k2, verify=False))[2] == 0
 
 
+@given(parts_strategy, parts_strategy)
+@settings(max_examples=40, deadline=None)
+def test_observed_connected_sum_inequalities(parts1, parts2):
+    """Bounds on the triple (V0_bar, V0, V0_under) of K1 # K2 by the
+    triples of K1 and K2. The source paper states none of them; they
+    are observed on sums of staircases."""
+    k1, k2 = staircase_sum(parts1), staircase_sum(parts2)
+    (bar1, v1, under1), (bar2, v2, under2) = triple(k1), triple(k2)
+    bar, v, under = triple(product(k1, k2, verify=False))
+    assert bar <= bar1 + under2 and bar <= bar2 + under1
+    assert under <= under1 + under2
+    assert under >= bar1 + bar2
+    assert v <= v1 + v2
+
+
 def test_obstruction_patterns():
     def report(vb, v0, vu):
         return InvariantReport.from_d(-2 * v0, -2 * vb, -2 * vu)

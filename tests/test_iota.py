@@ -45,7 +45,7 @@ from iotak.iota import (
 )
 from iotak.invariants import a_zero_minus, involutive_invariants
 from iotak.models import mirror, staircase_complex, torus_knot, unknot_complex
-from iotak.ring import ONE, ZERO, monomial
+from iotak.ring import ONE, ZERO, LaurentPoly, monomial
 from iotak.serialize import morphism_to_list
 
 
@@ -168,6 +168,36 @@ def _check_phi_squared_identity(c):
     lhs = compose(phi, phi)
     rhs = compose(d, h) + compose(h, d)
     assert lhs.entries == rhs.entries
+
+
+def ref_derivative(p, var):
+    """d/dU or d/dV of any polynomial by the generic rule, reduced mod 2."""
+    if var == "U":
+        return LaurentPoly([(i - 1, j) for (i, j) in p.terms if i % 2])
+    return LaurentPoly([(i, j - 1) for (i, j) in p.terms if j % 2])
+
+
+def ref_phi_squared(p):
+    """The terms U^n V^b of p with n(n-1)/2 odd, lowered to U^(n-2) V^b."""
+    return LaurentPoly([(i - 2, j) for (i, j) in p.terms if i * (i - 1) // 2 % 2])
+
+
+def ref_from_terms(c, entry, bidegree):
+    entries = {i: {j: entry(p) for j, p in row.items()} for i, row in c.diff.items()}
+    return Morphism(c, c, entries, EQUIVARIANT, bidegree)
+
+
+@given(parts_strategy)
+@settings(max_examples=40, deadline=None)
+def test_maps_from_exponents_match_the_generic_rule(parts):
+    """Phi, Psi and the Phi^2 homotopy, read off the forced exponents,
+    equal entry for entry the generic rule applied to each entry's terms."""
+    k = staircase_sum(parts)
+    for ic in (k, dual_iota(k), staircase_sum(parts, variant=2)):
+        c = ic.complex
+        assert build_phi(c) == ref_from_terms(c, lambda p: ref_derivative(p, "U"), (1, -1))
+        assert build_psi(c) == ref_from_terms(c, lambda p: ref_derivative(p, "V"), (-1, 1))
+        assert phi_squared_homotopy(c) == ref_from_terms(c, ref_phi_squared, (3, -1))
 
 
 def test_inverse_witnesses_identity():
