@@ -8,9 +8,11 @@ swap is applied to scalars during composition and grading checks.
 
 Everything here is exact. Homogeneity forces each matrix entry of a
 graded map to a single monomial, which is what makes chain-homotopy
-existence a finite F2 linear problem (see homotopy_solve). Complexes
-are filtered: verify_complex checks that the differential stays in
-F2[U, V].
+existence a finite F2 linear problem (see homotopy_solve), and what
+makes d^2 = 0, is_chain_map and the solver's final check parities of
+paths on homogeneous input (see _odd_support); compose is kept for
+composites whose entries are used later. Complexes are filtered:
+verify_complex checks that the differential stays in F2[U, V].
 """
 
 from __future__ import annotations
@@ -233,10 +235,34 @@ def differential_morphism(c: FreeComplex) -> Morphism:
     return _built(c, c, c.diff, EQUIVARIANT, (-1, -1))
 
 
+def _odd_support(*pairs: Tuple[Entries, Entries]) -> List[Tuple[int, int]]:
+    """The (i, k) reached by an odd number of paths i -> j -> k through
+    the pairs (after, before), rows in before's order and targets in the
+    order compose first reaches them. This is the support of the sum of
+    the composites when they share one variance and bidegree and every
+    entry is its forced monomial (a skew map's U/V swap keeps it forced):
+    then each path's monomial depends only on (i, k)."""
+    odd: Dict[int, Dict[int, bool]] = {}
+    for after, before in pairs:
+        for i, row in before.items():
+            hits = None  # a row that reaches nothing allocates nothing
+            for j in row:
+                ks = after.get(j)
+                if ks:
+                    if hits is None:
+                        hits = odd.setdefault(i, {})
+                    for k in ks:
+                        hits[k] = not hits.get(k, False)
+    return [(i, k) for i, hits in odd.items() for k, o in hits.items() if o]
+
+
 def is_chain_map(f: Morphism) -> bool:
-    """Exact check of d_target o f = f o d_source."""
-    d_src = differential_morphism(f.source)
-    d_tgt = differential_morphism(f.target)
+    """Exact check of d_target o f = f o d_source; on supports when both
+    differentials and f are homogeneous."""
+    src, tgt = f.source, f.target
+    if not (src.inhomogeneous or tgt.inhomogeneous) and morphism_is_homogeneous(f):
+        return not _odd_support((tgt.diff, f.entries), (f.entries, src.diff))
+    d_src, d_tgt = differential_morphism(src), differential_morphism(tgt)
     return compose(d_tgt, f).entries == compose(f, d_src).entries
 
 
@@ -269,11 +295,13 @@ def verify_complex(c: FreeComplex) -> ComplexReport:
         offenders.append(f"entry {c.basis[i].name} -> {c.basis[j].name}: {c.diff[i][j]!r} "
                          "is not homogeneous of bidegree (-1,-1)")
 
-    d = differential_morphism(c)
-    d2 = compose(d, d)
-    for i, row in d2.entries.items():
-        for j in row:
-            offenders.append(f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}")
+    if c.inhomogeneous:
+        # no support determines an inhomogeneous entry
+        d = differential_morphism(c)
+        d2 = [(i, j) for i, row in compose(d, d).entries.items() for j in row]
+    else:
+        d2 = _odd_support((c.diff, c.diff))
+    offenders.extend(f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}" for i, j in d2)
 
     filtered_ok = True
     for i, row in c.diff.items():
@@ -282,7 +310,7 @@ def verify_complex(c: FreeComplex) -> ComplexReport:
                 filtered_ok = False
                 offenders.append(
                     f"entry {c.basis[i].name} -> {c.basis[j].name}: negative exponent in filtered complex")
-    return ComplexReport(homogeneous, d2.is_zero(), filtered_ok, tuple(offenders))
+    return ComplexReport(homogeneous, not d2, filtered_ok, tuple(offenders))
 
 
 # ---------------------------------------------------------------------------
@@ -552,15 +580,14 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
     hdeg = (f.bidegree[0] + 1, f.bidegree[1] + 1)
 
     fg = f + g
-    target_entries = fg.entries
     # f = g has the zero homotopy; an inhomogeneous d still gets _HomEquations' ValueError
-    if not target_entries and not (src.inhomogeneous or tgt.inhomogeneous):
+    if fg.is_zero() and not (src.inhomogeneous or tgt.inhomogeneous):
         return zero_morphism(src, tgt, f.variance, hdeg)
 
     space = _HomEquations(src, tgt, f.variance, hdeg)
     if not morphism_is_homogeneous(fg):
         raise ValueError("f + g is not homogeneous")
-    rhs_keys = {(i, j) for i, row in target_entries.items() for j in row}
+    rhs_keys = {(i, j) for i, row in fg.entries.items() for j in row}
 
     keys = sorted(set(space.equations) | rhs_keys)
     rows = [space.equations.get(k, 0) for k in keys]
@@ -570,7 +597,7 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
         return None
     h = space.morphism(sol)
 
-    check = compose(differential_morphism(tgt), h) + compose(h, differential_morphism(src))
-    if check.entries != target_entries:
+    # both differentials, f + g and h are homogeneous, so supports decide
+    if set(_odd_support((tgt.diff, h.entries), (h.entries, src.diff))) != rhs_keys:
         raise AssertionError("homotopy solver produced an invalid solution")
     return h

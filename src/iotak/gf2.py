@@ -32,24 +32,6 @@ class RowBasis:
             vec ^= piv
         return 0
 
-    def normal_form(self, vec: int) -> int:
-        """The one vector of vec + span with no pivot column set.
-
-        Unlike reduce, which stops at the first lowest bit without a
-        pivot, this clears every pivot column, so it is linear in vec
-        and zero exactly on the span.
-        """
-        out = 0
-        while vec:
-            low = vec & -vec
-            piv = self.pivots.get(low.bit_length() - 1)
-            if piv is None:
-                out |= low
-                vec ^= low
-            else:
-                vec ^= piv
-        return out
-
     def add(self, vec: int) -> bool:
         """Insert vec; True if it enlarged the span."""
         vec = self.reduce(vec)

@@ -106,12 +106,6 @@ class HomologyDecomp:
     free: Tuple[int, ...]
     torsion: Tuple[Tuple[int, int], ...]
 
-    def slice_dim(self, r: int) -> int:
-        """F2 dimension of the homology in grading r, from the decomposition."""
-        n = sum(1 for g in self.free if g >= r and (g - r) % 2 == 0)
-        n += sum(1 for (g, k) in self.torsion if g >= r > g - 2 * k and (g - r) % 2 == 0)
-        return n
-
 
 def homology_snf(t: UTowerComplex) -> HomologyDecomp:
     """Graded Smith normal form by F2 column reduction with clearing.

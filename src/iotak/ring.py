@@ -6,10 +6,12 @@ the F2 coefficient of a monomial is encoded by its presence in the set.
 Canonical form: `terms` is a tuple of distinct (int, int) pairs sorted
 lexicographically, so structural equality is semantic equality and
 serialized forms are canonical. The constructor establishes this form
-from any iterable of pairs (reducing mod 2 and coercing to int); it is
-the checking entry point for parsed input. Operations whose result is
-canonical by construction skip it and wrap the tuple directly:
+from any iterable of pairs (reducing mod 2 and coercing to int).
+Operations whose result is canonical by construction skip it and wrap
+the tuple directly:
 
+- a parsed entry is its sorted pairs, which the parser checks are
+  distinct ints;
 - the sum of two distinct monomials is their sorted pair;
 - a product with a monomial translates every exponent pair by the same
   amount, which keeps the pairs distinct and their order;

@@ -20,9 +20,10 @@ import json
 import os
 from typing import Dict, List
 
-from .complexes import SKEW, BasisElement, Entries, FreeComplex, Morphism, differential_morphism
+from .complexes import (SKEW, BasisElement, Entries, FreeComplex, Morphism, _built,
+                        differential_morphism)
 from .iota import IotaComplex
-from .ring import LaurentPoly
+from .ring import _canonical
 
 
 class ParseError(ValueError):
@@ -84,6 +85,7 @@ def _list_field(doc: Dict, key: str) -> List:
 
 
 def _parse_entries(items: List, index, what: str) -> Entries:
+    """Each entry as the sorted tuple of its exponent pairs, checked here, not by LaurentPoly."""
     entries: Entries = {}
     for item in items:
         try:
@@ -92,18 +94,26 @@ def _parse_entries(items: List, index, what: str) -> Entries:
             mono = item["mono"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad {what} entry: {item!r}") from exc
-        if not isinstance(mono, list) or not mono or not all(
-            isinstance(m, list) and len(m) == 2 and all(_is_int(e) for e in m)
-            for m in mono
-        ):
+        terms = []
+        for m in mono if isinstance(mono, list) else ():
+            if not (isinstance(m, list) and len(m) == 2):
+                break
+            a, b = m
+            if type(a) is not int or type(b) is not int:  # a plain int passes _is_int
+                if not (_is_int(a) and _is_int(b)):
+                    break
+                a, b = int(a), int(b)
+            terms.append((a, b))
+        if not terms or len(terms) != len(mono):
             raise ParseError(f"bad monomial list in {what} entry {item['from']} -> {item['to']}")
-        terms = [tuple(m) for m in mono]
-        if len(set(terms)) != len(terms):
-            raise ParseError(f"repeated monomial in {what} entry {item['from']} -> {item['to']}")
-        poly = LaurentPoly(terms)
-        if tgt in entries.get(src, {}):
+        if len(terms) > 1:
+            terms.sort()
+            if any(s == t for s, t in zip(terms, terms[1:])):
+                raise ParseError(f"repeated monomial in {what} entry {item['from']} -> {item['to']}")
+        row = entries.setdefault(src, {})
+        if tgt in row:
             raise ParseError(f"duplicate {what} entry {item['from']} -> {item['to']}")
-        entries.setdefault(src, {})[tgt] = poly
+        row[tgt] = _canonical(tuple(terms))
     return entries
 
 
@@ -134,9 +144,10 @@ def iota_complex_from_dict(doc: Dict) -> tuple[str, IotaComplex]:
     index = {n: i for i, n in enumerate(names)}
     diff = _parse_entries(diff_items, index, "differential")
     iota_entries = _parse_entries(iota_items, index, "iota")
-    cx = FreeComplex(basis, diff)
-    iota = Morphism(cx, cx, iota_entries, SKEW, (0, 0))
-    return name, IotaComplex(cx, iota)
+    # the entries are nonzero and in range by construction
+    cx = FreeComplex(basis, {})
+    cx.diff = diff
+    return name, IotaComplex(cx, _built(cx, cx, iota_entries, SKEW, (0, 0)))
 
 
 def save(path: str, name: str, ic: IotaComplex) -> None:

@@ -21,6 +21,25 @@ staircase_strategy = st.lists(
 parts_strategy = st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=1, max_size=2)
 
 
+def normal_form(basis, vec):
+    """The one vector of vec + span(basis) with no pivot column set.
+
+    Unlike RowBasis.reduce, which stops at the first lowest bit without
+    a pivot, this clears every pivot column, so it is linear in vec and
+    zero exactly on the span.
+    """
+    out = 0
+    while vec:
+        low = vec & -vec
+        piv = basis.pivots.get(low.bit_length() - 1)
+        if piv is None:
+            out |= low
+            vec ^= low
+        else:
+            vec ^= piv
+    return out
+
+
 def staircase_sum(parts, variant=1):
     """The product of staircases, each mirrored when its flag is set."""
     ics = [mirror(staircase_complex(s)) if flip else staircase_complex(s) for s, flip in parts]

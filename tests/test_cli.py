@@ -202,29 +202,49 @@ def _rename_x0(doc):
                 entry[key] = 7
 
 
+def _mono(mono, section="differential"):
+    return lambda doc: doc[section][0].update(mono=mono)
+
+
+def _duplicate_entry(doc):
+    doc["differential"].append(dict(doc["differential"][0], mono=[[5, 5]]))
+
+
+# each case with the start of its message after "parse error: "
 MALFORMED = {
-    "differential not a list": lambda doc: doc.update(differential=5),
-    "generators null": lambda doc: doc.update(generators=None),
-    "float grading": lambda doc: doc["generators"][0].update(gr_u=0.9),
-    "string grading": lambda doc: doc["generators"][0].update(gr_u="2"),
-    "bool grading": lambda doc: doc["generators"][0].update(gr_v=True),
-    "bool exponent": lambda doc: doc["differential"][0].update(mono=[[True, 0]]),
-    "list name": lambda doc: doc.update(name=["T", "2"]),
-    "int generator name": _rename_x0,
-    "repeated monomial": lambda doc: doc["differential"][0].update(mono=[[0, 0], [0, 0]]),
-    "empty monomial list": lambda doc: doc["iota"].append({"from": "x0", "to": "x1", "mono": []}),
+    "differential not a list": (lambda doc: doc.update(differential=5), "field 'differential'"),
+    "generators null": (lambda doc: doc.update(generators=None), "field 'generators'"),
+    "float grading": (lambda doc: doc["generators"][0].update(gr_u=0.9), "bad generator"),
+    "string grading": (lambda doc: doc["generators"][0].update(gr_u="2"), "bad generator"),
+    "bool grading": (lambda doc: doc["generators"][0].update(gr_v=True), "bad generator"),
+    "bool exponent": (_mono([[True, 0]]), "bad monomial list"),
+    "list name": (lambda doc: doc.update(name=["T", "2"]), "name must be a string"),
+    "int generator name": (_rename_x0, "bad generator"),
+    "repeated monomial": (_mono([[0, 0], [0, 0]]), "repeated monomial"),
+    "empty monomial list": (lambda doc: doc["iota"].append({"from": "x0", "to": "x1", "mono": []}),
+                            "bad monomial list"),
+    "mono not a list": (_mono({"0": 0}, "iota"), "bad monomial list"),
+    "monomial not a list": (_mono([5]), "bad monomial list"),
+    "monomial of length 1": (_mono([[1]]), "bad monomial list"),
+    "monomial of length 3": (_mono([[1, 0, 0]], "iota"), "bad monomial list"),
+    "float exponent": (_mono([[1.5, 0]]), "bad monomial list"),
+    "string exponent": (_mono([[0, "1"]], "iota"), "bad monomial list"),
+    "bad monomial after a repeat": (_mono([[0, 0], [0, 0], [1]]), "bad monomial list"),
+    "duplicate entry": (_duplicate_entry, "duplicate differential entry"),
+    "unknown to name": (lambda doc: doc["iota"][0].update(to="nowhere"), "bad iota entry"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_strict_parser_rejects(tmp_path, capsys, case):
     doc = serialize.iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
-    MALFORMED[case](doc)
+    mutate, kind = MALFORMED[case]
+    mutate(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check", str(path))
     assert code == 2
-    assert err.startswith("parse error: ") and "Traceback" not in err
+    assert err.startswith(f"parse error: {kind}") and "Traceback" not in err
 
 
 def test_usage_errors(tmp_path, capsys):

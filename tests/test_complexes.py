@@ -75,6 +75,18 @@ def test_verify_catches_d_squared():
     report = verify_complex(c)
     assert report.homogeneous
     assert not report.d_squared_zero
+    assert report.offenders == ("d^2 nonzero: a -> c",)
+
+
+def test_verify_d_squared_offenders_in_first_reach_order():
+    """A homogeneous d^2 lists its offenders in the order compose first
+    reaches them, here y1 before y0, not in index order."""
+    basis = [BasisElement("x0", 2, 2), BasisElement("x1", 1, 1), BasisElement("x2", 1, 1),
+             BasisElement("y0", 0, 0), BasisElement("y1", 0, 0)]
+    c = FreeComplex(basis, {0: {2: ONE, 1: ONE}, 2: {4: ONE}, 1: {3: ONE}})
+    report = verify_complex(c)
+    assert report.homogeneous and not report.d_squared_zero
+    assert report.offenders == ("d^2 nonzero: x0 -> y1", "d^2 nonzero: x0 -> y0")
 
 
 def test_verify_offenders_pinned():
@@ -341,6 +353,57 @@ def test_homotopy_solve_needs_no_chain_maps(parts, k):
         assert homotopy_solve(f, g) is None
         with pytest.raises(ValueError, match="requires chain maps"):
             reference_homotopy_solve(f, g)
+
+
+def ref_is_chain_map(f):
+    """d o f = f o d by compose, the reference for the support check."""
+    d_src, d_tgt = differential_morphism(f.source), differential_morphism(f.target)
+    return compose(d_tgt, f).entries == compose(f, d_src).entries
+
+
+def ref_d_squared(c):
+    """The d^2 offender lines of verify_complex, by compose."""
+    d = differential_morphism(c)
+    return [f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}"
+            for i, row in compose(d, d).entries.items() for j in row]
+
+
+def _drop(entries, k):
+    """entries without their k-th cell, counted mod their number."""
+    cells = [(i, j) for i, row in entries.items() for j in row]
+    cell = cells[k % len(cells)]
+    return {i: {j: p for j, p in row.items() if (i, j) != cell} for i, row in entries.items()}
+
+
+@given(parts_strategy, st.integers(min_value=0), st.integers(min_value=0))
+@settings(max_examples=40, deadline=None)
+def test_support_checks_match_compose_references(parts, k_iota, k_diff):
+    """On a staircase sum, the sum with one entry of iota dropped and the
+    sum with one entry of d dropped (still homogeneous, often d^2 != 0),
+    the support checks answer as the compose-based references: the chain
+    map checks of iota, Phi and Psi, d^2 = 0 with its offender lines in
+    order, and dH + Hd = f + g for every H that homotopy_solve returns
+    for (iota^2, id + Phi Psi)."""
+    ic = staircase_sum(parts)
+    c = ic.complex
+    no_iota_entry = IotaComplex(c, Morphism(c, c, _drop(ic.iota.entries, k_iota), SKEW, (0, 0)))
+    cd = FreeComplex(c.basis, _drop(c.diff, k_diff))
+    no_d_entry = IotaComplex(cd, Morphism(cd, cd, ic.iota.entries, SKEW, (0, 0)))
+    for case in (ic, no_iota_entry, no_d_entry):
+        cx = case.complex
+        assert not cx.inhomogeneous
+        phi, psi = build_phi(cx), build_psi(cx)
+        for f in (case.iota, phi, psi):
+            assert is_chain_map(f) == ref_is_chain_map(f)
+        report = verify_complex(cx)
+        assert report.offenders == tuple(ref_d_squared(cx))
+        assert report.d_squared_zero == (not report.offenders)
+        f = compose(case.iota, case.iota)
+        g = identity_morphism(cx) + compose(phi, psi)
+        h = homotopy_solve(f, g)
+        if h is not None:
+            d = differential_morphism(cx)
+            assert (compose(d, h) + compose(h, d)).entries == (f + g).entries
 
 
 def test_compose_variance_and_bidegree(hand_trefoil):
