@@ -11,8 +11,9 @@ graded map to a single monomial, which is what makes chain-homotopy
 existence a finite F2 linear problem (see homotopy_solve), and what
 makes d^2 = 0, is_chain_map and the solver's final check parities of
 paths on homogeneous input (see _odd_support); compose is kept for
-composites whose entries are used later. Complexes are filtered:
-verify_complex checks that the differential stays in F2[U, V].
+composites whose entries are used later. Morphism.inhomogeneous decides
+homogeneity once per matrix. Complexes are filtered: verify_complex
+checks that the differential stays in F2[U, V].
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ class FreeComplex:
 
     The differential is required to stay in F2[U, V] (nonnegative
     exponents); verify_complex checks it. Instances are treated as
-    immutable after construction. Whether the differential is
-    homogeneous is decided once, by inhomogeneous, for verify_complex,
-    the slice homology, the Hom-space equations and the tower.
+    immutable after construction. inhomogeneous decides once, through
+    Morphism.inhomogeneous, whether the differential is homogeneous, for
+    verify_complex, the slice homology, the Hom-space equations and the tower.
     """
 
     def __init__(self, basis, diff: Entries):
@@ -75,9 +76,8 @@ class FreeComplex:
 
     @functools.cached_property
     def inhomogeneous(self) -> Tuple[Tuple[int, int], ...]:
-        """The (source, target) index pairs of the differential whose
-        entry is not the grading-forced monomial, built on first use."""
-        return tuple(inhomogeneous_entries(differential_morphism(self)))
+        """Morphism.inhomogeneous of the differential, built on first use."""
+        return differential_morphism(self).inhomogeneous
 
     @functools.cached_property
     def slice_homology(self) -> "SliceHomologyReport":
@@ -115,6 +115,22 @@ class Morphism:
         self.entries = _normalize(entries)
         self.variance = variance
         self.bidegree = (int(bidegree[0]), int(bidegree[1]))
+
+    @functools.cached_property
+    def inhomogeneous(self) -> Tuple[Tuple[int, int], ...]:
+        """The (source, target) index pairs whose entry is not the
+        grading-forced monomial, in the order of entries, built on first
+        use. The cache is safe: __init__ and _built set entries before
+        they return, and no code assigns it after."""
+        out = []
+        for i, row in self.entries.items():
+            gu, gv = forced_base(self.source.basis[i], self.variance, self.bidegree)
+            for j, p in row.items():
+                y = self.target.basis[j]
+                du, dv = y.gr_u - gu, y.gr_v - gv
+                if du % 2 or dv % 2 or p.terms != ((du // 2, dv // 2),):
+                    out.append((i, j))
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -214,22 +230,6 @@ def forced_base(x: BasisElement, variance: str, bidegree: Tuple[int, int]) -> Tu
     return x.gr_v + a, x.gr_u + b
 
 
-def inhomogeneous_entries(f: Morphism):
-    """The (source, target) index pairs whose entry is not the
-    grading-forced monomial, in the order of f.entries."""
-    for i, row in f.entries.items():
-        gu, gv = forced_base(f.source.basis[i], f.variance, f.bidegree)
-        for j, p in row.items():
-            y = f.target.basis[j]
-            du, dv = y.gr_u - gu, y.gr_v - gv
-            if du % 2 or dv % 2 or p.terms != ((du // 2, dv // 2),):
-                yield i, j
-
-
-def morphism_is_homogeneous(f: Morphism) -> bool:
-    return next(inhomogeneous_entries(f), None) is None
-
-
 def differential_morphism(c: FreeComplex) -> Morphism:
     # c.diff is normalized already, and neither object is mutated
     return _built(c, c, c.diff, EQUIVARIANT, (-1, -1))
@@ -260,7 +260,7 @@ def is_chain_map(f: Morphism) -> bool:
     """Exact check of d_target o f = f o d_source; on supports when both
     differentials and f are homogeneous."""
     src, tgt = f.source, f.target
-    if not (src.inhomogeneous or tgt.inhomogeneous) and morphism_is_homogeneous(f):
+    if not (src.inhomogeneous or tgt.inhomogeneous or f.inhomogeneous):
         return not _odd_support((tgt.diff, f.entries), (f.entries, src.diff))
     d_src, d_tgt = differential_morphism(src), differential_morphism(tgt)
     return compose(d_tgt, f).entries == compose(f, d_src).entries
@@ -373,14 +373,19 @@ def tensor_morphism(f: Morphism, g: Morphism, source: FreeComplex, target: FreeC
     return _built(source, target, out, f.variance, bidegree)
 
 
+def _transpose(entries: Entries) -> Entries:
+    """{target: {source: entry}}, the transpose of a sparse matrix."""
+    out: Entries = {}
+    for i, row in entries.items():
+        for j, p in row.items():
+            out.setdefault(j, {})[i] = p
+    return out
+
+
 def dual(c: FreeComplex) -> FreeComplex:
     """Dual complex: negated gradings, transposed differential."""
     basis = [BasisElement(f"{x.name}^", -x.gr_u, -x.gr_v) for x in c.basis]
-    diff: Entries = {}
-    for i, row in c.diff.items():
-        for j, p in row.items():
-            diff.setdefault(j, {})[i] = p
-    return FreeComplex(basis, diff)
+    return FreeComplex(basis, _transpose(c.diff))
 
 
 def dual_morphism(f: Morphism, dual_target_of_f_source: FreeComplex,
@@ -390,10 +395,9 @@ def dual_morphism(f: Morphism, dual_target_of_f_source: FreeComplex,
     For skew f the functional phi maps to swap o phi o f, which is what
     keeps the dual skew-graded for the negated gradings.
     """
-    out: Entries = {}
-    for i, row in f.entries.items():
-        for j, p in row.items():
-            out.setdefault(j, {})[i] = p.swap_uv() if f.variance == SKEW else p
+    out = _transpose(f.entries)
+    if f.variance == SKEW:
+        out = {j: {i: p.swap_uv() for i, p in col.items()} for j, col in out.items()}
     return Morphism(dual_source_of_f_target, dual_target_of_f_source, out, f.variance, f.bidegree)
 
 
@@ -495,7 +499,7 @@ def homology_class_map(f: Morphism) -> bool:
         raise ValueError("homology_class_map needs an equivariant bidegree-(0,0) map")
     if not is_chain_map(f):
         raise ValueError("homology_class_map rejects non-chain-maps")
-    if not morphism_is_homogeneous(f):
+    if f.inhomogeneous:
         raise ValueError(_NOT_HOMOGENEOUS)
     return f.source.slice_homology.maps_generator_nonzero(f, f.target.slice_homology)
 
@@ -585,7 +589,7 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
         return zero_morphism(src, tgt, f.variance, hdeg)
 
     space = _HomEquations(src, tgt, f.variance, hdeg)
-    if not morphism_is_homogeneous(fg):
+    if fg.inhomogeneous:
         raise ValueError("f + g is not homogeneous")
     rhs_keys = {(i, j) for i, row in fg.entries.items() for j in row}
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import gf2
-from .complexes import morphism_is_homogeneous
 from .iota import IotaComplex, verify_iota_complex
 
 # sparse F2[W] matrix: {source index: set of target indices}. Homogeneity
@@ -92,7 +91,7 @@ def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
                 f"a_zero_minus input fails axiom ({report.first_failure}): "
                 + "; ".join(report.offenders))
     cx = ic.complex
-    if cx.inhomogeneous or not morphism_is_homogeneous(ic.iota):
+    if cx.inhomogeneous or ic.iota.inhomogeneous:
         raise InvariantError("entry does not restrict to the tower subcomplex")
     basis = [(x.name, x.gr_u - 2 * max(x.alexander, 0)) for x in cx.basis]
     # UTowerComplex takes the support of each {target: entry} row

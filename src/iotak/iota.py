@@ -22,13 +22,13 @@ from .complexes import (
     Morphism,
     _HomEquations,
     _built,
+    _transpose,
     compose,
     dual,
     dual_morphism,
     homotopy_solve,
     identity_morphism,
     is_chain_map,
-    morphism_is_homogeneous,
     tensor,
     tensor_morphism,
     verify_complex,
@@ -151,7 +151,7 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
         offenders.append(f"slice homology dims {hom.dims} != (1, 0)")
 
     iota_ok = True
-    if not morphism_is_homogeneous(ic.iota):
+    if ic.iota.inhomogeneous:
         iota_ok = False
         offenders.append("iota is not skew-graded of bidegree (0, 0)")
     if not ic.iota.is_filtered():
@@ -255,15 +255,6 @@ class InverseWitnessReport(CheckReport):
     trace: Morphism
 
 
-def _columns(entries: Entries) -> Dict[int, List[Tuple[int, LaurentPoly]]]:
-    """{target: [(source, entry)]}, the transpose of a sparse matrix."""
-    out: Dict[int, List[Tuple[int, LaurentPoly]]] = {}
-    for i, row in entries.items():
-        for j, p in row.items():
-            out.setdefault(j, []).append((i, p))
-    return out
-
-
 def _iota_through_trace(ic: IotaComplex, dic: IotaComplex, prod: FreeComplex,
                         unit: FreeComplex) -> Tuple[Morphism, Morphism]:
     """iota o cotrace and trace o iota, for iota the variant-1 involution
@@ -286,10 +277,10 @@ def _iota_through_trace(ic: IotaComplex, dic: IotaComplex, prod: FreeComplex,
                     for b, q in row_g.items():
                         k = a * n + b
                         image[k] = image.get(k, ZERO) + p * q
-        into_g = _columns(g.entries)
-        for c, ins_f in _columns(f.entries).items():
-            for b, q in into_g.get(c, ()):
-                for a, p in ins_f:
+        into_g = _transpose(g.entries)
+        for c, ins_f in _transpose(f.entries).items():
+            for b, q in into_g.get(c, {}).items():
+                for a, p in ins_f.items():
                     row = to_unit.setdefault(a * n + b, {})
                     row[0] = row.get(0, ZERO) + p * q
     # the composites of the skew (0, 0) involution with the two
@@ -328,8 +319,8 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
                      EQUIVARIANT, (0, 0))
 
     checks: List[Tuple[str, bool]] = [
-        ("cotrace homogeneous", morphism_is_homogeneous(cotrace)),
-        ("trace homogeneous", morphism_is_homogeneous(trace)),
+        ("cotrace homogeneous", not cotrace.inhomogeneous),
+        ("trace homogeneous", not trace.inhomogeneous),
         ("cotrace filtered", cotrace.is_filtered()),
         ("trace filtered", trace.is_filtered()),
         ("cotrace chain map", is_chain_map(cotrace)),
@@ -359,7 +350,7 @@ def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
             raise ValueError(f"{name} must map {ends}")
         if m.variance != EQUIVARIANT or m.bidegree != (0, 0):
             raise ValueError(f"{name} must be equivariant of bidegree (0, 0)")
-        checks.append((f"{name} homogeneous", morphism_is_homogeneous(m)))
+        checks.append((f"{name} homogeneous", not m.inhomogeneous))
         checks.append((f"{name} filtered", m.is_filtered()))
         checks.append((f"{name} chain map", is_chain_map(m)))
     if not all(ok for _, ok in checks):

@@ -118,6 +118,33 @@ def test_check_pass_and_fail(tmp_path, capsys):
     assert "FAIL" in out
 
 
+AXIOM_LINES = ("axiom (1) d^2 = 0", "axiom (2) differential filtered",
+               "axiom (3) gradings homogeneous", "axiom (4) homology is the ring",
+               "axiom (5) iota skew-graded, skew-filtered chain map",
+               "axiom (6) iota^2 ~ id + Phi Psi (filtered homotopy)")
+
+
+@pytest.mark.parametrize("part, cell, mono, verdicts, offender", [
+    ("iota", ("x0", "x2"), [[1, 1]], "PPPPFF", "iota is not skew-graded of bidegree (0, 0)"),
+    ("differential", ("x1", "x0"), [[0, 1], [1, 0]], "PPFFPF",
+     "entry x1 -> x0: V + U is not homogeneous of bidegree (-1,-1)"),
+], ids=["iota", "differential"])
+def test_check_names_inhomogeneous_entries(tmp_path, capsys, part, cell, mono, verdicts, offender):
+    """check on T(2,3) with one entry that is not its grading-forced
+    monomial: the exact report, offender text included."""
+    t23, bad = tmp_path / "t23.json", tmp_path / "bad.json"
+    run(capsys, "torus", "2", "3", "-o", str(t23))
+    doc = json.loads(t23.read_text())
+    for entry in doc[part]:
+        if (entry["from"], entry["to"]) == cell:
+            entry["mono"] = mono
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(bad))
+    axioms = [f"{line}: {'pass' if v == 'P' else 'FAIL'}" for line, v in zip(AXIOM_LINES, verdicts)]
+    assert code == 1
+    assert out == "\n".join([*axioms, f"  {offender}", "T(2,3): NOT an iota-complex", ""])
+
+
 def test_dual_subcommand(tmp_path, capsys):
     a = tmp_path / "a.json"
     d = tmp_path / "d.json"

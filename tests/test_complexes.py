@@ -17,7 +17,6 @@ from iotak.complexes import (
     homology_class_map,
     homology_is_r,
     homotopy_solve,
-    inhomogeneous_entries,
     identity_morphism,
     is_chain_map,
     parity_index,
@@ -38,7 +37,7 @@ from iotak.iota import (
     product,
 )
 from iotak.models import staircase_complex, torus_knot
-from iotak.ring import ONE, LaurentPoly, monomial
+from iotak.ring import ONE, ZERO, LaurentPoly, monomial
 
 
 def test_verify_trefoil_passes(hand_trefoil):
@@ -187,7 +186,7 @@ def test_constructions_stay_clean(s1, s2):
     c2 = staircase_complex(s2).complex
     t = tensor(c1, c2)
     # tensor records t as homogeneous without a scan; the scan agrees
-    assert t.inhomogeneous == tuple(inhomogeneous_entries(differential_morphism(t))) == ()
+    assert t.inhomogeneous == differential_morphism(t).inhomogeneous == ()
     assert verify_complex(t).passed
     assert verify_complex(dual(t)).passed
     assert verify_complex(skew(t)).passed
@@ -368,11 +367,19 @@ def ref_d_squared(c):
             for i, row in compose(d, d).entries.items() for j in row]
 
 
-def _drop(entries, k):
-    """entries without their k-th cell, counted mod their number."""
+def _rewrite(entries, k, fn):
+    """entries with their k-th cell p replaced by fn(p), counted mod their
+    number, and that cell."""
     cells = [(i, j) for i, row in entries.items() for j in row]
     cell = cells[k % len(cells)]
-    return {i: {j: p for j, p in row.items() if (i, j) != cell} for i, row in entries.items()}
+    return {i: {j: fn(p) if (i, j) == cell else p for j, p in row.items()}
+            for i, row in entries.items()}, cell
+
+
+def _drop(entries, k):
+    """entries without their k-th cell, counted mod their number; the
+    zero left there is dropped by FreeComplex and Morphism."""
+    return _rewrite(entries, k, lambda p: ZERO)[0]
 
 
 @given(parts_strategy, st.integers(min_value=0), st.integers(min_value=0))
@@ -404,6 +411,46 @@ def test_support_checks_match_compose_references(parts, k_iota, k_diff):
         if h is not None:
             d = differential_morphism(cx)
             assert (compose(d, h) + compose(h, d)).entries == (f + g).entries
+
+
+def ref_inhomogeneous(f):
+    """The cells of f with a term U^a V^b y whose bigrading
+    (gr_u(y) - 2a, gr_v(y) - 2b) is not where f sends x, or with more
+    than one term, in the order of f.entries."""
+    a, b = f.bidegree
+    out = []
+    for i, row in f.entries.items():
+        x = f.source.basis[i]
+        gu, gv = (x.gr_u, x.gr_v) if f.variance == EQUIVARIANT else (x.gr_v, x.gr_u)
+        for j, p in row.items():
+            y = f.target.basis[j]
+            if len(p.terms) != 1 or any((y.gr_u - 2 * u, y.gr_v - 2 * v) != (gu + a, gv + b)
+                                        for u, v in p.terms):
+                out.append((i, j))
+    return tuple(out)
+
+
+@given(parts_strategy, st.integers(min_value=0), st.integers(min_value=0),
+       st.sampled_from([(1, 0), (0, 1), (1, 1), (-1, 2)]))
+@settings(max_examples=40, deadline=None)
+def test_inhomogeneous_matches_a_grading_oracle(parts, k_iota, k_diff, extra):
+    """Morphism.inhomogeneous of the skew iota and of d agrees with a
+    term-by-term grading oracle on a staircase sum, the sum with one iota
+    entry times UV, and the sum with one d entry given a second term;
+    the complex's cached verdict is its differential's."""
+    ic = staircase_sum(parts)
+    c = ic.complex
+    uv_entries, uv_cell = _rewrite(ic.iota.entries, k_iota, lambda p: p * monomial(1, 1))
+    wrong_iota = IotaComplex(c, Morphism(c, c, uv_entries, SKEW, (0, 0)))
+    two_terms, d_cell = _rewrite(c.diff, k_diff, lambda p: p + p * monomial(*extra))
+    cd = FreeComplex(c.basis, two_terms)
+    wrong_d = IotaComplex(cd, Morphism(cd, cd, ic.iota.entries, SKEW, (0, 0)))
+    for case, iota_bad, d_bad in ((ic, (), ()), (wrong_iota, (uv_cell,), ()),
+                                  (wrong_d, (), (d_cell,))):
+        cx, d = case.complex, differential_morphism(case.complex)
+        assert case.iota.inhomogeneous == ref_inhomogeneous(case.iota) == iota_bad
+        assert d.inhomogeneous == ref_inhomogeneous(d) == d_bad
+        assert cx.inhomogeneous == d.inhomogeneous
 
 
 def test_compose_variance_and_bidegree(hand_trefoil):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import parts_strategy, staircase_strategy, staircase_sum
-from iotak import gf2
+from iotak import complexes, gf2, serialize
 from iotak.complexes import (
     EQUIVARIANT,
     SKEW,
@@ -19,7 +19,6 @@ from iotak.complexes import (
     homology_class_map,
     identity_morphism,
     is_chain_map,
-    morphism_is_homogeneous,
     tensor,
     tensor_morphism,
     homotopy_solve,
@@ -498,7 +497,7 @@ def test_residue_is_the_support_of_the_laurent_composites(pair):
     for var in range(len(space.unknowns)):
         e = space.morphism(1 << var)
         laurent = compose(tgt.iota, e) + compose(e, src.iota)
-        assert morphism_is_homogeneous(laurent)
+        assert not laurent.inhomogeneous
         support = {(i, j) for i, row in laurent.entries.items() for j in row}
         assert {key for key, eq in rows.items() if eq >> var & 1} == support
 
@@ -609,3 +608,18 @@ def test_homotopy_witnesses_pinned():
         g = f + compose(d, h) + compose(h, d)
         assert not (f + g).is_zero()
         assert homotopy_solve(f, g).entries == pinned
+
+
+def test_verify_scans_each_matrix_once(monkeypatch):
+    """verify_iota_complex decides the homogeneity of d and of iota with one
+    forced_base call per row of each, and a_zero_minus then reuses both."""
+    _, ic = serialize.iota_complex_from_dict(serialize.iota_complex_to_dict(
+        "k", product(torus_knot(3, 4), torus_knot(2, 3))))
+    assert (len(ic.complex.diff), len(ic.iota.entries)) == (9, 15)
+    calls = []
+    forced_base = complexes.forced_base
+    monkeypatch.setattr(complexes, "forced_base", lambda *a: calls.append(a) or forced_base(*a))
+    assert verify_iota_complex(ic, check_involution=False).passed
+    assert len(calls) == 9 + 15
+    a_zero_minus(ic, verify=False)
+    assert len(calls) == 9 + 15
