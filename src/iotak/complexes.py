@@ -33,8 +33,10 @@ SKEW = "skew"
 Entries = Dict[int, Dict[int, LaurentPoly]]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BasisElement:
+    """A named generator, treated as immutable (frozen would slow __init__)."""
+
     name: str
     gr_u: int
     gr_v: int
@@ -72,7 +74,6 @@ class FreeComplex:
         n = len(names)
         if any(not (0 <= i < n and 0 <= j < n) for i, row in self.diff.items() for j in row):
             raise ValueError("differential entry index out of range")
-        self.index: Dict[str, int] = {n: k for k, n in enumerate(names)}
 
     @functools.cached_property
     def inhomogeneous(self) -> Tuple[Tuple[int, int], ...]:
@@ -88,7 +89,7 @@ class FreeComplex:
         return len(self.basis)
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, FreeComplex)
             and self.basis == other.basis
             and self.diff == other.diff
@@ -318,29 +319,35 @@ def verify_complex(c: FreeComplex) -> ComplexReport:
 
 
 def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
-    """Tensor product over the Laurent ring, Leibniz differential."""
+    """Tensor product over the Laurent ring, Leibniz differential, built
+    one row of c1 at a time; each row lists d(x)|y's targets, then x|d(y)'s."""
     n2 = len(c2)
-    basis = [
-        BasisElement(f"{x.name}|{y.name}", x.gr_u + y.gr_u, x.gr_v + y.gr_v)
-        for x in c1.basis
-        for y in c2.basis
-    ]
+    tails = [("|" + y.name, y.gr_u, y.gr_v) for y in c2.basis]
+    basis = [BasisElement(x.name + name, x.gr_u + u, x.gr_v + v)
+             for x in c1.basis for name, u, v in tails]
+    rows2 = [c2.diff.get(i2) for i2 in range(n2)]
     diff: Entries = {}
     for i1 in range(len(c1)):
-        row1 = c1.diff.get(i1, {})
-        for i2 in range(n2):
-            row2 = c2.diff.get(i2, {})
-            src = i1 * n2 + i2
-            acc = {j1 * n2 + i2: p for j1, p in row1.items()}
-            acc.update({i1 * n2 + j2: q for j2, q in row2.items()})
-            if i1 in row1 and i2 in row2:
-                # j1 * n2 + i2 == i1 * n2 + j2 only for j1 == i1 and j2 == i2:
-                # both differentials have a diagonal entry, and the terms add
-                s = row1[i1] + row2[i2]
-                if s:
-                    acc[src] = s
-                else:
-                    del acc[src]
+        base = i1 * n2
+        row1 = c1.diff.get(i1)
+        if not row1:
+            # x|y reaches only x|d(y): the rows of c2, shifted
+            diff.update((base + i2, {base + j2: q for j2, q in row2.items()})
+                        for i2, row2 in enumerate(rows2) if row2)
+            continue
+        offsets = [(j1 * n2, p) for j1, p in row1.items()]
+        for i2, row2 in enumerate(rows2):
+            src = base + i2
+            acc = {o + i2: p for o, p in offsets}
+            if row2:
+                acc.update({base + j2: q for j2, q in row2.items()})
+                if i1 in row1 and i2 in row2:
+                    # j1 * n2 + i2 == i1 * n2 + j2 only for j1 == i1 and j2 == i2:
+                    # both differentials have a diagonal entry, and the terms add
+                    if s := row1[i1] + row2[i2]:
+                        acc[src] = s
+                    else:
+                        del acc[src]
             if acc:
                 diff[src] = acc
     c = FreeComplex(basis, {})

@@ -212,7 +212,8 @@ def product(ic1: IotaComplex, ic2: IotaComplex, variant: int = 1,
     iota1|iota2 + Phi1 iota1|Psi2 iota2 (variant 1) or the Psi/Phi
     variant 2. Inputs failing verification are rejected. With
     verify=False an inhomogeneous factor still raises ValueError, from
-    building its Phi or Psi."""
+    building its Phi or Psi; so when both factors' involutions are
+    homogeneous, every term is, and the product's is recorded so."""
     if verify:
         for k, ic in ((1, ic1), (2, ic2)):
             report = verify_iota_complex(ic)
@@ -222,6 +223,8 @@ def product(ic1: IotaComplex, ic2: IotaComplex, variant: int = 1,
                     + "; ".join(report.offenders))
     prod = tensor(ic1.complex, ic2.complex)
     iota = _product_iota(ic1.complex, ic1.iota, ic2.complex, ic2.iota, variant, prod)
+    if not (ic1.iota.inhomogeneous or ic2.iota.inhomogeneous):
+        iota.inhomogeneous = ()
     return IotaComplex(prod, iota)
 
 

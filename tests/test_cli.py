@@ -440,7 +440,8 @@ def test_local_equiv_above_default_cap(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["locally_equivalent"] is True
     ic = serialize.load(t44)[1]
-    f, g = (Morphism(ic.complex, ic.complex, serialize._parse_entries(doc[k], ic.complex.index, k),
+    index = {x.name: i for i, x in enumerate(ic.complex.basis)}
+    f, g = (Morphism(ic.complex, ic.complex, serialize._parse_entries(doc[k], index, k),
                      EQUIVARIANT, (0, 0)) for k in ("F", "G"))
     assert verify_local_equivalence(ic, ic, f, g).passed
 

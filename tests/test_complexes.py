@@ -89,8 +89,9 @@ def test_verify_d_squared_offenders_in_first_reach_order():
 
 
 def test_verify_offenders_pinned():
-    """Every kind of offender, in the text and order recorded before the
-    homogeneity check was shared with morphism_is_homogeneous."""
+    """Every kind of offender, in the text and order recorded before
+    verify_complex shared its homogeneity check with the map checks
+    (today Morphism.inhomogeneous)."""
     basis = [BasisElement("a", 0, 0), BasisElement("b", -1, -1), BasisElement("c", -2, -2),
              BasisElement("p", 0, -1)]
     diff = {1: {0: monomial(0, 0) + monomial(1, 1), 2: monomial(-1, 2)},
@@ -602,6 +603,48 @@ def test_constructions_match_accumulating_reference(data):
     fk = tensor_morphism(f, k, t, tensor(c2, c1))
     assert fk.entries == ref_tensor_morphism(f, k)
     assert_normalized(fk.entries)
+
+
+def ref_tensor_ordered(c1, c2):
+    """tensor's basis and differential in the order of a term-by-term
+    loop: x|y row-major, and in each row the targets of d(x)|y, then
+    those of x|d(y), a diagonal collision added in place."""
+    n2 = len(c2)
+    basis = [BasisElement(f"{x.name}|{y.name}", x.gr_u + y.gr_u, x.gr_v + y.gr_v)
+             for x in c1.basis for y in c2.basis]
+    diff = {}
+    for i1 in range(len(c1)):
+        for i2 in range(n2):
+            acc = {j1 * n2 + i2: p for j1, p in c1.diff.get(i1, {}).items()}
+            for j2, q in c2.diff.get(i2, {}).items():
+                k = i1 * n2 + j2
+                acc[k] = acc[k] + q if k in acc else q
+            acc = {k: p for k, p in acc.items() if p}
+            if acc:
+                diff[i1 * n2 + i2] = acc
+    return basis, diff
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_tensor_keeps_the_term_by_term_order(data):
+    """The basis (names, gradings, order), the row order and each row's
+    target order of tensor are those of ref_tensor_ordered, on small
+    complexes with diagonal entries, regraded and with their rows in a
+    drawn order (as dual leaves them); every entry off a diagonal
+    collision is the factor's LaurentPoly object itself."""
+    gradings = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    c1, c2 = (FreeComplex([BasisElement(x.name, *data.draw(gradings)) for x in c.basis],
+                          dict(data.draw(st.permutations(list(c.diff.items())))))
+              for c in (data.draw(small_complexes()), data.draw(small_complexes())))
+    t = tensor(c1, c2)
+    basis, diff = ref_tensor_ordered(c1, c2)
+    assert [(x.name, x.gr_u, x.gr_v) for x in t.basis] == [
+        (x.name, x.gr_u, x.gr_v) for x in basis]
+    assert [(i, list(row)) for i, row in t.diff.items()] == [
+        (i, list(row)) for i, row in diff.items()]
+    assert t.diff == diff
+    assert all(p is diff[i][j] for i, row in t.diff.items() for j, p in row.items() if i != j)
 
 
 def test_tensor_diagonal_collision():

@@ -42,7 +42,7 @@ from iotak.iota import (
     verify_iota_complex,
     verify_local_equivalence,
 )
-from iotak.invariants import a_zero_minus, involutive_invariants
+from iotak.invariants import InvariantError, a_zero_minus, involutive_invariants
 from iotak.models import mirror, staircase_complex, torus_knot, unknot_complex
 from iotak.ring import ONE, ZERO, LaurentPoly, monomial
 from iotak.serialize import morphism_to_list
@@ -623,3 +623,43 @@ def test_verify_scans_each_matrix_once(monkeypatch):
     assert len(calls) == 9 + 15
     a_zero_minus(ic, verify=False)
     assert len(calls) == 9 + 15
+
+
+def test_a_zero_minus_never_scans_a_product_involution(monkeypatch):
+    """product records its involution as homogeneous when both factors'
+    are, so neither product nor a_zero_minus calls forced_base on a row
+    of the product."""
+    k1, k2 = torus_knot(3, 4), torus_knot(2, 3)
+    calls = []
+    forced_base = complexes.forced_base
+    monkeypatch.setattr(complexes, "forced_base", lambda *a: calls.append(a) or forced_base(*a))
+    a_zero_minus(product(k1, k2, verify=False), verify=False)
+    assert not [x.name for x, *_ in calls if "|" in x.name]
+
+
+@given(parts_strategy, st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_recorded_product_homogeneity_matches_a_scan(parts, variant):
+    """The () that product records for its involution, on a staircase sum
+    times its first part, is what a fresh scan of the same entries finds."""
+    first = staircase_sum(parts[:1])
+    ic = product(staircase_sum(parts, variant), first, variant=variant, verify=False)
+    assert ic.iota.__dict__["inhomogeneous"] == ()
+    assert Morphism(ic.complex, ic.complex, ic.iota.entries, SKEW, (0, 0)).inhomogeneous == ()
+
+
+def test_product_with_an_inhomogeneous_involution_is_not_recorded():
+    """A factor with one iota entry times UV: the product's involution is
+    not recorded as homogeneous, a scan finds offenders, and a_zero_minus
+    still raises InvariantError."""
+    k = torus_knot(2, 3)
+    entries = {i: {j: p * monomial(1, 1) if i == j else p for j, p in row.items()}
+               for i, row in k.iota.entries.items()}
+    assert sum(i in row for i, row in entries.items()) == 1
+    bad = IotaComplex(k.complex, Morphism(k.complex, k.complex, entries, SKEW, (0, 0)))
+    for ic in (product(bad, torus_knot(3, 4), verify=False),
+               product(torus_knot(3, 4), bad, verify=False)):
+        assert "inhomogeneous" not in ic.iota.__dict__
+        assert ic.iota.inhomogeneous
+        with pytest.raises(InvariantError):
+            a_zero_minus(ic, verify=False)
