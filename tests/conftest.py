@@ -59,3 +59,16 @@ def hand_trefoil():
     cx = FreeComplex(basis, {1: {0: monomial(1, 0), 2: monomial(0, 1)}})
     iota = Morphism(cx, cx, {0: {2: ONE}, 1: {1: ONE}, 2: {0: ONE}}, SKEW, (0, 0))
     return IotaComplex(cx, iota)
+
+
+def t23_with(diff=None, iota=None):
+    """T(2,3), generators x0, x1, x2 with dx1 = U x0 + V x2, with its
+    differential or its involution's entries replaced."""
+    t = torus_knot(2, 3)
+    cx = t.complex if diff is None else FreeComplex(t.complex.basis, diff)
+    entries = t.iota.entries if iota is None else iota
+    return IotaComplex(cx, Morphism(cx, cx, entries, SKEW, (0, 0)))
+
+
+# dx0 = V x1 beside dx1 = U x0 + V x2: homogeneous and filtered, but d^2 != 0
+T23_D_SQUARED_NONZERO = {1: {0: monomial(1, 0), 2: monomial(0, 1)}, 0: {1: monomial(0, 1)}}

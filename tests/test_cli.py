@@ -145,6 +145,52 @@ def test_check_names_inhomogeneous_entries(tmp_path, capsys, part, cell, mono, v
     assert out == "\n".join([*axioms, f"  {offender}", "T(2,3): NOT an iota-complex", ""])
 
 
+def _d_squared_nonzero(doc):
+    """dx0 = V x1 beside dx1 = U x0 + V x2: homogeneous and filtered."""
+    doc["differential"].append({"from": "x0", "to": "x1", "mono": [[0, 1]]})
+
+
+def _unfiltered(doc):
+    """x0 four lower in gr_u and x2 four lower in gr_v: dx1 = U^-1 x0 +
+    V^-1 x2 is homogeneous, and iota still swaps x0 and x2."""
+    doc["generators"][0]["gr_u"] -= 4
+    doc["generators"][2]["gr_v"] -= 4
+    for entry in doc["differential"]:
+        entry["mono"] = [[-1, 0]] if entry["to"] == "x0" else [[0, -1]]
+
+
+def _zero_differential(doc):
+    doc["differential"] = []
+
+
+def _no_iota(doc):
+    doc["iota"] = []
+
+
+@pytest.mark.parametrize("edit, verdicts, offenders", [
+    (_d_squared_nonzero, "FPPFPF",
+     ["d^2 nonzero: x1 -> x1", "d^2 nonzero: x0 -> x0", "d^2 nonzero: x0 -> x2"]),
+    (_unfiltered, "PFPFPF", ["entry x1 -> x0: negative exponent in filtered complex",
+                             "entry x1 -> x2: negative exponent in filtered complex"]),
+    (_zero_differential, "PPPFPF", ["slice homology dims (2, 1) != (1, 0)"]),
+    (_no_iota, "PPPPPF", ["no filtered equivariant homotopy from iota^2 to id + Phi Psi"]),
+], ids=["axiom1", "axiom2", "axiom4", "axiom6"])
+def test_check_reports_the_first_failing_axiom(tmp_path, capsys, edit, verdicts, offenders):
+    """check on T(2,3) edited to fail first at one axiom: the exact
+    report, exit 1. A failure of (1)-(3) leaves (4) and (6) unchecked,
+    and a failure of (4) leaves (6) unchecked; both then read FAIL."""
+    t23, bad = tmp_path / "t23.json", tmp_path / "bad.json"
+    run(capsys, "torus", "2", "3", "-o", str(t23))
+    doc = json.loads(t23.read_text())
+    edit(doc)
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(bad))
+    axioms = [f"{line}: {'pass' if v == 'P' else 'FAIL'}" for line, v in zip(AXIOM_LINES, verdicts)]
+    assert (code, err) == (1, "")
+    assert out == "\n".join([*axioms, *(f"  {o}" for o in offenders),
+                             "T(2,3): NOT an iota-complex", ""])
+
+
 def test_dual_subcommand(tmp_path, capsys):
     a = tmp_path / "a.json"
     d = tmp_path / "d.json"

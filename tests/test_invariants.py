@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     CORPUS_TORUS,
+    T23_D_SQUARED_NONZERO,
     normal_form,
     palindromic_staircase,
     parts_strategy,
     staircase_strategy,
     staircase_sum,
+    t23_with,
 )
 from iotak.invariants import (
     HomologyDecomp,
@@ -28,6 +30,7 @@ from iotak.invariants import (
 from iotak.iota import dual_iota, identity_complex, product
 from iotak.models import mirror, staircase_complex, torus_knot
 from iotak import gf2
+from iotak.ring import ONE
 from iotak.invariants import _TowerSlices, _d_bar_hits, _d_under_hits
 
 
@@ -73,6 +76,24 @@ def test_a_zero_minus_validates_input(hand_trefoil):
     bad = IotaComplex(c, Morphism(c, c, {i: {i: ONE} for i in range(3)}, SKEW, (0, 0)))
     with pytest.raises(ValueError):
         a_zero_minus(bad)
+
+
+def test_a_zero_minus_rejection_messages_pinned():
+    """a_zero_minus(..., verify=True) checks axioms (1)-(5) only, so
+    T(2,3) without iota passes; a failure names its first failing axiom
+    and every offender line."""
+    assert a_zero_minus(t23_with(iota={})).endo == {}
+    ones = {i: {i: ONE} for i in range(3)}
+    for ic, message in [
+        (t23_with(diff=T23_D_SQUARED_NONZERO), "a_zero_minus input fails axiom (1): "
+         "d^2 nonzero: x1 -> x1; d^2 nonzero: x0 -> x0; d^2 nonzero: x0 -> x2"),
+        (t23_with(diff={}), "a_zero_minus input fails axiom (4): slice homology dims (2, 1) != (1, 0)"),
+        (t23_with(iota=ones), "a_zero_minus input fails axiom (5): "
+         "iota is not skew-graded of bidegree (0, 0)"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            a_zero_minus(ic)
+        assert str(exc.value) == message
 
 
 def test_a_zero_minus_rejects_two_term_entry(hand_trefoil):

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import parts_strategy, staircase_strategy, staircase_sum
+from conftest import (
+    T23_D_SQUARED_NONZERO,
+    parts_strategy,
+    staircase_strategy,
+    staircase_sum,
+    t23_with,
+)
 from iotak import complexes, gf2, serialize
 from iotak.complexes import (
     EQUIVARIANT,
@@ -122,6 +128,22 @@ def test_product_rejects_bad_input(hand_trefoil):
     bad = IotaComplex(c, Morphism(c, c, {i: {i: ONE} for i in range(3)}, SKEW, (0, 0)))
     with pytest.raises(ValueError):
         product(bad, hand_trefoil)
+
+
+def test_product_rejection_messages_pinned():
+    """product(..., verify=True) names the failing input, its first
+    failing axiom and every offender line."""
+    t23 = torus_knot(2, 3)
+    cases = [
+        ((t23_with(iota={}), t23), "product input 1 fails axiom (6): "
+         "no filtered equivariant homotopy from iota^2 to id + Phi Psi"),
+        ((t23, t23_with(diff=T23_D_SQUARED_NONZERO)), "product input 2 fails axiom (1): "
+         "d^2 nonzero: x1 -> x1; d^2 nonzero: x0 -> x0; d^2 nonzero: x0 -> x2"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as exc:
+            product(*args)
+        assert str(exc.value) == message
 
 
 def test_product_square_satisfies_involution(hand_trefoil):
