@@ -9,7 +9,6 @@ from .complexes import (
     homotopy_solve,
     tensor,
     dual,
-    skew,
     verify_complex,
 )
 from .iota import (

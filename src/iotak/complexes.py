@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import gf2
 from .ring import ONE, ZERO, LaurentPoly, Monomial, monomial
@@ -174,10 +174,6 @@ def _built(source, target, entries: Entries, variance, bidegree) -> Morphism:
     return m
 
 
-def zero_morphism(source, target, variance, bidegree) -> Morphism:
-    return Morphism(source, target, {}, variance, bidegree)
-
-
 def identity_morphism(c: FreeComplex) -> Morphism:
     return Morphism(c, c, {i: {i: ONE} for i in range(len(c))}, EQUIVARIANT, (0, 0))
 
@@ -268,33 +264,34 @@ def is_chain_map(f: Morphism) -> bool:
 
 
 @dataclass
-class ComplexReport:
-    homogeneous: bool
-    d_squared_zero: bool
-    filtered_ok: bool
-    offenders: Tuple[str, ...]
+class CheckReport:
+    """Named yes/no checks, in the order they were made, and the lines
+    that name what failed."""
+
+    checks: Tuple[Tuple[Union[int, str], bool], ...]
+    offenders: Tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
-        return self.homogeneous and self.d_squared_zero and self.filtered_ok
+        return all(ok for _, ok in self.checks)
+
+    @property
+    def first_failure(self) -> Union[int, str, None]:
+        return next((name for name, ok in self.checks if not ok), None)
 
 
-def verify_complex(c: FreeComplex) -> ComplexReport:
-    """Check gradings, homogeneity of the differential, d^2 = 0, filtration.
+def verify_complex(c: FreeComplex) -> CheckReport:
+    """Axioms (1) d^2 = 0, (2) d filtered and (3) gradings and d
+    homogeneous, as the checks named 1, 2 and 3.
 
-    Failures are reported, not raised; offending entries are listed by
-    generator name.
+    Failures are reported, not raised; offending generators and entries
+    are listed by name: homogeneity first, then d^2, then filtration.
     """
-    offenders: List[str] = []
-    homogeneous = True
-    for x in c.basis:
-        if (x.gr_u - x.gr_v) % 2:
-            homogeneous = False
-            offenders.append(f"generator {x.name}: gr_u and gr_v have different parity")
-    for i, j in c.inhomogeneous:
-        homogeneous = False
-        offenders.append(f"entry {c.basis[i].name} -> {c.basis[j].name}: {c.diff[i][j]!r} "
-                         "is not homogeneous of bidegree (-1,-1)")
+    offenders = [f"generator {x.name}: gr_u and gr_v have different parity"
+                 for x in c.basis if (x.gr_u - x.gr_v) % 2]
+    offenders += [f"entry {c.basis[i].name} -> {c.basis[j].name}: {c.diff[i][j]!r} "
+                  "is not homogeneous of bidegree (-1,-1)" for i, j in c.inhomogeneous]
+    homogeneous = not offenders
 
     if c.inhomogeneous:
         # no support determines an inhomogeneous entry
@@ -302,16 +299,13 @@ def verify_complex(c: FreeComplex) -> ComplexReport:
         d2 = [(i, j) for i, row in compose(d, d).entries.items() for j in row]
     else:
         d2 = _odd_support((c.diff, c.diff))
-    offenders.extend(f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}" for i, j in d2)
+    offenders += [f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}" for i, j in d2]
 
-    filtered_ok = True
-    for i, row in c.diff.items():
-        for j, p in row.items():
-            if not p.is_filtered():
-                filtered_ok = False
-                offenders.append(
-                    f"entry {c.basis[i].name} -> {c.basis[j].name}: negative exponent in filtered complex")
-    return ComplexReport(homogeneous, not d2, filtered_ok, tuple(offenders))
+    unfiltered = [f"entry {c.basis[i].name} -> {c.basis[j].name}: negative exponent in "
+                  "filtered complex" for i, row in c.diff.items() for j, p in row.items()
+                  if not p.is_filtered()]
+    offenders += unfiltered
+    return CheckReport(((1, not d2), (2, not unfiltered), (3, homogeneous)), tuple(offenders))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +314,9 @@ def verify_complex(c: FreeComplex) -> ComplexReport:
 
 def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
     """Tensor product over the Laurent ring, Leibniz differential, built
-    one row of c1 at a time; each row lists d(x)|y's targets, then x|d(y)'s."""
+    one row of c1 at a time; each row lists d(x)|y's targets, then x|d(y)'s.
+    x|y is named x.name + "|" + y.name; ValueError names the two pairs
+    when names containing "|" make two of them equal."""
     n2 = len(c2)
     tails = [("|" + y.name, y.gr_u, y.gr_v) for y in c2.basis]
     basis = [BasisElement(x.name + name, x.gr_u + u, x.gr_v + v)
@@ -350,7 +346,17 @@ def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
                         del acc[src]
             if acc:
                 diff[src] = acc
-    c = FreeComplex(basis, {})
+    try:
+        c = FreeComplex(basis, {})
+    except ValueError:
+        # two pairs (x, y) whose names join to one name: find and name them
+        seen: Dict[str, Tuple[str, str]] = {}
+        for pair in ((x.name, y.name) for x in c1.basis for y in c2.basis):
+            first = seen.setdefault("|".join(pair), pair)
+            if first is not pair:
+                raise ValueError(f"product generators {first} and {pair} share the name "
+                                 f"{'|'.join(pair)!r}") from None
+        raise
     # diff is normalized and in range by construction, and homogeneous when
     # both factors are: each entry is a factor's, between gradings shifted alike
     c.diff = diff
@@ -406,15 +412,6 @@ def dual_morphism(f: Morphism, dual_target_of_f_source: FreeComplex,
     if f.variance == SKEW:
         out = {j: {i: p.swap_uv() for i, p in col.items()} for j, col in out.items()}
     return Morphism(dual_source_of_f_target, dual_target_of_f_source, out, f.variance, f.bidegree)
-
-
-def skew(c: FreeComplex) -> FreeComplex:
-    """Same underlying complex with the roles of U and V exchanged."""
-    basis = [BasisElement(x.name, x.gr_v, x.gr_u) for x in c.basis]
-    diff: Entries = {
-        i: {j: p.swap_uv() for j, p in row.items()} for i, row in c.diff.items()
-    }
-    return FreeComplex(basis, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +590,7 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
     fg = f + g
     # f = g has the zero homotopy; an inhomogeneous d still gets _HomEquations' ValueError
     if fg.is_zero() and not (src.inhomogeneous or tgt.inhomogeneous):
-        return zero_morphism(src, tgt, f.variance, hdeg)
+        return Morphism(src, tgt, {}, f.variance, hdeg)
 
     space = _HomEquations(src, tgt, f.variance, hdeg)
     if fg.inhomogeneous:

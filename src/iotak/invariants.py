@@ -170,25 +170,28 @@ def involutive_cone(t: UTowerComplex) -> UTowerComplex:
 
 @dataclass(frozen=True)
 class InvariantReport:
+    """d, d_bar and d_under, each even; the V-invariants are V = -d/2."""
+
     d: int
     d_bar: int
     d_under: int
-    V0: int
-    V0_bar: int
-    V0_under: int
 
     def __post_init__(self):
         for name, val in (("d", self.d), ("d_bar", self.d_bar), ("d_under", self.d_under)):
             if val % 2:
                 raise InvariantError(f"{name} = {val} is odd; V-invariants would not be integers")
-        if (self.d_bar - self.d) % 2 or (self.d_under - self.d) % 2:
-            raise InvariantError("parity mismatch between d, d_bar, d_under")
-        if (self.V0, self.V0_bar, self.V0_under) != (-self.d // 2, -self.d_bar // 2, -self.d_under // 2):
-            raise InvariantError("V-values do not halve the d-values")
 
-    @classmethod
-    def from_d(cls, d: int, d_bar: int, d_under: int) -> "InvariantReport":
-        return cls(d, d_bar, d_under, -d // 2, -d_bar // 2, -d_under // 2)
+    @property
+    def V0(self) -> int:
+        return -self.d // 2
+
+    @property
+    def V0_bar(self) -> int:
+        return -self.d_bar // 2
+
+    @property
+    def V0_under(self) -> int:
+        return -self.d_under // 2
 
     def triple(self) -> Tuple[int, int, int]:
         """(V0_bar, V0, V0_under), the table's column order."""
@@ -222,7 +225,7 @@ def involutive_invariants(t: UTowerComplex) -> InvariantReport:
     opp = [g for g in cone.free if (g - d) % 2 == 1]
     if not same or not opp:
         raise InvariantError("cone homology is missing a free summand in one parity class")
-    return InvariantReport.from_d(d, max(same), max(opp) - 1)
+    return InvariantReport(d, max(same), max(opp) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .complexes import (
     EQUIVARIANT,
     SKEW,
     BasisElement,
+    CheckReport,
     Entries,
     FreeComplex,
     Morphism,
@@ -94,43 +95,15 @@ def phi_squared_homotopy(c: FreeComplex) -> Morphism:
 
 
 @dataclass
-class IotaReport:
-    """Outcome of the six axioms, in the order of the definition.
-
-    (1) d^2 = 0, (2) d filtered, (3) gradings homogeneous, (4) homology
-    is the ring, (5) iota skew-graded/skew-filtered chain map, (6)
-    iota^2 homotopic to id + Phi Psi through a filtered equivariant
-    homotopy. involution_homotopy stores the witness for (6).
+class IotaReport(CheckReport):
+    """The six axioms as the checks named 1-6, in the order of the
+    definition: (1) d^2 = 0, (2) d filtered, (3) gradings homogeneous,
+    (4) homology is the ring, (5) iota skew-graded/skew-filtered chain
+    map, (6) iota^2 homotopic to id + Phi Psi through a filtered
+    equivariant homotopy. involution_homotopy is the witness for (6).
     """
 
-    d_squared_zero: bool
-    filtered_ok: bool
-    homogeneous: bool
-    homology_r: bool
-    homology_dims: Tuple[int, int]
-    iota_ok: bool
-    involution_ok: bool
-    offenders: Tuple[str, ...]
     involution_homotopy: Optional[Morphism] = None
-
-    @property
-    def conditions(self) -> Dict[int, bool]:
-        return {
-            1: self.d_squared_zero,
-            2: self.filtered_ok,
-            3: self.homogeneous,
-            4: self.homology_r,
-            5: self.iota_ok,
-            6: self.involution_ok,
-        }
-
-    @property
-    def passed(self) -> bool:
-        return all(self.conditions.values())
-
-    @property
-    def first_failure(self) -> Optional[int]:
-        return next((k for k, ok in sorted(self.conditions.items()) if not ok), None)
 
 
 def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaReport:
@@ -140,13 +113,11 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
     structural axioms (1)-(5) are always checked.
     """
     cx = ic.complex
-    offenders: List[str] = []
     base = verify_complex(cx)
-    offenders.extend(base.offenders)
+    offenders = list(base.offenders)
 
     hom = cx.slice_homology if base.passed else None
     homology_r_ok = bool(hom and hom.holds)
-    dims = hom.dims if hom else (-1, -1)
     if hom and not hom.holds:
         offenders.append(f"slice homology dims {hom.dims} != (1, 0)")
 
@@ -172,17 +143,8 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
         if not involution_ok:
             offenders.append("no filtered equivariant homotopy from iota^2 to id + Phi Psi")
 
-    return IotaReport(
-        d_squared_zero=base.d_squared_zero,
-        filtered_ok=base.filtered_ok,
-        homogeneous=base.homogeneous,
-        homology_r=homology_r_ok,
-        homology_dims=dims,
-        iota_ok=iota_ok,
-        involution_ok=involution_ok,
-        offenders=tuple(offenders),
-        involution_homotopy=witness,
-    )
+    checks = (*base.checks, (4, homology_r_ok), (5, iota_ok), (6, involution_ok))
+    return IotaReport(checks, tuple(offenders), witness)
 
 
 def _product_terms(c1: FreeComplex, iota1: Morphism, c2: FreeComplex, iota2: Morphism,
@@ -198,12 +160,6 @@ def _product_terms(c1: FreeComplex, iota1: Morphism, c2: FreeComplex, iota2: Mor
     else:
         raise ValueError("variant must be 1 or 2")
     return (iota1, iota2), (left, right)
-
-
-def _product_iota(c1: FreeComplex, iota1: Morphism, c2: FreeComplex, iota2: Morphism,
-                  variant: int, prod: FreeComplex) -> Morphism:
-    (f1, g1), (f2, g2) = _product_terms(c1, iota1, c2, iota2, variant)
-    return tensor_morphism(f1, g1, prod, prod) + tensor_morphism(f2, g2, prod, prod)
 
 
 def product(ic1: IotaComplex, ic2: IotaComplex, variant: int = 1,
@@ -222,7 +178,8 @@ def product(ic1: IotaComplex, ic2: IotaComplex, variant: int = 1,
                     f"product input {k} fails axiom ({report.first_failure}): "
                     + "; ".join(report.offenders))
     prod = tensor(ic1.complex, ic2.complex)
-    iota = _product_iota(ic1.complex, ic1.iota, ic2.complex, ic2.iota, variant, prod)
+    (f1, g1), (f2, g2) = _product_terms(ic1.complex, ic1.iota, ic2.complex, ic2.iota, variant)
+    iota = tensor_morphism(f1, g1, prod, prod) + tensor_morphism(f2, g2, prod, prod)
     if not (ic1.iota.inhomogeneous or ic2.iota.inhomogeneous):
         iota.inhomogeneous = ()
     return IotaComplex(prod, iota)
@@ -237,22 +194,7 @@ def dual_iota(ic: IotaComplex) -> IotaComplex:
 # ---------------------------------------------------------------------------
 # trace / cotrace inverse witnesses
 
-@dataclass
-class CheckReport:
-    """Named yes/no checks, in the order they were made."""
-
-    checks: Tuple[Tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    @property
-    def first_failure(self) -> Optional[str]:
-        return next((name for name, ok in self.checks if not ok), None)
-
-
-@dataclass
+@dataclass(kw_only=True)
 class InverseWitnessReport(CheckReport):
     cotrace: Morphism
     trace: Morphism
@@ -338,7 +280,7 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
     checks.append(("cotrace intertwines involutions", h_f is not None))
     h_g = homotopy_solve(trace_iota, compose(ce.iota, trace))
     checks.append(("trace intertwines involutions", h_g is not None))
-    return InverseWitnessReport(tuple(checks), cotrace, trace)
+    return InverseWitnessReport(tuple(checks), cotrace=cotrace, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -117,9 +117,6 @@ def _canonical(terms: Tuple[Monomial, ...]) -> LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly([(0, 0)])
-U = LaurentPoly([(1, 0)])
-V = LaurentPoly([(0, 1)])
-UHAT = LaurentPoly([(1, 1)])
 
 
 def monomial(i: int, j: int) -> LaurentPoly:

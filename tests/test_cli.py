@@ -432,6 +432,69 @@ def test_sum_loads_each_path_once(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "out.json").read_text() == expected
 
 
+def _renamed_t23(path, names):
+    """Write T(2,3) with its generators x0, x1, x2 renamed to names."""
+    rename = dict(zip(("x0", "x1", "x2"), names))
+    doc = serialize.iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
+    for g in doc["generators"]:
+        g["name"] = rename[g["name"]]
+    for entry in doc["differential"] + doc["iota"]:
+        entry["from"], entry["to"] = rename[entry["from"]], rename[entry["to"]]
+    path.write_text(json.dumps(doc))
+
+
+def test_sum_names_colliding_product_generators(tmp_path, capsys):
+    """Two files that each pass check, whose product would name both
+    a|b x c and a x b|c "a|b|c": sum exits 2, names both pairs, and
+    writes nothing."""
+    u, v, s = tmp_path / "u.json", tmp_path / "v.json", tmp_path / "s.json"
+    _renamed_t23(u, ("a", "a|b", "c"))
+    _renamed_t23(v, ("b|c", "c", "e"))
+    for path in (u, v):
+        assert run(capsys, "check", str(path))[0] == 0
+    assert run(capsys, "sum", str(u), str(v), "-o", str(s)) == (
+        2, "", "error: product generators ('a', 'b|c') and ('a|b', 'c') share the name 'a|b|c'\n")
+    assert not s.exists()
+
+
+def collision_error(names1, names2):
+    """The documented stderr of sum on factors with these generator
+    names, or None when every x|y name is distinct."""
+    seen = {}
+    for x in names1:
+        for y in names2:
+            name = f"{x}|{y}"
+            if name in seen:
+                return f"error: product generators {seen[name]} and {(x, y)} share the name {name!r}\n"
+            seen[name] = (x, y)
+    return None
+
+
+generator_names = st.lists(st.text(alphabet="a|^", max_size=3), min_size=3, max_size=3, unique=True)
+
+
+@given(generator_names, generator_names)
+@settings(max_examples=80, deadline=None)
+def test_sum_of_renamed_factors_succeeds_or_names_the_collision(tmp_path_factory, names1, names2):
+    """Factor names drawn with "|" and "^": sum either writes the product,
+    named x|y in order, or exits 2 with exactly the documented error."""
+    tmp = tmp_path_factory.mktemp("names")
+    u, v, s = tmp / "u.json", tmp / "v.json", tmp / "s.json"
+    _renamed_t23(u, names1)
+    _renamed_t23(v, names2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["sum", str(u), str(v), "-o", str(s)])
+    expected = collision_error(names1, names2)
+    if expected is None:
+        assert (code, out.getvalue(), err.getvalue()) == (0, "", "")
+        basis = serialize.load(str(s))[1].complex.basis
+        assert [b.name for b in basis] == [f"{x}|{y}" for x in names1 for y in names2]
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", expected)
+        assert not s.exists()
+
+
 def _indent2(doc):
     return json.dumps(doc, indent=2) + "\n"
 

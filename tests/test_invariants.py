@@ -343,11 +343,9 @@ def test_invariants_trefoil_square(hand_trefoil):
 
 def test_invariant_report_validation():
     with pytest.raises(InvariantError):
-        InvariantReport.from_d(1, 1, 1)
+        InvariantReport(1, 1, 1)
     with pytest.raises(InvariantError):
-        InvariantReport.from_d(0, 2, 1)
-    with pytest.raises(InvariantError):
-        InvariantReport(0, 0, 0, 1, 0, 0)
+        InvariantReport(0, 2, 1)
 
 
 def test_oracle_examples(hand_trefoil):
@@ -438,7 +436,7 @@ def test_observed_connected_sum_inequalities(parts1, parts2):
 
 def test_obstruction_patterns():
     def report(vb, v0, vu):
-        return InvariantReport.from_d(-2 * v0, -2 * vb, -2 * vu)
+        return InvariantReport(-2 * v0, -2 * vb, -2 * vu)
 
     r = obstruction_pattern(report(1, 1, 2))
     assert r.pattern1 and not r.pattern2

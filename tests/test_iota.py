@@ -28,14 +28,12 @@ from iotak.complexes import (
     tensor,
     tensor_morphism,
     homotopy_solve,
-    zero_morphism,
 )
 from iotak import iota
 from iotak.iota import (
     CapExceededError,
     IotaComplex,
     _iota_through_trace,
-    _product_iota,
     _search_direction,
     build_phi,
     build_psi,
@@ -266,7 +264,7 @@ def test_verify_local_equivalence_products(hand_trefoil):
 
 
 def test_verify_local_equivalence_zero_fails(hand_trefoil):
-    z = zero_morphism(hand_trefoil.complex, hand_trefoil.complex, EQUIVARIANT, (0, 0))
+    z = Morphism(hand_trefoil.complex, hand_trefoil.complex, {}, EQUIVARIANT, (0, 0))
     rep = verify_local_equivalence(hand_trefoil, hand_trefoil, z, z)
     assert not rep.passed
     assert rep.first_failure == "f isomorphism on homology"
@@ -334,7 +332,7 @@ def exhaustive_direction(src, tgt):
 def full_iota_through_trace(ic, dic, prod, unit):
     """The reference for _iota_through_trace: the full involution of
     prod = C x C^dual, composed with the cotrace and the trace."""
-    iota_prod = _product_iota(ic.complex, ic.iota, dic.complex, dic.iota, 1, prod)
+    iota_prod = product(ic, dic, verify=False).iota
     n = len(ic.complex)
     cotrace = Morphism(unit, prod, {0: {i * n + i: ONE for i in range(n)}}, EQUIVARIANT, (0, 0))
     trace = Morphism(prod, unit, {i * n + i: {0: ONE} for i in range(n)}, EQUIVARIANT, (0, 0))

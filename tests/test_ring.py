@@ -1,7 +1,9 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iotak.ring import ONE, U, UHAT, V, ZERO, LaurentPoly, monomial
+from iotak.ring import ONE, ZERO, LaurentPoly, monomial
+
+U, V, UHAT = monomial(1, 0), monomial(0, 1), monomial(1, 1)
 
 exponents = st.integers(min_value=-8, max_value=8)
 monomials = st.tuples(exponents, exponents)
