@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import gf2
-from .ring import ONE, ZERO, LaurentPoly, Monomial, monomial
+from .ring import ONE, LaurentPoly, Monomial, monomial
 
 EQUIVARIANT = "equivariant"
 SKEW = "skew"
@@ -46,34 +46,23 @@ class BasisElement:
         return (self.gr_u - self.gr_v) // 2
 
 
-def _normalize(entries: Entries) -> Entries:
-    out: Entries = {}
-    for i, row in entries.items():
-        kept = {j: p for j, p in row.items() if p}
-        if kept:
-            out[i] = kept
-    return out
-
-
 class FreeComplex:
     """A free chain complex over the Laurent ring, with chosen basis.
 
     The differential is required to stay in F2[U, V] (nonnegative
-    exponents); verify_complex checks it. Instances are treated as
-    immutable after construction. inhomogeneous decides once, through
+    exponents); verify_complex checks it. diff is stored as given, under
+    the contract of Morphism: no zero entry, no empty row, indices in
+    range, and no mutation afterward. inhomogeneous decides once, through
     Morphism.inhomogeneous, whether the differential is homogeneous, for
     verify_complex, the slice homology, the Hom-space equations and the tower.
     """
 
     def __init__(self, basis, diff: Entries):
         self.basis: Tuple[BasisElement, ...] = tuple(basis)
-        self.diff: Entries = _normalize(diff)
+        self.diff: Entries = diff
         names = [b.name for b in self.basis]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
-        n = len(names)
-        if any(not (0 <= i < n and 0 <= j < n) for i, row in self.diff.items() for j in row):
-            raise ValueError("differential entry index out of range")
 
     @functools.cached_property
     def inhomogeneous(self) -> Tuple[Tuple[int, int], ...]:
@@ -104,7 +93,10 @@ class Morphism:
 
     bidegree (a, b) means gr_u(F x) = gr_u(x) + a for equivariant maps
     and gr_u(F x) = gr_v(x) + a for skew maps (and symmetrically for
-    gr_v). The matrix is stored {source: {target: entry}}.
+    gr_v). The matrix is stored {source: {target: entry}}, as given: the
+    caller passes no zero entry, no empty row and only indices in range of
+    the endpoints, and mutates it no more. ==, is_zero and inhomogeneous
+    rely on that; the sums that can cancel (+, compose) drop what cancels.
     """
 
     def __init__(self, source: FreeComplex, target: FreeComplex, entries: Entries,
@@ -113,7 +105,7 @@ class Morphism:
             raise ValueError(f"bad variance {variance!r}")
         self.source = source
         self.target = target
-        self.entries = _normalize(entries)
+        self.entries = entries
         self.variance = variance
         self.bidegree = (int(bidegree[0]), int(bidegree[1]))
 
@@ -121,8 +113,8 @@ class Morphism:
     def inhomogeneous(self) -> Tuple[Tuple[int, int], ...]:
         """The (source, target) index pairs whose entry is not the
         grading-forced monomial, in the order of entries, built on first
-        use. The cache is safe: __init__ and _built set entries before
-        they return, and no code assigns it after."""
+        use. The cache is safe: only __init__ sets entries, and no code
+        mutates them after."""
         out = []
         for i, row in self.entries.items():
             gu, gv = forced_base(self.source.basis[i], self.variance, self.bidegree)
@@ -158,20 +150,19 @@ class Morphism:
         for i, row in other.entries.items():
             dst = out.setdefault(i, {})
             for j, p in row.items():
-                dst[j] = dst.get(j, ZERO) + p
+                if j not in dst:
+                    dst[j] = p
+                elif s := dst[j] + p:
+                    dst[j] = s
+                else:
+                    del dst[j]
+            if not dst:
+                del out[i]
         return Morphism(self.source, self.target, out, self.variance, self.bidegree)
 
     def __repr__(self) -> str:
         nnz = sum(len(r) for r in self.entries.values())
         return f"Morphism({self.variance}, bidegree={self.bidegree}, {nnz} entries)"
-
-
-def _built(source, target, entries: Entries, variance, bidegree) -> Morphism:
-    """A Morphism over entries with no zero entry and no empty row,
-    taken as they are instead of through the normalizing copy."""
-    m = Morphism(source, target, {}, variance, bidegree)
-    m.entries = entries
-    return m
 
 
 def identity_morphism(c: FreeComplex) -> Morphism:
@@ -214,7 +205,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
             acc = {k: p for k, p in acc.items() if p}
         if acc:
             out[i] = acc
-    return _built(g.source, f.target, out, variance, bidegree)
+    return Morphism(g.source, f.target, out, variance, bidegree)
 
 
 def forced_base(x: BasisElement, variance: str, bidegree: Tuple[int, int]) -> Tuple[int, int]:
@@ -228,8 +219,8 @@ def forced_base(x: BasisElement, variance: str, bidegree: Tuple[int, int]) -> Tu
 
 
 def differential_morphism(c: FreeComplex) -> Morphism:
-    # c.diff is normalized already, and neither object is mutated
-    return _built(c, c, c.diff, EQUIVARIANT, (-1, -1))
+    # neither object is mutated, so the two share the matrix
+    return Morphism(c, c, c.diff, EQUIVARIANT, (-1, -1))
 
 
 def _odd_support(*pairs: Tuple[Entries, Entries]) -> List[Tuple[int, int]]:
@@ -347,7 +338,7 @@ def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
             if acc:
                 diff[src] = acc
     try:
-        c = FreeComplex(basis, {})
+        c = FreeComplex(basis, diff)
     except ValueError:
         # two pairs (x, y) whose names join to one name: find and name them
         seen: Dict[str, Tuple[str, str]] = {}
@@ -357,9 +348,8 @@ def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
                 raise ValueError(f"product generators {first} and {pair} share the name "
                                  f"{'|'.join(pair)!r}") from None
         raise
-    # diff is normalized and in range by construction, and homogeneous when
-    # both factors are: each entry is a factor's, between gradings shifted alike
-    c.diff = diff
+    # diff is homogeneous when both factors are: each entry is a
+    # factor's, between gradings shifted alike
     if not (c1.inhomogeneous or c2.inhomogeneous):
         c.inhomogeneous = ()
     return c
@@ -383,7 +373,7 @@ def tensor_morphism(f: Morphism, g: Morphism, source: FreeComplex, target: FreeC
             out[i1 * n2s + i2] = {j1 * n2t + j2: p * q
                                   for j1, p in row_f.items() for j2, q in row_g.items()}
     bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
-    return _built(source, target, out, f.variance, bidegree)
+    return Morphism(source, target, out, f.variance, bidegree)
 
 
 def _transpose(entries: Entries) -> Entries:

@@ -20,8 +20,7 @@ import json
 import os
 from typing import Dict, List
 
-from .complexes import (SKEW, BasisElement, Entries, FreeComplex, Morphism, _built,
-                        differential_morphism)
+from .complexes import SKEW, BasisElement, Entries, FreeComplex, Morphism, differential_morphism
 from .iota import IotaComplex
 from .ring import _canonical
 
@@ -145,9 +144,8 @@ def iota_complex_from_dict(doc: Dict) -> tuple[str, IotaComplex]:
     diff = _parse_entries(diff_items, index, "differential")
     iota_entries = _parse_entries(iota_items, index, "iota")
     # the entries are nonzero and in range by construction
-    cx = FreeComplex(basis, {})
-    cx.diff = diff
-    return name, IotaComplex(cx, _built(cx, cx, iota_entries, SKEW, (0, 0)))
+    cx = FreeComplex(basis, diff)
+    return name, IotaComplex(cx, Morphism(cx, cx, iota_entries, SKEW, (0, 0)))
 
 
 def save(path: str, name: str, ic: IotaComplex) -> None:

@@ -170,15 +170,15 @@ def _no_iota(doc):
 @pytest.mark.parametrize("edit, verdicts, offenders", [
     (_d_squared_nonzero, "FPPFPF",
      ["d^2 nonzero: x1 -> x1", "d^2 nonzero: x0 -> x0", "d^2 nonzero: x0 -> x2"]),
-    (_unfiltered, "PFPFPF", ["entry x1 -> x0: negative exponent in filtered complex",
+    (_unfiltered, "PFPPPF", ["entry x1 -> x0: negative exponent in filtered complex",
                              "entry x1 -> x2: negative exponent in filtered complex"]),
     (_zero_differential, "PPPFPF", ["slice homology dims (2, 1) != (1, 0)"]),
     (_no_iota, "PPPPPF", ["no filtered equivariant homotopy from iota^2 to id + Phi Psi"]),
 ], ids=["axiom1", "axiom2", "axiom4", "axiom6"])
 def test_check_reports_the_first_failing_axiom(tmp_path, capsys, edit, verdicts, offenders):
     """check on T(2,3) edited to fail first at one axiom: the exact
-    report, exit 1. A failure of (1)-(3) leaves (4) and (6) unchecked,
-    and a failure of (4) leaves (6) unchecked; both then read FAIL."""
+    report, exit 1. A failure of (1) or (3) leaves (4) unchecked, a
+    failure of (1)-(5) leaves (6) unchecked; both then read FAIL."""
     t23, bad = tmp_path / "t23.json", tmp_path / "bad.json"
     run(capsys, "torus", "2", "3", "-o", str(t23))
     doc = json.loads(t23.read_text())

@@ -1,9 +1,12 @@
+import os
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import parts_strategy, staircase_strategy, staircase_sum
-from iotak import gf2
+from iotak import gf2, serialize
 from iotak.complexes import (
     EQUIVARIANT,
     SKEW,
@@ -27,15 +30,19 @@ from iotak.complexes import (
 from iotak.invariants import InvariantError, a_zero_minus
 from iotak.iota import (
     IotaComplex,
+    _iota_through_trace,
     build_phi,
     build_psi,
     dual_iota,
     identity_complex,
+    inverse_witnesses,
     phi_squared_homotopy,
     product,
+    search_local_equivalence,
+    verify_iota_complex,
 )
 from iotak.models import staircase_complex, torus_knot
-from iotak.ring import ONE, ZERO, LaurentPoly, monomial
+from iotak.ring import ONE, LaurentPoly, monomial
 
 
 def test_verify_trefoil_passes(hand_trefoil):
@@ -383,9 +390,13 @@ def _rewrite(entries, k, fn):
 
 
 def _drop(entries, k):
-    """entries without their k-th cell, counted mod their number; the
-    zero left there is dropped by FreeComplex and Morphism."""
-    return _rewrite(entries, k, lambda p: ZERO)[0]
+    """entries without their k-th cell, counted mod their number, and
+    without its row if that leaves the row empty."""
+    out, (i, j) = _rewrite(entries, k, lambda p: p)
+    del out[i][j]
+    if not out[i]:
+        del out[i]
+    return out
 
 
 @given(parts_strategy, st.integers(min_value=0), st.integers(min_value=0))
@@ -498,13 +509,14 @@ small_polys = st.one_of(
 
 @st.composite
 def matrices(draw, n_src, n_tgt):
-    """Entries {i: {j: poly}}, with zero polys and empty rows left in
-    for the constructors to drop."""
+    """Entries {i: {j: poly}} as the constructors take them: the zero
+    polys drawn are left out, and so no row is empty."""
     pairs = st.tuples(st.integers(0, n_src - 1), st.integers(0, n_tgt - 1))
     cells = draw(st.dictionaries(pairs, small_polys, max_size=n_src * n_tgt))
-    out = {i: {} for i in range(n_src)}
+    out = {}
     for (i, j), p in cells.items():
-        out[i][j] = p
+        if p:
+            out.setdefault(i, {})[j] = p
     return out
 
 
@@ -671,3 +683,60 @@ def test_compose_and_sum_cancel_to_zero():
     assert (g + g).entries == {}
     assert compose(g, f).entries == {0: {0: monomial(1, 1), 1: monomial(0, 2)},
                                      1: {0: monomial(2, 0), 1: monomial(1, 1)}}
+
+
+@given(parts_strategy)
+@settings(max_examples=20, deadline=None)
+def test_every_built_matrix_is_normalized(parts):
+    """Every matrix the constructions build on a staircase sum has no
+    zero entry and no empty row, which FreeComplex and Morphism take on
+    trust: tensor's differential, both product variants, the dual,
+    Phi, Psi and the Phi^2 homotopy, iota^2, the sums f + f (which is
+    zero) and id + iota^2 (which cancels on the diagonal), iota through
+    the trace and the cotrace, the trace and the cotrace themselves,
+    the axiom-6 homotopy, a save/load round trip, and the local
+    equivalence witnesses of T(2,3) with itself."""
+    ic = staircase_sum(parts)
+    c = ic.complex
+    dic = dual_iota(ic)
+    prod = tensor(c, dic.complex)
+    iota2 = compose(ic.iota, ic.iota)
+    assert (ic.iota + ic.iota).entries == {}
+    witnesses = inverse_witnesses(ic)
+    h = verify_iota_complex(ic).involution_homotopy
+    assert h is not None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "k.json")
+        serialize.save(path, "k", ic)
+        _, loaded = serialize.load(path)
+    assert loaded == ic
+    t23 = torus_knot(2, 3)
+    maps = [build_phi(c), build_psi(c), phi_squared_homotopy(c), iota2,
+            identity_morphism(c) + iota2, dic.iota,
+            *(product(ic, dic, variant=v, verify=False).iota for v in (1, 2)),
+            *_iota_through_trace(ic, dic, prod, identity_complex().complex),
+            witnesses.cotrace, witnesses.trace, h, loaded.iota,
+            *search_local_equivalence(t23, t23)]
+    for entries in (prod.diff, dic.complex.diff, loaded.complex.diff,
+                    *(m.entries for m in maps)):
+        assert_normalized(entries)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda c: Morphism(c, c, {}, "covariant", (0, 0)), "bad variance 'covariant'"),
+    (lambda c: FreeComplex([*c.basis, c.basis[0]], {}), "duplicate generator names"),
+    (lambda c: identity_morphism(c) + Morphism(c, c, {}, EQUIVARIANT, (1, 1)),
+     "cannot add morphisms of different variance or bidegree"),
+    (lambda c: identity_morphism(c) + identity_morphism(dual(c)),
+     "cannot add morphisms with different endpoints"),
+    (lambda c: compose(identity_morphism(c), identity_morphism(dual(c))),
+     "composition endpoint mismatch"),
+    (lambda c: tensor_morphism(identity_morphism(c), Morphism(c, c, {}, SKEW, (0, 0)), c, c),
+     "tensor of morphisms needs equal variances"),
+], ids=["variance", "names", "add-grading", "add-endpoints", "compose", "tensor-variance"])
+def test_guards_name_what_they_reject(hand_trefoil, build, message):
+    """The checks that FreeComplex, Morphism, +, compose and
+    tensor_morphism keep raise ValueError with these exact messages."""
+    with pytest.raises(ValueError) as err:
+        build(hand_trefoil.complex)
+    assert str(err.value) == message

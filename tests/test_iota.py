@@ -202,7 +202,13 @@ def ref_phi_squared(p):
 
 
 def ref_from_terms(c, entry, bidegree):
-    entries = {i: {j: entry(p) for j, p in row.items()} for i, row in c.diff.items()}
+    """entry applied to each entry of d, the zeros and the rows they
+    empty left out."""
+    entries = {}
+    for i, row in c.diff.items():
+        kept = {j: q for j, p in row.items() if (q := entry(p))}
+        if kept:
+            entries[i] = kept
     return Morphism(c, c, entries, EQUIVARIANT, bidegree)
 
 
@@ -224,6 +230,15 @@ def test_inverse_witnesses_identity():
     assert rep.passed
     assert rep.cotrace.entries == {0: {0: ONE}}
     assert rep.trace.entries == {0: {0: ONE}}
+
+
+def test_inverse_witnesses_of_the_empty_complex():
+    """With no generator the cotrace is the zero map, with no empty row,
+    and trace o cotrace is not the identity."""
+    c = FreeComplex([], {})
+    rep = inverse_witnesses(IotaComplex(c, Morphism(c, c, {}, SKEW, (0, 0))))
+    assert rep.cotrace.is_zero() and rep.trace.is_zero()
+    assert rep.first_failure == "trace o cotrace = id"
 
 
 def test_inverse_witnesses_trefoil(hand_trefoil):
