@@ -85,7 +85,7 @@ class FreeComplex:
         )
 
     def __repr__(self) -> str:
-        return f"FreeComplex({len(self.basis)} generators)"
+        return f"FreeComplex({len(self)} generators)"
 
 
 class Morphism:
@@ -353,6 +353,22 @@ def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
     if not (c1.inhomogeneous or c2.inhomogeneous):
         c.inhomogeneous = ()
     return c
+
+
+class LazyTensor(FreeComplex):
+    """tensor(c1, c2), built on the first read of basis or diff; len needs no build."""
+
+    def __init__(self, c1: FreeComplex, c2: FreeComplex):
+        self.factors = (c1, c2)
+        if not (c1.inhomogeneous or c2.inhomogeneous):
+            self.inhomogeneous = ()
+
+    built = functools.cached_property(lambda self: tensor(*self.factors))
+    basis = property(lambda self: self.built.basis)
+    diff = property(lambda self: self.built.diff)
+
+    def __len__(self) -> int:
+        return len(self.factors[0]) * len(self.factors[1])
 
 
 def tensor_morphism(f: Morphism, g: Morphism, source: FreeComplex, target: FreeComplex) -> Morphism:

@@ -124,14 +124,15 @@ AXIOM_LINES = ("axiom (1) d^2 = 0", "axiom (2) differential filtered",
                "axiom (6) iota^2 ~ id + Phi Psi (filtered homotopy)")
 
 
-@pytest.mark.parametrize("part, cell, mono, verdicts, offender", [
-    ("iota", ("x0", "x2"), [[1, 1]], "PPPPFF", "iota is not skew-graded of bidegree (0, 0)"),
-    ("differential", ("x1", "x0"), [[0, 1], [1, 0]], "PPFFPF",
-     "entry x1 -> x0: V + U is not homogeneous of bidegree (-1,-1)"),
+@pytest.mark.parametrize("part, cell, mono, verdicts, offenders", [
+    ("iota", ("x0", "x2"), [[1, 1]], "PPPPFF", ["iota is not skew-graded of bidegree (0, 0)"]),
+    ("differential", ("x1", "x0"), [[0, 1], [1, 0]], "PPFFFF",
+     ["entry x1 -> x0: V + U is not homogeneous of bidegree (-1,-1)", "iota is not a chain map"]),
 ], ids=["iota", "differential"])
-def test_check_names_inhomogeneous_entries(tmp_path, capsys, part, cell, mono, verdicts, offender):
+def test_check_names_inhomogeneous_entries(tmp_path, capsys, part, cell, mono, verdicts, offenders):
     """check on T(2,3) with one entry that is not its grading-forced
-    monomial: the exact report, offender text included."""
+    monomial: the exact report, offender text included. With dx1 =
+    (V + U) x0 + V x2, iota dx1 = U x0 + (U + V) x2 != d iota x1."""
     t23, bad = tmp_path / "t23.json", tmp_path / "bad.json"
     run(capsys, "torus", "2", "3", "-o", str(t23))
     doc = json.loads(t23.read_text())
@@ -142,7 +143,8 @@ def test_check_names_inhomogeneous_entries(tmp_path, capsys, part, cell, mono, v
     code, out, err = run(capsys, "check", str(bad))
     axioms = [f"{line}: {'pass' if v == 'P' else 'FAIL'}" for line, v in zip(AXIOM_LINES, verdicts)]
     assert code == 1
-    assert out == "\n".join([*axioms, f"  {offender}", "T(2,3): NOT an iota-complex", ""])
+    assert out == "\n".join([*axioms, *(f"  {o}" for o in offenders),
+                             "T(2,3): NOT an iota-complex", ""])
 
 
 def _d_squared_nonzero(doc):
@@ -168,8 +170,9 @@ def _no_iota(doc):
 
 
 @pytest.mark.parametrize("edit, verdicts, offenders", [
-    (_d_squared_nonzero, "FPPFPF",
-     ["d^2 nonzero: x1 -> x1", "d^2 nonzero: x0 -> x0", "d^2 nonzero: x0 -> x2"]),
+    (_d_squared_nonzero, "FPPFFF",
+     ["d^2 nonzero: x1 -> x1", "d^2 nonzero: x0 -> x0", "d^2 nonzero: x0 -> x2",
+      "iota is not a chain map"]),
     (_unfiltered, "PFPPPF", ["entry x1 -> x0: negative exponent in filtered complex",
                              "entry x1 -> x2: negative exponent in filtered complex"]),
     (_zero_differential, "PPPFPF", ["slice homology dims (2, 1) != (1, 0)"]),
@@ -178,7 +181,9 @@ def _no_iota(doc):
 def test_check_reports_the_first_failing_axiom(tmp_path, capsys, edit, verdicts, offenders):
     """check on T(2,3) edited to fail first at one axiom: the exact
     report, exit 1. A failure of (1) or (3) leaves (4) unchecked, a
-    failure of (1)-(5) leaves (6) unchecked; both then read FAIL."""
+    failure of (1)-(5) leaves (6) unchecked; both then read FAIL. (5)
+    is decided whatever d is: with dx0 = V x1, iota dx0 = U x1 while
+    d iota x0 = dx2 = 0."""
     t23, bad = tmp_path / "t23.json", tmp_path / "bad.json"
     run(capsys, "torus", "2", "3", "-o", str(t23))
     doc = json.loads(t23.read_text())

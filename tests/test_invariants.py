@@ -86,7 +86,8 @@ def test_a_zero_minus_rejection_messages_pinned():
     ones = {i: {i: ONE} for i in range(3)}
     for ic, message in [
         (t23_with(diff=T23_D_SQUARED_NONZERO), "a_zero_minus input fails axiom (1): "
-         "d^2 nonzero: x1 -> x1; d^2 nonzero: x0 -> x0; d^2 nonzero: x0 -> x2"),
+         "d^2 nonzero: x1 -> x1; d^2 nonzero: x0 -> x0; d^2 nonzero: x0 -> x2; "
+         "iota is not a chain map"),
         (t23_with(diff={}), "a_zero_minus input fails axiom (4): slice homology dims (2, 1) != (1, 0)"),
         (t23_with(iota=ones), "a_zero_minus input fails axiom (5): "
          "iota is not skew-graded of bidegree (0, 0)"),

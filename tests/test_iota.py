@@ -136,7 +136,8 @@ def test_product_rejection_messages_pinned():
         ((t23_with(iota={}), t23), "product input 1 fails axiom (6): "
          "no filtered equivariant homotopy from iota^2 to id + Phi Psi"),
         ((t23, t23_with(diff=T23_D_SQUARED_NONZERO)), "product input 2 fails axiom (1): "
-         "d^2 nonzero: x1 -> x1; d^2 nonzero: x0 -> x0; d^2 nonzero: x0 -> x2"),
+         "d^2 nonzero: x1 -> x1; d^2 nonzero: x0 -> x0; d^2 nonzero: x0 -> x2; "
+         "iota is not a chain map"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError) as exc:
@@ -404,6 +405,140 @@ def test_inverse_witnesses_on_a_corrupted_involution(monkeypatch):
             if not is_chain_map(bad.iota):
                 non_chain.append(next(name for name, ok in outcome if not ok))
     assert non_chain == ["cotrace intertwines involutions"] * 15
+
+
+def reference_witness_checks(ic):
+    """inverse_witnesses' checks decided on the built C x C^dual: tensor,
+    then inhomogeneous, is_filtered, is_chain_map and compose on it."""
+    ce = identity_complex()
+    dic = iota.dual_iota(ic)
+    prod = tensor(ic.complex, dic.complex)
+    n = len(ic.complex)
+    cotrace = Morphism(ce.complex, prod, {0: {i * n + i: ONE for i in range(n)}} if n else {},
+                       EQUIVARIANT, (0, 0))
+    trace = Morphism(prod, ce.complex, {i * n + i: {0: ONE} for i in range(n)},
+                     EQUIVARIANT, (0, 0))
+    checks = [
+        ("cotrace homogeneous", not cotrace.inhomogeneous),
+        ("trace homogeneous", not trace.inhomogeneous),
+        ("cotrace filtered", cotrace.is_filtered()),
+        ("trace filtered", trace.is_filtered()),
+        ("cotrace chain map", is_chain_map(cotrace)),
+        ("trace chain map", is_chain_map(trace)),
+        ("trace o cotrace = id", compose(trace, cotrace) == identity_morphism(ce.complex)),
+    ]
+    nonzero = all(ok for name, ok in checks if not name.endswith("filtered"))
+    checks += [("cotrace nonzero on homology", nonzero), ("trace nonzero on homology", nonzero)]
+    iota_cotrace, trace_iota = _iota_through_trace(ic, dic, prod, ce.complex)
+    checks.append(("cotrace intertwines involutions",
+                   homotopy_solve(compose(cotrace, ce.iota), iota_cotrace) is not None))
+    checks.append(("trace intertwines involutions",
+                   homotopy_solve(trace_iota, compose(ce.iota, trace)) is not None))
+    return tuple(checks)
+
+
+def reference_outcome(ic):
+    try:
+        return reference_witness_checks(ic)
+    except Exception as e:  # the outcome is compared, whatever it is
+        return type(e), str(e)
+
+
+def theorem_inputs():
+    """The unit, the empty complex, the trefoil, T(p,p+1) # T(p,p+1) and
+    its mirror, both product variants, K # K^dual and a triple sum."""
+    empty = FreeComplex([], {})
+    t23, t34, t45 = torus_knot(2, 3), torus_knot(3, 4), torus_knot(4, 5)
+    inputs = [identity_complex(), IotaComplex(empty, Morphism(empty, empty, {}, SKEW, (0, 0))), t23]
+    for p in (2, 3, 4, 5):
+        for k in (torus_knot(p, p + 1), mirror(torus_knot(p, p + 1))):
+            inputs.append(product(k, k, verify=False))
+    inputs += [product(t23, t34, variant=2, verify=False),
+               product(t34, dual_iota(t34), verify=False),
+               product(product(t23, t34, verify=False), mirror(t45), verify=False)]
+    return inputs
+
+
+@pytest.mark.parametrize("ic", theorem_inputs())
+def test_inverse_witnesses_match_the_built_product_on_theorem_inputs(ic):
+    assert witness_outcome(ic) == reference_outcome(ic)
+
+
+@given(parts_strategy, st.sampled_from([1, 2]))
+@settings(max_examples=25, deadline=None)
+def test_inverse_witnesses_match_the_built_product(parts, variant):
+    """The checks decided from the factors equal those decided on
+    tensor(C, C^dual)."""
+    ic = staircase_sum(parts, variant)
+    assert witness_outcome(ic) == reference_outcome(ic)
+
+
+def test_inverse_witnesses_on_a_corrupted_dual(monkeypatch):
+    """dual_iota with one transposed entry of d dropped, each in turn, on
+    T(2,3) # T(3,4): the checks are the reference's, and both chain-map
+    checks fail, the cotrace's first."""
+    ic = product(torus_knot(2, 3), torus_knot(3, 4))
+    entries = [(i, j) for i, row in ic.complex.diff.items() for j in row]
+    for i, j in entries:
+        def corrupted(k, drop=(j, i)):
+            dc = complexes.dual(k.complex)
+            diff = {a: {b: p for b, p in row.items() if (a, b) != drop} for a, row in dc.diff.items()}
+            bad = FreeComplex(dc.basis, {a: row for a, row in diff.items() if row})
+            return IotaComplex(bad, complexes.dual_morphism(k.iota, bad, bad))
+        with monkeypatch.context() as m:
+            m.setattr(iota, "dual_iota", corrupted)
+            outcome = witness_outcome(ic)
+            assert outcome == reference_outcome(ic)
+        failed = [name for name, ok in outcome if not ok]
+        assert failed[:2] == ["cotrace chain map", "trace chain map"]
+    assert len(entries) == 22
+
+    def shifted(k):
+        """The unknot's dual with its generator two higher in both gradings."""
+        (x,) = complexes.dual(k.complex).basis
+        bad = FreeComplex([BasisElement(x.name, x.gr_u + 2, x.gr_v + 2)], {})
+        return IotaComplex(bad, complexes.dual_morphism(k.iota, bad, bad))
+    unknot = unknot_complex()
+    with monkeypatch.context() as m:
+        m.setattr(iota, "dual_iota", shifted)
+        outcome = witness_outcome(unknot)
+        assert outcome == reference_outcome(unknot)
+    assert [name for name, ok in outcome if not ok][:2] == ["cotrace homogeneous", "trace homogeneous"]
+
+
+def test_inverse_witnesses_build_no_product(monkeypatch):
+    """On T(6,7) # T(6,7) every check passes with tensor refusing to run,
+    and reading the cotrace's target then builds C x C^dual (14 641
+    generators) equal to tensor's, in the same order."""
+    ic = product(torus_knot(6, 7), torus_knot(6, 7))
+
+    def refuse(*args):
+        raise AssertionError("C x C^dual was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "tensor", refuse)
+        m.setattr(iota, "tensor", refuse)
+        rep = inverse_witnesses(ic)
+    assert rep.passed
+    assert len(rep.cotrace.target) == 14_641
+    built, ref = rep.cotrace.target, tensor(ic.complex, dual_iota(ic).complex)
+    assert rep.trace.source is built and built == ref
+    assert [x.name for x in built.basis] == [x.name for x in ref.basis]
+    assert [(i, list(row.items())) for i, row in built.diff.items()] == \
+        [(i, list(row.items())) for i, row in ref.diff.items()]
+
+
+def test_inverse_witnesses_decide_colliding_product_names():
+    """Generators a, b|c, a|b, c: C x C^dual would name both (a, b|c^) and
+    (a|b, c^) a|b|c^. The checks need no names; reading an endpoint
+    raises tensor's ValueError."""
+    c = FreeComplex([BasisElement(name, 0, 0) for name in ("a", "b|c", "a|b", "c")], {})
+    rep = inverse_witnesses(IotaComplex(c, Morphism(c, c, {i: {i: ONE} for i in range(4)},
+                                                    SKEW, (0, 0))))
+    assert rep.first_failure == "trace o cotrace = id"
+    with pytest.raises(ValueError) as exc:
+        rep.cotrace.target.basis
+    assert str(exc.value) == "product generators ('a', 'b|c^') and ('a|b', 'c^') share the name 'a|b|c^'"
 
 
 @st.composite
