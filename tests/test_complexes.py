@@ -41,7 +41,7 @@ from iotak.iota import (
     search_local_equivalence,
     verify_iota_complex,
 )
-from iotak.models import staircase_complex, torus_knot
+from iotak.models import mirror, staircase_complex, torus_knot
 from iotak.ring import ONE, LaurentPoly, monomial
 
 
@@ -190,6 +190,28 @@ def test_homology_is_r_examples(hand_trefoil):
     rep = homology_is_r(acyclic)
     assert not rep.holds
     assert rep.dims == (0, 0) == ref_homology_dims(acyclic)
+
+
+def test_slice_homology_pinned():
+    """(dims, generator, functional) of five complexes. The unfiltered
+    T(2,3) (x0 four lower in gr_u, x2 four lower in gr_v, dx1 = U^-1 x0 +
+    V^-1 x2) has no tower, so its slice homology is decided without one."""
+    t = torus_knot(2, 3).complex
+    lowered = [BasisElement(x.name, x.gr_u - 4 * (x.name == "x0"), x.gr_v - 4 * (x.name == "x2"))
+               for x in t.basis]
+    unfiltered = FreeComplex(lowered, {1: {0: monomial(-1, 0), 2: monomial(0, -1)}})
+    mixed = product(torus_knot(3, 4), mirror(torus_knot(2, 3))).complex
+    assert len(mixed) == 15
+    cases = [
+        (FreeComplex([], {}), ((0, 0), None, None)),
+        (t, ((1, 0), 1, 3)),
+        (FreeComplex(t.basis, {}), ((2, 1), 1, None)),
+        (unfiltered, ((1, 0), 1, 3)),
+        (mixed, ((1, 0), 3, 73)),
+    ]
+    for c, pinned in cases:
+        rep = homology_is_r(c)
+        assert (rep.dims, rep.generator, rep.functional) == pinned
 
 
 @given(staircase_strategy, staircase_strategy)

@@ -618,6 +618,24 @@ def test_cocycles_are_dual_to_homology(parts):
             [int(a == b) for b in range(len(reps))] for a in range(len(phis))]
 
 
+@given(parts_strategy, st.sampled_from([1, 2]))
+@settings(max_examples=20, deadline=None)
+def test_stable_slices_are_the_slice_homology(parts, variant):
+    """Inverting W turns the tower's slices below min_gr - 2 into the
+    slice homology's parity slices, in the same generator order: the
+    stable cocycles count its dims, the even one is its functional, and
+    the even slice's first class is its generator, bit for bit."""
+    ic = staircase_sum(parts, variant)
+    s = _TowerSlices(a_zero_minus(ic, verify=False))
+    even = s.min_gr - 4 - s.min_gr % 2
+    odd = even - 1
+    hom = ic.complex.slice_homology
+    assert hom.dims == (len(s.cocycles(even)), len(s.cocycles(odd)))
+    assert [hom.functional] == s.cocycles(even)
+    span = gf2.RowBasis(s.diff_rows(even + 1))
+    assert hom.generator == next(z for z in s.cycle_basis(even) if not span.contains(z))
+
+
 def test_stable_cocycles_of_an_iota_complex():
     """The homology of an iota-complex is one free tower, so the stable
     slices carry one cocycle in d's parity and none in the other, and
