@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import gf2
 from .ring import ONE, LaurentPoly, Monomial, monomial
@@ -423,83 +423,141 @@ def dual_morphism(f: Morphism, dual_target_of_f_source: FreeComplex,
 # ---------------------------------------------------------------------------
 # finite slices and homology
 
-def parity_index(c: FreeComplex) -> Tuple[Tuple[List[int], List[int]], ...]:
-    """The finite F2 slices at Alexander grading 0, by the parity of gr_u.
+def _per_slice(build):
+    """Build a Slices result once per distinct slice."""
+    @functools.wraps(build)
+    def method(self: "Slices", r: int):
+        key = (build.__name__, self.canonical(r))
+        if key not in self._memo:
+            self._memo[key] = build(self, key[1])
+        return self._memo[key]
+    return method
 
-    U and V are invertible, so the slice at gr_u = g has exactly one
-    vector U^i V^j x for each generator x with gr_u(x) = g mod 2, and
-    translation by UV identifies slices of equal parity. The slice
-    matrix of a homogeneous map is then the support of its matrix.
-    Entry p is (members, positions) for parity p: those generators in
-    order, and each generator's place among them or -1.
+
+class Slices:
+    """The F2 linear algebra of the grading-r slices of a free complex
+    over F2[W], W of degree -2: generator i at gradings[i], and d, of
+    degree -1 with d^2 = 0, as its supports {i: targets}.
+
+    Slice r has one basis vector W^k x per generator x with
+    gr(x) = r + 2k, k >= 0, in generator order. Up to one above the
+    lowest grading min_gr a slice holds every generator of its parity,
+    so slices below min_gr - 1 share a canonical grading, and every
+    per-slice result is built once for it. Callers must not mutate
+    what these methods return.
     """
-    out = []
-    for parity in (0, 1):
-        members = [i for i, x in enumerate(c.basis) if x.gr_u % 2 == parity]
-        out.append((members, gf2.positions(members, len(c))))
-    return tuple(out)
+
+    def __init__(self, gradings: List[int], diff: Dict[int, Iterable[int]]):
+        self.gradings = gradings
+        self.diff = diff
+        self.min_gr = min(gradings, default=0)
+        self._memo: Dict[Tuple[str, int], object] = {}
+
+    def canonical(self, r: int) -> int:
+        """The grading that stands for the slice of r. Slices up to
+        min_gr + 1 hold every generator of their parity, so below
+        low = min_gr - 1 the slice of r and its neighbours r +- 1 equal
+        those of low or low + 1, whichever has r's parity."""
+        low = self.min_gr - 1
+        return r if r >= low else low + (r - low) % 2
+
+    @_per_slice
+    def members(self, r: int) -> List[int]:
+        """The generators with a power in slice r, in order."""
+        return [i for i, g in enumerate(self.gradings) if (g - r) % 2 == 0 and g >= r]
+
+    @_per_slice
+    def positions(self, r: int) -> List[int]:
+        """Entry i: the position of generator i in slice r, or -1."""
+        out = [-1] * len(self.gradings)
+        for p, i in enumerate(self.members(r)):
+            out[i] = p
+        return out
+
+    @_per_slice
+    def diff_rows(self, r: int) -> List[int]:
+        return gf2.support_rows(self.diff, self.members(r), self.positions(r - 1))
+
+    @_per_slice
+    def cycle_basis(self, r: int) -> List[int]:
+        eqs = gf2.transpose(self.diff_rows(r), len(self.members(r - 1)))
+        return gf2.nullspace(eqs, len(self.members(r)))
+
+    @_per_slice
+    def boundaries(self, r: int) -> gf2.RowBasis:
+        return gf2.RowBasis(self.diff_rows(r + 1))
+
+    @_per_slice
+    def cocycles(self, r: int) -> List[int]:
+        """Functionals phi_a, zero on the boundaries of slice r, with phi_a(g_b) = delta_ab on
+        a basis g_b of its cycles modulo boundaries: a cycle is a boundary iff all vanish.
+        Every boundary is a cycle, so the scan for the g_b stops once they and the
+        boundaries span all len(cycle_basis(r)) dimensions of the cycles."""
+        span = gf2.RowBasis()
+        span.pivots = dict(self.boundaries(r).pivots)
+        rows = list(span.pivots.values())
+        first = len(rows)
+        cycles = self.cycle_basis(r)
+        for z in cycles:
+            if span.rank == len(cycles):
+                break
+            if span.add(z):
+                rows.append(z)
+        return [gf2.solve(rows, [k == a for k in range(len(rows))], len(self.members(r)))
+                for a in range(first, len(rows))]
 
 
 # support rows see only the parity of a target, not its monomial
 _NOT_HOMOGENEOUS = "slice homology needs homogeneous maps and differentials"
 
 
-@dataclass
-class SliceHomologyReport:
-    """The slice homology of one complex, built once: dims of the even
-    and the odd slice, its parity_index, the even-to-odd differential's
-    support rows, and the span of the even slice's boundaries. The
-    generator and the functional cost a solve each, so are built on use."""
+class SliceHomologyReport(Slices):
+    """The slice homology of one complex (see homology_is_r): its Slices,
+    whose slice p holds the generators with gr_u = p mod 2, in order, and
+    the dims of the even and the odd slice."""
 
-    holds: bool
-    dims: Tuple[int, int]
-    index: Tuple[Tuple[List[int], List[int]], ...]
-    out_rows: List[int]
-    boundaries: gf2.RowBasis
+    def __init__(self, c: FreeComplex):
+        super().__init__([2 - x.gr_u % 2 for x in c.basis], c.diff)
+        ranks = gf2.rank(self.diff_rows(0)) + self.boundaries(0).rank
+        self.dims = (len(self.members(0)) - ranks, len(self.members(1)) - ranks)
+        self.holds = self.dims == (1, 0)
 
     @functools.cached_property
     def generator(self) -> Optional[int]:
         """The first even cycle in nullspace order that is not a
         boundary, or None."""
-        (even, _), (odd, _) = self.index
-        cycles = gf2.nullspace(gf2.transpose(self.out_rows, len(odd)), len(even))
-        return next((z for z in cycles if not self.boundaries.contains(z)), None)
+        return next((z for z in self.cycle_basis(0) if not self.boundaries(0).contains(z)), None)
 
-    @functools.cached_property
+    @property
     def functional(self) -> Optional[int]:
         """An even-slice functional phi, zero on the boundaries and one on
         the generator, or None unless the homology is the ring. Then a
         cycle c is a nonzero class exactly when phi . c = 1."""
-        if not self.holds:
-            return None
-        rows = [*self.boundaries.pivots.values(), self.generator]
-        return gf2.solve(rows, [0] * (len(rows) - 1) + [1], len(self.index[0][0]))
+        return self.cocycles(0)[0] if self.holds else None
 
     def maps_generator_nonzero(self, f: "Morphism", target: "SliceHomologyReport") -> bool:
         """Whether f, a homogeneous degree-(0,0) chain map out of this
         complex, sends the generator to a nonzero class of target."""
         if self.generator is None:
             raise ValueError("source slice homology has no generator class")
-        rows = gf2.support_rows(f.entries, self.index[0][0], target.index[0][1])
-        return not target.boundaries.contains(gf2.apply_rows(rows, self.generator))
+        rows = gf2.support_rows(f.entries, self.members(0), target.positions(0))
+        return not target.boundaries(0).contains(gf2.apply_rows(rows, self.generator))
 
 
 def homology_is_r(c: FreeComplex) -> SliceHomologyReport:
     """Decide H_*(C) = R by the two parity slices (A=0, gr_u in {0, 1}).
 
-    Homology R with generator in even bigrading is exactly slice
-    dimensions (1, 0). Each slice's dimension is its size less the
-    ranks of the even-to-odd and the odd-to-even differential.
+    U and V are invertible, so the slice at gr_u = g has one vector
+    U^i V^j x per generator x with gr_u(x) = g mod 2, and a homogeneous
+    map's slice matrix is the support of its matrix: these are slices 0
+    and 1 of Slices with grading 2 for gr_u even and 1 for gr_u odd,
+    each the other's neighbour. Homology R with generator in even
+    bigrading is exactly slice dims (1, 0), each dim the slice's size
+    less the ranks of d from even to odd and from odd to even.
     """
     if c.inhomogeneous:
         raise ValueError(_NOT_HOMOGENEOUS)
-    index = parity_index(c)
-    (even, even_pos), (odd, odd_pos) = index
-    out_rows = gf2.support_rows(c.diff, even, odd_pos)
-    boundaries = gf2.RowBasis(gf2.support_rows(c.diff, odd, even_pos))
-    ranks = gf2.rank(out_rows) + boundaries.rank
-    dims = (len(even) - ranks, len(odd) - ranks)
-    return SliceHomologyReport(dims == (1, 0), dims, index, out_rows, boundaries)
+    return SliceHomologyReport(c)
 
 
 def homology_class_map(f: Morphism) -> bool:

@@ -119,14 +119,6 @@ def pullback(rows: List[int], phi: int) -> int:
     return sum(1 << k for k, row in enumerate(rows) if (row & phi).bit_count() & 1)
 
 
-def positions(members: List[int], n: int) -> List[int]:
-    """Entry i of range(n): the place of i in members, or -1."""
-    out = [-1] * n
-    for p, i in enumerate(members):
-        out[i] = p
-    return out
-
-
 def support_rows(mat: Dict[int, Dict[int, object]], members: List[int],
                  target_positions: List[int]) -> List[int]:
     """The support of the sparse matrix {i: {j: entry}} as bitset rows:

@@ -10,11 +10,11 @@ d, d-bar, d-under and the V-invariants.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import gf2
+from .complexes import Slices, _per_slice
 from .iota import IotaComplex, verify_iota_complex
 
 # sparse F2[W] matrix: {source index: set of target indices}. Homogeneity
@@ -33,12 +33,13 @@ class UTowerComplex:
     Matrices store supports only. An entry from x to y is the power W^k
     that the gradings force, 2k = gr(y) - gr(x) + 1 for the differential
     and 2k = gr(y) - gr(x) for the endomorphism, and that k must be a
-    nonnegative integer.
+    nonnegative integer. The basis is stored as given: each entry is a
+    (str, int) pair, or InvariantError names it.
     """
 
     def __init__(self, basis: List[Tuple[str, int]], diff: TowerEntries,
                  endo: Optional[TowerEntries] = None):
-        self.basis: Tuple[Tuple[str, int], ...] = tuple((str(n), int(g)) for n, g in basis)
+        self.basis: Tuple[Tuple[str, int], ...] = tuple(basis)
         self.diff = {i: set(row) for i, row in diff.items() if row}
         self.endo = None if endo is None else {i: set(row) for i, row in endo.items() if row}
         self._validate()
@@ -50,6 +51,9 @@ class UTowerComplex:
         return len(self.basis)
 
     def _validate(self) -> None:
+        for name, g in self.basis:
+            if not isinstance(name, str) or isinstance(g, bool) or not isinstance(g, int):
+                raise InvariantError(f"tower basis entry {(name, g)!r} is not a (str, int) pair")
         gr = [g for _, g in self.basis]
         for mats, shift in ((self.diff, 1), (self.endo or {}, 0)):
             for i, row in mats.items():
@@ -231,59 +235,19 @@ def involutive_invariants(t: UTowerComplex) -> InvariantReport:
 # ---------------------------------------------------------------------------
 # independent oracle via maximum-grading criteria
 
-def _per_slice(build):
-    """Build a _TowerSlices result once per distinct slice."""
-    @functools.wraps(build)
-    def method(self: "_TowerSlices", r: int):
-        key = (build.__name__, self.canonical(r))
-        if key not in self._memo:
-            self._memo[key] = build(self, key[1])
-        return self._memo[key]
-    return method
-
-
-class _TowerSlices:
-    """The F2 linear algebra of the grading-r slices of one tower complex.
-
-    Slice r has one basis vector W^k x per generator x with
-    gr(x) = r + 2k, k >= 0, in generator order. Up to one above the
-    lowest generator grading min_gr a slice holds every generator of its
-    parity, so slices far below min_gr share a canonical grading, and
-    every per-slice result is built once for it. Callers must not mutate
-    what these methods return. A cycle v of slice r <= max_gr is
-    nontorsion iff it pairs oddly with a cocycle of the canonical slice
-    of r - 2 n_power (below min_gr) pulled back along W^n_power.
+class _TowerSlices(Slices):
+    """complexes.Slices of one tower complex, with the W-power tests of
+    the oracle. A cycle v of slice r <= max_gr is nontorsion iff it
+    pairs oddly with a cocycle of the canonical slice of r - 2 n_power
+    (at or below min_gr - 1) pulled back along W^n_power.
     """
 
     def __init__(self, t: UTowerComplex):
+        super().__init__([g for _, g in t.basis], t.diff)
         self.t = t
-        gradings = [g for _, g in t.basis]
-        self.max_gr, self.min_gr = max(gradings), min(gradings)
+        self.max_gr = max(self.gradings)
         # the grading span: W^n_power times any torsion class is zero
         self.n_power = (self.max_gr - self.min_gr) // 2 + 1
-        self._memo: Dict[Tuple[str, int], object] = {}
-
-    def canonical(self, r: int) -> int:
-        """The grading that stands for the slice of r. Slices up to
-        min_gr + 1 hold every generator of their parity, so below
-        low = min_gr - 2 the slice of r and its neighbours r +- 1 equal
-        those of low or low + 1, whichever has r's parity."""
-        low = self.min_gr - 2
-        return r if r >= low else low + (r - low) % 2
-
-    @_per_slice
-    def members(self, r: int) -> List[int]:
-        """The generators with a power in slice r, in order."""
-        return [i for i, (_, g) in enumerate(self.t.basis) if g >= r and (g - r) % 2 == 0]
-
-    @_per_slice
-    def positions(self, r: int) -> List[int]:
-        """Entry i: the position of generator i in slice r, or -1."""
-        return gf2.positions(self.members(r), len(self.t))
-
-    @_per_slice
-    def diff_rows(self, r: int) -> List[int]:
-        return gf2.support_rows(self.t.diff, self.members(r), self.positions(r - 1))
 
     @_per_slice
     def one_plus_iota_rows(self, r: int) -> List[int]:
@@ -295,22 +259,6 @@ class _TowerSlices:
         """Multiplication by W^m from slice r to slice r - 2m."""
         pos = self.positions(r - 2 * m)
         return [1 << pos[i] for i in self.members(r)]
-
-    @_per_slice
-    def cycle_basis(self, r: int) -> List[int]:
-        eqs = gf2.transpose(self.diff_rows(r), len(self.members(r - 1)))
-        return gf2.nullspace(eqs, len(self.members(r)))
-
-    @_per_slice
-    def cocycles(self, r: int) -> List[int]:
-        """Functionals phi_a, zero on the boundaries of slice r, with phi_a(g_b) = delta_ab on
-        a basis g_b of its cycles modulo boundaries: a cycle is a boundary iff all vanish."""
-        span = gf2.RowBasis(self.diff_rows(r + 1))
-        rows = list(span.pivots.values())
-        first = len(rows)
-        rows += [z for z in self.cycle_basis(r) if span.add(z)]
-        return [gf2.solve(rows, [k == a for k in range(len(rows))], len(self.members(r)))
-                for a in range(first, len(rows))]
 
     @_per_slice
     def nontorsion_tests(self, r: int) -> List[int]:

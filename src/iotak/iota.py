@@ -345,7 +345,7 @@ def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Opt
     skew_rows = homotopies.equations
     for key, eq in maps.residue(tgt_ic.iota.entries, src_ic.iota.entries).items():
         skew_rows[key] = skew_rows.get(key, 0) ^ (eq << n)
-    even, tgt_positions = src.slice_homology.index[0][0], tgt.slice_homology.index[0][1]
+    even, tgt_positions = src.slice_homology.members(0), tgt.slice_homology.positions(0)
     on_homology = sum(1 << var for p, i in enumerate(even) if z >> p & 1
                       for j, var in maps.by_source.get(i, ()) if phi >> tgt_positions[j] & 1)
     rows = [*skew_rows.values(), *(eq << n for eq in maps.equations.values()), on_homology << n]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,14 @@ def test_tower_rejects_forced_negative_or_odd_power():
         UTowerComplex([("a", 0), ("b", -3)], {0: {1}})
     with pytest.raises(InvariantError):
         UTowerComplex([("a", 0), ("b", 1)], {}, endo={0: {1}})
+
+
+@pytest.mark.parametrize("entry", [("a", 2.5), ("a", True), (7, "3")])
+def test_tower_rejects_a_basis_entry_it_would_coerce(entry):
+    """A float or bool grading and a non-str name are errors naming the
+    entry, not a grading rounded to an int or a name passed to str."""
+    with pytest.raises(InvariantError, match=re.escape(repr(entry))):
+        UTowerComplex([entry], {})
 
 
 def test_snf_mixed_exponents():
