@@ -1,8 +1,11 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import CORPUS_TORUS, staircase_strategy
 from iotak.complexes import compose, differential_morphism
+from iotak.invariants import a_zero_minus, involutive_invariants
 from iotak.iota import build_phi, build_psi, verify_iota_complex
 from iotak.models import (
     Staircase,
@@ -13,6 +16,9 @@ from iotak.models import (
     unknot_complex,
 )
 from iotak.ring import monomial
+
+# every coprime pair 1 <= p < q <= 16: 79 torus knots, T(1, q) the unknot
+COPRIME_PAIRS = [(p, q) for q in range(2, 17) for p in range(1, q) if gcd(p, q) == 1]
 
 
 def semigroup_exponents(p, q):
@@ -27,9 +33,22 @@ def semigroup_exponents(p, q):
     return [n for n, c in enumerate(coeffs) if c]
 
 
-@pytest.mark.parametrize("p,q", CORPUS_TORUS + [(3, 5), (2, 7), (3, 7)])
+@pytest.mark.parametrize("p,q", COPRIME_PAIRS)
 def test_alexander_exponents_match_semigroup_oracle(p, q):
     assert torus_alexander_exponents(p, q) == semigroup_exponents(p, q)
+
+
+@pytest.mark.parametrize("p,q", COPRIME_PAIRS)
+def test_torus_triple_counts_semigroup_gaps(p, q):
+    """An L-space knot has V0_bar = V0 = V0_under = V, the number of gaps
+    of the semigroup <p, q> at or above the genus g; its mirror has
+    (-V, 0, 0). The gaps come from the set {a p + b q}, not from src."""
+    g = (p - 1) * (q - 1) // 2
+    members = {a * p + b * q for a in range(2 * g + 1) for b in range(2 * g + 1)}
+    v = sum(1 for n in range(g, 2 * g) if n not in members)
+    ic = torus_knot(p, q)
+    assert involutive_invariants(a_zero_minus(ic)).triple() == (v, v, v)
+    assert involutive_invariants(a_zero_minus(mirror(ic))).triple() == (-v, 0, 0)
 
 
 def test_exponent_examples():
