@@ -34,7 +34,8 @@ class UTowerComplex:
     that the gradings force, 2k = gr(y) - gr(x) + 1 for the differential
     and 2k = gr(y) - gr(x) for the endomorphism, and that k must be a
     nonnegative integer. The basis is stored as given: each entry is a
-    (str, int) pair, or InvariantError names it.
+    (str, int) pair, or InvariantError names it, as it names an entry
+    whose source or target index is outside range(len(basis)).
     """
 
     def __init__(self, basis: List[Tuple[str, int]], diff: TowerEntries,
@@ -55,8 +56,13 @@ class UTowerComplex:
             if not isinstance(name, str) or isinstance(g, bool) or not isinstance(g, int):
                 raise InvariantError(f"tower basis entry {(name, g)!r} is not a (str, int) pair")
         gr = [g for _, g in self.basis]
+        indices = set(range(len(gr)))
         for mats, shift in ((self.diff, 1), (self.endo or {}, 0)):
             for i, row in mats.items():
+                if i not in indices or not row <= indices:
+                    j = next(iter(row - indices or row))
+                    raise InvariantError(f"tower entry {i!r} -> {j!r} indexes outside "
+                                         f"a basis of {len(gr)}")
                 for j in row:
                     twice_k = gr[j] - gr[i] + shift
                     if twice_k < 0 or twice_k % 2:

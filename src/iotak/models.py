@@ -16,6 +16,13 @@ from .iota import IotaComplex, dual_iota, identity_complex
 from .ring import ONE, monomial
 
 
+def _require_ints(what: str, values) -> None:
+    """ValueError naming the first value that is not an int (a bool is not)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{what} must be ints, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Staircase:
     """Step data (a_1..a_k, b_1..b_k); palindromic so the reflection
@@ -28,6 +35,7 @@ class Staircase:
         a, b = self.u_steps, self.v_steps
         if len(a) != len(b):
             raise ValueError("u_steps and v_steps must have equal length")
+        _require_ints("steps", a + b)
         if any(s < 1 for s in a + b):
             raise ValueError("steps must be positive")
         k = len(a)
@@ -81,45 +89,23 @@ def staircase_complex(s: Staircase) -> IotaComplex:
 
 def torus_alexander_exponents(p: int, q: int) -> List[int]:
     """Exponents n_0 < n_1 < ... of the Alexander polynomial of T(p,q),
-    normalized so n_0 = 0 and the signs alternate starting with +."""
+    normalized so n_0 = 0 and the signs alternate starting with +.
+
+    Delta = (1 - t) sum_{s in S} t^s for the semigroup S = <p, q>, whose
+    largest gap is 2g - 1 = (p - 1)(q - 1) - 1. So the exponents are 0
+    and the n <= 2g where membership in S flips, and S is sieved on 0..2g:
+    n is in S iff n - p or n - q is.
+    """
+    _require_ints("torus knot parameters", (p, q))
     if p < 1 or q < 1:
         raise ValueError("torus knot parameters must be positive")
     if gcd(p, q) != 1:
         raise ValueError(f"torus knot parameters must be coprime, got ({p}, {q})")
-
-    def poly_mul(f, g):
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-        return out
-
-    def one_minus_t_power(n):
-        out = [0] * (n + 1)
-        out[0], out[n] = 1, -1
-        return out
-
-    num = poly_mul(one_minus_t_power(1), one_minus_t_power(p * q))
-    den = poly_mul(one_minus_t_power(p), one_minus_t_power(q))
-    quot = [0] * (len(num) - len(den) + 1)
-    work = list(num)
-    for i in range(len(quot)):
-        c = work[i]
-        quot[i] = c
-        if c:
-            for j, d in enumerate(den):
-                work[i + j] -= c * d
-    if any(work[len(quot):]):
-        raise ArithmeticError("Alexander polynomial division left a remainder")
-
-    exponents = [i for i, c in enumerate(quot) if c]
-    for pos, e in enumerate(exponents):
-        expected = 1 if pos % 2 == 0 else -1
-        if quot[e] != expected:
-            raise ArithmeticError("Alexander polynomial is not of staircase form")
-    if len(exponents) % 2 == 0:
-        raise ArithmeticError("Alexander polynomial has an even number of terms")
-    return exponents
+    top = (p - 1) * (q - 1)
+    member = [True] + [False] * top
+    for n in range(1, top + 1):
+        member[n] = (n >= p and member[n - p]) or (n >= q and member[n - q])
+    return [0] + [n for n in range(1, top + 1) if member[n] != member[n - 1]]
 
 
 def torus_knot(p: int, q: int) -> IotaComplex:

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -603,6 +604,23 @@ def test_reproduce_table_reports_oracle_failure(capsys, monkeypatch):
     assert script.main() == 3
     err = capsys.readouterr().err
     assert "T(2,3): ORACLE DISAGREEMENT" in err and "m bound 1 too small" in err
+
+
+def test_reproduce_table_stdout_is_deterministic(capsys, monkeypatch):
+    """Two runs print the same table byte for byte; the timing is on stderr."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_table.py"
+    spec = importlib.util.spec_from_file_location("reproduce_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    runs = []
+    for _ in range(2):
+        assert script.main() == 0
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    assert len(runs[0].out.splitlines()) == 1 + len(script.ROWS)
+    assert not re.search(r"\d\.\d+s", runs[0].out)
+    assert re.fullmatch(r"total \d+\.\d\ds\n", runs[0].err)
 
 
 def test_verification_failure_exit_code(tmp_path, capsys):

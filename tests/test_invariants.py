@@ -150,6 +150,22 @@ def test_tower_rejects_a_basis_entry_it_would_coerce(entry):
         UTowerComplex([entry], {})
 
 
+@pytest.mark.parametrize("diff,endo,entry", [
+    ({0: {-1}}, None, "0 -> -1"),
+    ({0: {5}}, None, "0 -> 5"),
+    ({7: {1}}, None, "7 -> 1"),
+    ({}, {0: {-2}}, "0 -> -2"),
+    ({}, {2: {0}}, "2 -> 0"),
+], ids=["d target -1", "d target past the end", "d source past the end",
+        "endo target -2", "endo source past the end"])
+def test_tower_rejects_an_index_outside_its_basis(diff, endo, entry):
+    """A negative index is not read from the end of the basis, and an
+    index past it is an InvariantError naming the entry, not an
+    IndexError."""
+    with pytest.raises(InvariantError, match=f"tower entry {entry} indexes outside a basis of 2"):
+        UTowerComplex([("a", 1), ("b", 0)], diff, endo)
+
+
 def test_snf_mixed_exponents():
     # da = b + c, dd = W(b + c): homology is free on [b] and [d + Wa]
     t = UTowerComplex(

@@ -85,6 +85,21 @@ def test_torus_one_strand_unknot():
         assert len(ic.complex) == 1
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Staircase((2.0,), (2.0,)),
+    lambda: Staircase((1.5,), (1.5,)),
+    lambda: Staircase((True,), (True,)),
+    lambda: torus_knot(True, 3),
+    lambda: torus_knot(2.0, 3),
+    lambda: torus_knot(3, 4.0),
+], ids=["float step", "fractional step", "bool step", "bool p", "float p", "float q"])
+def test_rejects_non_int_inputs(build):
+    """A step, p or q that is not an int (a bool is not) is a ValueError
+    naming it, not a model serialize.load rejects or a bool read as 1."""
+    with pytest.raises(ValueError, match=r"must be ints, got (2\.0|1\.5|True|4\.0)$"):
+        build()
+
+
 def test_rejects_non_palindromic():
     with pytest.raises(ValueError):
         Staircase((1, 2), (1, 2))
