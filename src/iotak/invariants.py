@@ -34,8 +34,8 @@ class UTowerComplex:
     that the gradings force, 2k = gr(y) - gr(x) + 1 for the differential
     and 2k = gr(y) - gr(x) for the endomorphism, and that k must be a
     nonnegative integer. The basis is stored as given: each entry is a
-    (str, int) pair, or InvariantError names it, as it names an entry
-    whose source or target index is outside range(len(basis)).
+    (str, int) pair, or InvariantError names it. So it names a matrix
+    entry whose source or target is outside range(len(basis)).
     """
 
     def __init__(self, basis: List[Tuple[str, int]], diff: TowerEntries,

@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -42,7 +43,7 @@ def test_alexander_exponents_match_semigroup_oracle(p, q):
 def test_torus_triple_counts_semigroup_gaps(p, q):
     """An L-space knot has V0_bar = V0 = V0_under = V, the number of gaps
     of the semigroup <p, q> at or above the genus g; its mirror has
-    (-V, 0, 0). The gaps come from the set {a p + b q}, not from src."""
+    (-V, 0, 0). The gaps come from the set {a p + b q}, not from iotak."""
     g = (p - 1) * (q - 1) // 2
     members = {a * p + b * q for a in range(2 * g + 1) for b in range(2 * g + 1)}
     v = sum(1 for n in range(g, 2 * g) if n not in members)
@@ -85,18 +86,18 @@ def test_torus_one_strand_unknot():
         assert len(ic.complex) == 1
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Staircase((2.0,), (2.0,)),
-    lambda: Staircase((1.5,), (1.5,)),
-    lambda: Staircase((True,), (True,)),
-    lambda: torus_knot(True, 3),
-    lambda: torus_knot(2.0, 3),
-    lambda: torus_knot(3, 4.0),
+@pytest.mark.parametrize("build,value", [
+    (lambda: Staircase((2.0,), (2.0,)), "2.0"),
+    (lambda: Staircase((1.5,), (1.5,)), "1.5"),
+    (lambda: Staircase((True,), (True,)), "True"),
+    (lambda: torus_knot(True, 3), "True"),
+    (lambda: torus_knot(2.0, 3), "2.0"),
+    (lambda: torus_knot(3, 4.0), "4.0"),
 ], ids=["float step", "fractional step", "bool step", "bool p", "float p", "float q"])
-def test_rejects_non_int_inputs(build):
+def test_rejects_non_int_inputs(build, value):
     """A step, p or q that is not an int (a bool is not) is a ValueError
     naming it, not a model serialize.load rejects or a bool read as 1."""
-    with pytest.raises(ValueError, match=r"must be ints, got (2\.0|1\.5|True|4\.0)$"):
+    with pytest.raises(ValueError, match=f"must be ints, got {re.escape(value)}$"):
         build()
 
 
