@@ -288,6 +288,50 @@ def test_slice_translation_isomorphisms(s):
     assert homology_is_r(c).dims == ref_homology_dims(c)
 
 
+def direct_sum(*complexes):
+    """The direct sum, generator names prefixed by the summand's position."""
+    basis, diff = [], {}
+    for k, c in enumerate(complexes):
+        base = len(basis)
+        basis += [BasisElement(f"{k}.{x.name}", x.gr_u, x.gr_v) for x in c.basis]
+        diff.update((base + i, {base + j: p for j, p in row.items()}) for i, row in c.diff.items())
+    return FreeComplex(basis, diff)
+
+
+@st.composite
+def summands_off_the_ring(draw):
+    """A staircase sum (either product variant) beside optional summands
+    that move its homology off the ring: 0-2 isolated generators of random
+    parity, an acyclic pair a -> b with the forced monomial 1, the sum
+    again with d deleted, and T(2,3) with the unfiltered dx1 = U^-1 x0 +
+    V^-1 x2, in a random order."""
+    c = staircase_sum(draw(parts_strategy), draw(st.sampled_from((1, 2)))).complex
+    out = [c]
+    for k, parity in enumerate(draw(st.lists(st.integers(0, 1), max_size=2))):
+        u, v = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        out.append(FreeComplex([BasisElement(f"e{k}", 2 * u + parity, 2 * v + parity)], {}))
+    if draw(st.booleans()):
+        u, v = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        out.append(FreeComplex([BasisElement("a", u, u + 2 * v), BasisElement("b", u - 1, u + 2 * v - 1)],
+                               {0: {1: ONE}}))
+    if draw(st.booleans()):
+        out.append(FreeComplex(c.basis, {}))
+    if draw(st.booleans()):
+        t = torus_knot(2, 3).complex
+        lowered = [BasisElement(x.name, x.gr_u - 4 * (x.name == "x0"), x.gr_v - 4 * (x.name == "x2"))
+                   for x in t.basis]
+        out.append(FreeComplex(lowered, {1: {0: monomial(-1, 0), 2: monomial(0, -1)}}))
+    return direct_sum(*draw(st.permutations(out)))
+
+
+@given(summands_off_the_ring())
+@settings(max_examples=40, deadline=None)
+def test_slice_homology_dims_off_the_ring(c):
+    """The slice dims against the monomial-keyed reference on complexes
+    whose homology is mostly not the ring."""
+    assert homology_is_r(c).dims == ref_homology_dims(c)
+
+
 def test_slice_homology_rejects_wrong_monomial(hand_trefoil):
     """An entry U^3 where U is forced, UV^2 where V is, or UV where 1 is,
     reaches a target of the right parity, so only the homogeneity check
