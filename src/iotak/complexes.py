@@ -270,6 +270,12 @@ class CheckReport:
     def first_failure(self) -> Union[int, str, None]:
         return next((name for name, ok in self.checks if not ok), None)
 
+    def require(self, what: str) -> None:
+        """ValueError "<what> fails axiom (k): <offenders>" unless every check passed."""
+        if not self.passed:
+            raise ValueError(f"{what} fails axiom ({self.first_failure}): "
+                             + "; ".join(self.offenders))
+
 
 def verify_complex(c: FreeComplex) -> CheckReport:
     """Axioms (1) d^2 = 0, (2) d filtered and (3) gradings and d
@@ -506,6 +512,51 @@ class Slices:
         return [gf2.solve(rows, [k == a for k in range(len(rows))], len(self.members(r)))
                 for a in range(first, len(rows))]
 
+    def snf(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+        """Graded Smith normal form by F2 column reduction with clearing, for
+        d^2 = 0: the free summands' gradings and the towers F2[W]/W^k as (grading, k).
+
+        Generators sort by (-grading, index), and position p is bit p of an
+        int column, so a column's top bit, its low, is its entry of least
+        power of W. The change x_b += W^m x_a is allowed exactly when
+        g_a >= g_b with equal parity, so columns of one source parity,
+        reduced in that order, only take on earlier columns: XOR with the
+        pivot column of the same low until the column is zero or has a new
+        low y, which pairs with the source x and splits off F2[W]/W^k at
+        gr(y), 2k = gr(y) - gr(x) + 1, when k > 0. Odd sources go first.
+        Clearing: a reduced odd column with low y is W^k (y + earlier
+        terms), and y -> y + earlier terms is an allowed change whose image
+        is a cycle, so y's own column would reduce to zero and is skipped.
+        Unpaired generators are the free summands. The decomposition is an
+        isomorphism invariant, so the pivot order cannot change it.
+        """
+        g, diff = self.gradings, self.diff
+        order = sorted(range(len(g)), key=lambda i: (-g[i], i))
+        pos = [0] * len(g)
+        for p, i in enumerate(order):
+            pos[i] = p
+        pivots: Dict[int, int] = {}  # low -> reduced column
+        paired = bytearray(len(g))
+        torsion: List[Tuple[int, int]] = []
+        for x in sorted(order, key=lambda i: g[i] % 2 == 0):  # odd sources first
+            if paired[x] or x not in diff:
+                continue
+            col = 0
+            for y in diff[x]:
+                col |= 1 << pos[y]
+            low = col.bit_length() - 1
+            while low in pivots:
+                col ^= pivots[low]
+                low = col.bit_length() - 1
+            if col:
+                pivots[low] = col
+                y = order[low]
+                paired[x] = paired[y] = 1
+                k = (g[y] - g[x] + 1) // 2
+                if k:
+                    torsion.append((g[y], k))
+        return tuple(sorted(g[i] for i in range(len(g)) if not paired[i])), tuple(sorted(torsion))
+
 
 # support rows see only the parity of a target, not its monomial
 _NOT_HOMOGENEOUS = "slice homology needs homogeneous maps and differentials"
@@ -518,8 +569,8 @@ class SliceHomologyReport(Slices):
 
     def __init__(self, c: FreeComplex):
         super().__init__([2 - x.gr_u % 2 for x in c.basis], c.diff)
-        ranks = gf2.rank(self.diff_rows(0)) + self.boundaries(0).rank
-        self.dims = (len(self.members(0)) - ranks, len(self.members(1)) - ranks)
+        free, _ = self.snf()
+        self.dims = (free.count(2), free.count(1))
         self.holds = self.dims == (1, 0)
 
     @functools.cached_property
@@ -550,10 +601,12 @@ def homology_is_r(c: FreeComplex) -> SliceHomologyReport:
     U and V are invertible, so the slice at gr_u = g has one vector
     U^i V^j x per generator x with gr_u(x) = g mod 2, and a homogeneous
     map's slice matrix is the support of its matrix: these are slices 0
-    and 1 of Slices with grading 2 for gr_u even and 1 for gr_u odd,
-    each the other's neighbour. Homology R with generator in even
-    bigrading is exactly slice dims (1, 0), each dim the slice's size
-    less the ranks of d from even to odd and from odd to even.
+    and 1 of the Slices with grading 2 for gr_u even and 1 for gr_u odd.
+    d flips the parity of gr_u, so these gradings force each entry to
+    W^0 (even to odd) or W^1 (odd to even), filtered or not. Holding all
+    generators of their parity, the slices see the complex with W
+    inverted, where torsion dies: the dims count the free gradings 2 and
+    1 of Slices.snf. Homology R, generator even, is exactly dims (1, 0).
     """
     if c.inhomogeneous:
         raise ValueError(_NOT_HOMOGENEOUS)

@@ -35,7 +35,7 @@ class UTowerComplex:
     and 2k = gr(y) - gr(x) for the endomorphism, and that k must be a
     nonnegative integer. The basis is stored as given: each entry is a
     (str, int) pair, or InvariantError names it. So it names a matrix
-    entry whose source or target is outside range(len(basis)).
+    entry whose source or target is not an int in range(len(basis)).
     """
 
     def __init__(self, basis: List[Tuple[str, int]], diff: TowerEntries,
@@ -53,7 +53,7 @@ class UTowerComplex:
 
     def _validate(self) -> None:
         for name, g in self.basis:
-            if not isinstance(name, str) or isinstance(g, bool) or not isinstance(g, int):
+            if not isinstance(name, str) or type(g) is not int:
                 raise InvariantError(f"tower basis entry {(name, g)!r} is not a (str, int) pair")
         gr = [g for _, g in self.basis]
         indices = set(range(len(gr)))
@@ -64,6 +64,8 @@ class UTowerComplex:
                     raise InvariantError(f"tower entry {i!r} -> {j!r} indexes outside "
                                          f"a basis of {len(gr)}")
                 for j in row:
+                    if type(i) is not int or type(j) is not int:  # 1.0 and True pass the sets
+                        raise InvariantError(f"tower entry {i!r} -> {j!r} has a non-int index")
                     twice_k = gr[j] - gr[i] + shift
                     if twice_k < 0 or twice_k % 2:
                         raise InvariantError(f"tower entry {self.basis[i][0]} -> "
@@ -95,11 +97,7 @@ def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
     UTowerComplex._validate checks that each k is an integer >= 0.
     """
     if verify:
-        report = verify_iota_complex(ic, check_involution=False)
-        if not report.passed:
-            raise ValueError(
-                f"a_zero_minus input fails axiom ({report.first_failure}): "
-                + "; ".join(report.offenders))
+        verify_iota_complex(ic, check_involution=False).require("a_zero_minus input")
     cx = ic.complex
     if cx.inhomogeneous or ic.iota.inhomogeneous:
         raise InvariantError("entry does not restrict to the tower subcomplex")
@@ -117,50 +115,8 @@ class HomologyDecomp:
 
 
 def homology_snf(t: UTowerComplex) -> HomologyDecomp:
-    """Graded Smith normal form by F2 column reduction with clearing.
-
-    Generators sort by (-grading, index), and position p is bit p of an
-    int column, so a column's low bit is its entry of least power of W.
-    The change x_b += W^m x_a is allowed exactly when g_a >= g_b with
-    equal parity, so columns of one source parity, reduced in that
-    order, only take on earlier columns: XOR with the pivot column of
-    the same low until the column is zero or has a new low y, which
-    pairs with the source x and splits off F2[W]/W^k at gr(y),
-    2k = gr(y) - gr(x) + 1, when k > 0. Odd sources go first. Clearing:
-    a reduced odd column with low y is W^k (y + earlier terms), and
-    y -> y + earlier terms is an allowed change whose image is a cycle,
-    so y's own column would reduce to zero and is skipped. Unpaired
-    generators are the free summands. The decomposition is an
-    isomorphism invariant, so the pivot order cannot change it.
-    """
-    g = [gr for _, gr in t.basis]
-    order = sorted(range(len(t)), key=lambda i: (-g[i], i))
-    pos = [0] * len(t)
-    for p, i in enumerate(order):
-        pos[i] = p
-    pivots: Dict[int, int] = {}  # low -> reduced column
-    paired = bytearray(len(t))
-    torsion: List[Tuple[int, int]] = []
-    for parity in (1, 0):
-        for x in order:
-            if g[x] % 2 != parity or paired[x] or x not in t.diff:
-                continue
-            col = 0
-            for y in t.diff[x]:
-                col |= 1 << pos[y]
-            low = col.bit_length() - 1
-            while low in pivots:
-                col ^= pivots[low]
-                low = col.bit_length() - 1
-            if col:
-                pivots[low] = col
-                y = order[low]
-                paired[x] = paired[y] = 1
-                k = (g[y] - g[x] + 1) // 2
-                if k:
-                    torsion.append((g[y], k))
-    free = tuple(sorted(g[i] for i in range(len(t)) if not paired[i]))
-    return HomologyDecomp(free, tuple(sorted(torsion)))
+    """Graded Smith normal form of the tower, by complexes.Slices.snf."""
+    return HomologyDecomp(*Slices([g for _, g in t.basis], t.diff).snf())
 
 
 def involutive_cone(t: UTowerComplex) -> UTowerComplex:

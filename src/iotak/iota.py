@@ -176,11 +176,7 @@ def product(ic1: IotaComplex, ic2: IotaComplex, variant: int = 1,
     homogeneous, every term is, and the product's is recorded so."""
     if verify:
         for k, ic in ((1, ic1), (2, ic2)):
-            report = verify_iota_complex(ic)
-            if not report.passed:
-                raise ValueError(
-                    f"product input {k} fails axiom ({report.first_failure}): "
-                    + "; ".join(report.offenders))
+            verify_iota_complex(ic).require(f"product input {k}")
     prod = tensor(ic1.complex, ic2.complex)
     (f1, g1), (f2, g2) = _product_terms(ic1.complex, ic1.iota, ic2.complex, ic2.iota, variant)
     iota = tensor_morphism(f1, g1, prod, prod) + tensor_morphism(f2, g2, prod, prod)

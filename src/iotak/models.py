@@ -17,9 +17,9 @@ from .ring import ONE, monomial
 
 
 def _require_ints(what: str, values) -> None:
-    """ValueError naming the first value that is not an int (a bool is not)."""
+    """ValueError naming the first value whose type is not int (a bool's is not)."""
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
+        if type(v) is not int:
             raise ValueError(f"{what} must be ints, got {v!r}")
 
 

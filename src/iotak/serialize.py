@@ -73,10 +73,6 @@ def dumps(doc: Dict) -> str:
             f'  "differential": {_array(maps[0], "  ")},\n  "iota": {_array(maps[1], "  ")}\n}}\n')
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _list_field(doc: Dict, key: str) -> List:
     if not isinstance(doc[key], list):
         raise ParseError(f"field {key!r} must be a list")
@@ -98,10 +94,8 @@ def _parse_entries(items: List, index, what: str) -> Entries:
             if not (isinstance(m, list) and len(m) == 2):
                 break
             a, b = m
-            if type(a) is not int or type(b) is not int:  # a plain int passes _is_int
-                if not (_is_int(a) and _is_int(b)):
-                    break
-                a, b = int(a), int(b)
+            if type(a) is not int or type(b) is not int:
+                break
             terms.append((a, b))
         if not terms or len(terms) != len(mono):
             raise ParseError(f"bad monomial list in {what} entry {item['from']} -> {item['to']}")
@@ -134,7 +128,7 @@ def iota_complex_from_dict(doc: Dict) -> tuple[str, IotaComplex]:
             gen_name, gr_u, gr_v = g["name"], g["gr_u"], g["gr_v"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad generator: {g!r}") from exc
-        if not (isinstance(gen_name, str) and _is_int(gr_u) and _is_int(gr_v)):
+        if not (isinstance(gen_name, str) and type(gr_u) is int and type(gr_v) is int):
             raise ParseError(f"bad generator: {g!r}")
         basis.append(BasisElement(gen_name, gr_u, gr_v))
     names = [b.name for b in basis]

@@ -21,6 +21,10 @@ staircase_strategy = st.lists(
 parts_strategy = st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=1, max_size=2)
 
 
+class IntSubclass(int):
+    """An int subclass other than bool: iotak takes only type int as an int."""
+
+
 def normal_form(basis, vec):
     """The one vector of vec + span(basis) with no pivot column set.
 

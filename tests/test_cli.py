@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import staircase_strategy
+from conftest import IntSubclass, staircase_strategy
 from iotak import cli, serialize
 from iotak.complexes import EQUIVARIANT, Morphism
 from iotak.invariants import InvariantError
@@ -324,6 +324,19 @@ def test_strict_parser_rejects(tmp_path, capsys, case):
     code, out, err = run(capsys, "check", str(path))
     assert code == 2
     assert err.startswith(f"parse error: {kind}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc["generators"][0].update(gr_u=IntSubclass(doc["generators"][0]["gr_u"])),
+    lambda doc: doc["differential"][0].update(mono=[[IntSubclass(1), 0]]),
+], ids=["grading", "exponent"])
+def test_parser_rejects_an_int_subclass(mutate):
+    """json.load never makes an int subclass, but a caller's dict can: a
+    ParseError, not a value coerced through int()."""
+    doc = serialize.iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
+    mutate(doc)
+    with pytest.raises(serialize.ParseError, match="^bad (generator|monomial list)"):
+        serialize.iota_complex_from_dict(doc)
 
 
 def test_usage_errors(tmp_path, capsys):

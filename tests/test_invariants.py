@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CORPUS_TORUS,
+    IntSubclass,
     T23_D_SQUARED_NONZERO,
     normal_form,
     palindromic_staircase,
@@ -164,6 +165,27 @@ def test_tower_rejects_an_index_outside_its_basis(diff, endo, entry):
     IndexError."""
     with pytest.raises(InvariantError, match=f"tower entry {entry} indexes outside a basis of 2"):
         UTowerComplex([("a", 1), ("b", 0)], diff, endo)
+
+
+@pytest.mark.parametrize("diff,endo,entry", [
+    ({0: {1.0}}, None, "0 -> 1.0"),
+    ({0: {True}}, None, "0 -> True"),
+    ({False: {1}}, None, "False -> 1"),
+    ({}, {0: {IntSubclass(1)}}, "0 -> 1"),
+    ({}, {True: {0}}, "True -> 0"),
+    ({}, {0: {0.0}}, "0 -> 0.0"),
+], ids=["d target float", "d target bool", "d source bool",
+        "endo target int subclass", "endo source bool", "endo target float"])
+def test_tower_rejects_an_index_that_is_not_an_int(diff, endo, entry):
+    """An index equal to an int in range is still an InvariantError naming
+    the entry: not a bare TypeError, and not True read as 1."""
+    with pytest.raises(InvariantError, match=f"tower entry {entry} has a non-int index"):
+        UTowerComplex([("a", 1), ("b", 0)], diff, endo)
+
+
+def test_tower_rejects_an_int_subclass_grading():
+    with pytest.raises(InvariantError, match=re.escape("('a', 1) is not a (str, int) pair")):
+        UTowerComplex([("a", IntSubclass(1))], {})
 
 
 def test_snf_mixed_exponents():

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 
-from conftest import CORPUS_TORUS, staircase_strategy
+from conftest import CORPUS_TORUS, IntSubclass, staircase_strategy
 from iotak.complexes import compose, differential_morphism
 from iotak.invariants import a_zero_minus, involutive_invariants
 from iotak.iota import build_phi, build_psi, verify_iota_complex
@@ -99,6 +99,13 @@ def test_rejects_non_int_inputs(build, value):
     naming it, not a model serialize.load rejects or a bool read as 1."""
     with pytest.raises(ValueError, match=f"must be ints, got {re.escape(value)}$"):
         build()
+
+
+def test_rejects_int_subclass_inputs():
+    """Only type int is an int: a subclass is rejected, not read through int()."""
+    for build in (lambda: Staircase((IntSubclass(2),), (2,)), lambda: torus_knot(IntSubclass(3), 4)):
+        with pytest.raises(ValueError, match="must be ints, got [23]$"):
+            build()
 
 
 def test_rejects_non_palindromic():
