@@ -119,6 +119,60 @@ def homology_snf(t: UTowerComplex) -> HomologyDecomp:
     return HomologyDecomp(*Slices([g for _, g in t.basis], t.diff).snf())
 
 
+def reduce_tower(t: UTowerComplex) -> UTowerComplex:
+    """Cancel every W^0 entry x -> y of d, carrying the endomorphism along.
+
+    Gaussian elimination: C splits as C' + (x -> y) with the inclusion
+    sigma, b -> b + W^k x for the W^k with y in d(b), and the projection
+    pi, y -> d(x) - y and x -> 0. So d(b) and endo(b) each gain d(x) and
+    endo(x) (sigma), every endo row holding y gains d(x) (pi), and x and
+    y leave every row. The reduced endomorphism is pi endo sigma.
+    The gradings force every power, so a symmetric difference of supports
+    is the exact F2[W] sum. x runs lowest grading first, and y is the
+    W^0 target with the fewest entries of d into it, which keeps the
+    fill-in small. A row that sigma changes gains W^0 entries only if it
+    had one, so a row that kept none keeps none, and one pass leaves d
+    with no W^0 entry: the result is minimal.
+    """
+    gr = [g for _, g in t.basis]
+    mats = [{i: set(row) for i, row in m.items()} for m in (t.diff, t.endo or {})]
+    into: List[Dict[int, Set[int]]] = [{}, {}]  # target -> the rows holding it
+    for m, inv in zip(mats, into):
+        for i, row in m.items():
+            for j in row:
+                inv.setdefault(j, set()).add(i)
+
+    def add(k: int, b: int, delta: Set[int]) -> None:
+        row = mats[k].setdefault(b, set())
+        row ^= delta
+        for z in delta:
+            (into[k].setdefault(z, set()).add if z in row else into[k][z].discard)(b)
+
+    d, endo = mats
+    gone: Set[int] = set()
+    for x in sorted(range(len(gr)), key=gr.__getitem__):
+        units = [y for y in d.get(x, ()) if gr[y] == gr[x] - 1]
+        if not units:
+            continue
+        y = min(units, key=lambda y: (len(into[0][y]), y))
+        for b in [b for b in into[0][y] if b != x]:
+            add(0, b, d[x])
+            add(1, b, endo.get(x, set()))
+        for b in list(into[1].get(y, ())):
+            add(1, b, d[x])
+        for v in (x, y):
+            for m, inv in zip(mats, into):
+                for b in inv.pop(v, ()):
+                    m[b].discard(v)
+                for z in m.pop(v, ()):
+                    inv[z].discard(v)
+        gone |= {x, y}
+    keep = [i for i in range(len(gr)) if i not in gone]
+    new = {i: n for n, i in enumerate(keep)}
+    d, endo = ({new[i]: {new[j] for j in m[i]} for i in keep if m.get(i)} for m in mats)
+    return UTowerComplex([t.basis[i] for i in keep], d, None if t.endo is None else endo)
+
+
 def involutive_cone(t: UTowerComplex) -> UTowerComplex:
     """Mapping cone of (1 + iota) into a fresh copy, domain grading
     shifted up by one."""

@@ -28,6 +28,7 @@ from iotak.invariants import (
     involutive_invariants,
     lemma_criteria_oracle,
     obstruction_pattern,
+    reduce_tower,
 )
 from iotak.iota import dual_iota, identity_complex, product
 from iotak.models import mirror, staircase_complex, torus_knot
@@ -370,6 +371,48 @@ def test_cone_rank_doubles_and_is_complex():
     t = tower(product(torus_knot(3, 4), torus_knot(3, 4), verify=False))
     cone = involutive_cone(t)
     assert len(cone) == 2 * len(t)  # construction validates d^2 = 0
+
+
+def check_reduction(t):
+    """reduce_tower is a homotopy equivalence that conjugates iota: the
+    homology, the cone's homology, the triple and the oracle's pair are
+    unchanged, and the result is minimal, with no W^0 entry in d."""
+    r = reduce_tower(t)
+    decomp = homology_snf(t)
+    assert homology_snf(r) == decomp
+    assert homology_snf(involutive_cone(r)) == homology_snf(involutive_cone(t))
+    rep = involutive_invariants(t)
+    assert involutive_invariants(r) == rep
+    assert lemma_criteria_oracle(r) == lemma_criteria_oracle(t) == (rep.d_bar, rep.d_under)
+    assert all(r.grading(j) != r.grading(i) - 1 for i, row in r.diff.items() for j in row)
+    assert len(r) == len(decomp.free) + 2 * len(decomp.torsion)
+
+
+@given(parts_strategy, st.sampled_from([1, 2]))
+@settings(max_examples=30, deadline=None)
+def test_reduction_keeps_homology_and_invariants(parts, variant):
+    check_reduction(tower(staircase_sum(parts, variant)))
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+@pytest.mark.parametrize("flips", [(True,) * 3, (True, False, False)], ids=["mirrored", "mixed"])
+def test_reduction_keeps_invariants_of_torus_sums(p, flips):
+    """(T(p,p+1)^-1)^#3 and T(p,p+1)^-1 # T(p,p+1)^#2, up to 2 197 generators."""
+    k = torus_knot(p, p + 1)
+    a, b, c = (mirror(k) if flip else k for flip in flips)
+    check_reduction(tower(product(product(a, b, verify=False), c, verify=False)))
+
+
+def test_reduction_of_the_trefoil(hand_trefoil):
+    """In the tower db = a + c, all W^0. Cancelling b -> a (a and c tie on
+    incoming entries, and a comes first) sends a to d(b) - a = c, so
+    iota's c -> a becomes c -> c. T(2,3) # T(2,3) keeps one free summand
+    and one W-torsion pair."""
+    r = reduce_tower(tower(hand_trefoil))
+    assert (r.basis, r.diff, r.endo) == ((("c", -2),), {}, {0: {0}})
+    r = reduce_tower(tower(product(hand_trefoil, hand_trefoil, verify=False)))
+    assert len(r) == 3
+    assert homology_snf(r) == HomologyDecomp((-2,), ((-2, 1),))
 
 
 def test_invariants_unknot():
