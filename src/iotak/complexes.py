@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import gf2
-from .ring import ONE, LaurentPoly, Monomial, monomial
+from .ring import ONE, LaurentPoly, Monomial, monomial, require_ints
 
 EQUIVARIANT = "equivariant"
 SKEW = "skew"
@@ -107,7 +107,9 @@ class Morphism:
         self.target = target
         self.entries = entries
         self.variance = variance
-        self.bidegree = (int(bidegree[0]), int(bidegree[1]))
+        a, b = bidegree
+        require_ints("bidegree", (a, b))
+        self.bidegree = (a, b)
 
     @functools.cached_property
     def inhomogeneous(self) -> Tuple[Tuple[int, int], ...]:

@@ -13,14 +13,7 @@ from typing import List, Tuple
 
 from .complexes import SKEW, BasisElement, FreeComplex, Morphism
 from .iota import IotaComplex, dual_iota, identity_complex
-from .ring import ONE, monomial
-
-
-def _require_ints(what: str, values) -> None:
-    """ValueError naming the first value whose type is not int (a bool's is not)."""
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{what} must be ints, got {v!r}")
+from .ring import ONE, monomial, require_ints
 
 
 @dataclass(frozen=True)
@@ -35,7 +28,7 @@ class Staircase:
         a, b = self.u_steps, self.v_steps
         if len(a) != len(b):
             raise ValueError("u_steps and v_steps must have equal length")
-        _require_ints("steps", a + b)
+        require_ints("steps", a + b)
         if any(s < 1 for s in a + b):
             raise ValueError("steps must be positive")
         k = len(a)
@@ -96,7 +89,7 @@ def torus_alexander_exponents(p: int, q: int) -> List[int]:
     and the n <= 2g where membership in S flips, and S is sieved on 0..2g:
     n is in S iff n - p or n - q is.
     """
-    _require_ints("torus knot parameters", (p, q))
+    require_ints("torus knot parameters", (p, q))
     if p < 1 or q < 1:
         raise ValueError("torus knot parameters must be positive")
     if gcd(p, q) != 1:

@@ -6,7 +6,9 @@ the F2 coefficient of a monomial is encoded by its presence in the set.
 Canonical form: `terms` is a tuple of distinct (int, int) pairs sorted
 lexicographically, so structural equality is semantic equality and
 serialized forms are canonical. The constructor establishes this form
-from any iterable of pairs (reducing mod 2 and coercing to int).
+from any iterable of pairs, reducing mod 2; an exponent whose type is
+not int (a float, a bool, an int subclass) is a ValueError, as it is
+for `monomial`.
 Operations whose result is canonical by construction skip it and wrap
 the tuple directly:
 
@@ -30,6 +32,13 @@ from typing import Iterable, Tuple
 Monomial = Tuple[int, int]
 
 
+def require_ints(what: str, values) -> None:
+    """ValueError naming the first value whose type is not int (a bool's is not)."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be ints, got {v!r}")
+
+
 class LaurentPoly:
     """An element of F2[U, V, U^-1, V^-1] in canonical form."""
 
@@ -40,7 +49,9 @@ class LaurentPoly:
         seen: set[Monomial] = set()
         for t in terms:
             i, j = t
-            m = (int(i), int(j))
+            if type(i) is not int or type(j) is not int:
+                require_ints("exponents", t)
+            m = (i, j)
             if m in seen:
                 seen.remove(m)
             else:
@@ -120,4 +131,6 @@ ONE = LaurentPoly([(0, 0)])
 
 
 def monomial(i: int, j: int) -> LaurentPoly:
-    return _canonical(((int(i), int(j)),))
+    if type(i) is not int or type(j) is not int:
+        require_ints("exponents", (i, j))
+    return _canonical(((i, j),))

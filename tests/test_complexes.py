@@ -1,11 +1,12 @@
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import parts_strategy, staircase_strategy, staircase_sum
+from conftest import IntSubclass, parts_strategy, staircase_strategy, staircase_sum
 from iotak import gf2, serialize
 from iotak.complexes import (
     EQUIVARIANT,
@@ -805,3 +806,12 @@ def test_guards_name_what_they_reject(hand_trefoil, build, message):
     with pytest.raises(ValueError) as err:
         build(hand_trefoil.complex)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [0.5, True, IntSubclass(1)], ids=["float", "bool", "int subclass"])
+def test_morphism_rejects_a_bidegree_that_is_not_an_int(bad):
+    """Only type int is an int: a bidegree (0.5, True) is an error, not (0, 1)."""
+    c = torus_knot(2, 3).complex
+    for bidegree in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError, match=re.escape(f"bidegree must be ints, got {bad!r}")):
+            Morphism(c, c, {}, EQUIVARIANT, bidegree)

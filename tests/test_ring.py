@@ -1,6 +1,10 @@
+import re
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import IntSubclass
 from iotak.ring import ONE, ZERO, LaurentPoly, monomial
 
 U, V, UHAT = monomial(1, 0), monomial(0, 1), monomial(1, 1)
@@ -130,3 +134,23 @@ def test_sums_with_zero_leave_operands_alone(p):
     assert ZERO + p == p == p + ZERO
     assert p.terms is terms and ZERO.terms == ()
 
+
+
+NOT_INTS = pytest.mark.parametrize("bad", [1.7, True, IntSubclass(2)],
+                                   ids=["float", "bool", "int subclass"])
+
+
+@NOT_INTS
+def test_monomial_rejects_an_exponent_that_is_not_an_int(bad):
+    """Only type int is an int: monomial(1.7, 0) is an error, not U."""
+    for args in ((bad, 0), (0, bad)):
+        with pytest.raises(ValueError, match=re.escape(f"exponents must be ints, got {bad!r}")):
+            monomial(*args)
+
+
+@NOT_INTS
+def test_laurent_poly_rejects_an_exponent_that_is_not_an_int(bad):
+    """LaurentPoly([(True, 2.9)]) is an error, not U V^2."""
+    for terms in ([(bad, 2)], [(0, 0), (1, bad)]):
+        with pytest.raises(ValueError, match=re.escape(f"exponents must be ints, got {bad!r}")):
+            LaurentPoly(terms)
