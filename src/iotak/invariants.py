@@ -136,41 +136,44 @@ def reduce_tower(t: UTowerComplex) -> UTowerComplex:
     with no W^0 entry: the result is minimal.
     """
     gr = [g for _, g in t.basis]
-    mats = [{i: set(row) for i, row in m.items()} for m in (t.diff, t.endo or {})]
-    into: List[Dict[int, Set[int]]] = [{}, {}]  # target -> the rows holding it
+    n = len(gr)
+    mats = [{i: set(m.get(i, ())) for i in range(n)} for m in (t.diff, t.endo or {})]
+    into = [{j: set() for j in range(n)} for _ in mats]  # target -> the rows holding it
     for m, inv in zip(mats, into):
         for i, row in m.items():
             for j in row:
-                inv.setdefault(j, set()).add(i)
+                inv[j].add(i)
 
-    def add(k: int, b: int, delta: Set[int]) -> None:
-        row = mats[k].setdefault(b, set())
-        row ^= delta
+    def add(m: TowerEntries, inv: TowerEntries, b: int, delta: Set[int]) -> None:
+        row = m[b]
         for z in delta:
-            (into[k].setdefault(z, set()).add if z in row else into[k][z].discard)(b)
+            if z in row:
+                row.remove(z)
+                inv[z].remove(b)
+            else:
+                row.add(z)
+                inv[z].add(b)
 
-    d, endo = mats
-    gone: Set[int] = set()
-    for x in sorted(range(len(gr)), key=gr.__getitem__):
+    (d, endo), (d_into, endo_into) = mats, into
+    for x in sorted(range(n), key=gr.__getitem__):
         units = [y for y in d.get(x, ()) if gr[y] == gr[x] - 1]
         if not units:
             continue
-        y = min(units, key=lambda y: (len(into[0][y]), y))
-        for b in [b for b in into[0][y] if b != x]:
-            add(0, b, d[x])
-            add(1, b, endo.get(x, set()))
-        for b in list(into[1].get(y, ())):
-            add(1, b, d[x])
+        y = min(units, key=lambda y: (len(d_into[y]), y))
+        for b in [b for b in d_into[y] if b != x]:
+            add(d, d_into, b, d[x])
+            add(endo, endo_into, b, endo[x])
+        for b in list(endo_into[y]):
+            add(endo, endo_into, b, d[x])
         for v in (x, y):
             for m, inv in zip(mats, into):
-                for b in inv.pop(v, ()):
+                for b in inv.pop(v):
                     m[b].discard(v)
-                for z in m.pop(v, ()):
+                for z in m.pop(v):
                     inv[z].discard(v)
-        gone |= {x, y}
-    keep = [i for i in range(len(gr)) if i not in gone]
-    new = {i: n for n, i in enumerate(keep)}
-    d, endo = ({new[i]: {new[j] for j in m[i]} for i in keep if m.get(i)} for m in mats)
+    keep = sorted(d)
+    new = {i: k for k, i in enumerate(keep)}
+    d, endo = ({new[i]: {new[j] for j in m[i]} for i in keep if m[i]} for m in mats)
     return UTowerComplex([t.basis[i] for i in keep], d, None if t.endo is None else endo)
 
 
