@@ -121,19 +121,13 @@ def homology_snf(t: UTowerComplex) -> HomologyDecomp:
 
 
 def reduce_tower(t: UTowerComplex) -> UTowerComplex:
-    """Cancel every W^0 entry x -> y of d, carrying the endomorphism along.
-
-    Gaussian elimination: C splits as C' + (x -> y) with the inclusion
-    sigma, b -> b + W^k x for the W^k with y in d(b), and the projection
-    pi, y -> d(x) - y and x -> 0. So d(b) and endo(b) each gain d(x) and
-    endo(x) (sigma), every endo row holding y gains d(x) (pi), and x and
-    y leave every row. The reduced endomorphism is pi endo sigma.
-    The gradings force every power, so a symmetric difference of supports
-    is the exact F2[W] sum. x runs lowest grading first, and y is the
-    W^0 target with the fewest entries of d into it, which keeps the
-    fill-in small. A row that sigma changes gains W^0 entries only if it
-    had one, so a row that kept none keeps none, and one pass leaves d
-    with no W^0 entry: the result is minimal.
+    """Cancel every W^0 entry x -> y of d, carrying the endomorphism along
+    as pi endo sigma (see involutive_invariants): each row b with y in d(b)
+    gains d(x) in d and endo(x) in endo (sigma), each endo row holding y
+    gains d(x) (pi), and x and y leave every row. The gradings force every
+    power, so a symmetric difference of supports is the exact F2[W] sum.
+    sigma gives a row a new W^0 entry only if it had one, so one pass, in
+    any order, leaves d with no W^0 entry: the result is minimal.
     """
     gr = [g for _, g in t.basis]
     n = len(gr)
