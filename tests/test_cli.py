@@ -5,17 +5,18 @@ import json
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IntSubclass, staircase_strategy
+from conftest import IntSubclass, parts_strategy, staircase_strategy, staircase_sum
 from iotak import cli, serialize
-from iotak.complexes import EQUIVARIANT, Morphism
+from iotak.complexes import EQUIVARIANT, SKEW, BasisElement, FreeComplex, Morphism
 from iotak.invariants import InvariantError
-from iotak.iota import product, verify_local_equivalence
+from iotak.iota import IotaComplex, product, verify_local_equivalence
 from iotak.models import staircase_complex, torus_knot
 
 
@@ -40,6 +41,66 @@ def test_round_trip_byte_identical(tmp_path, capsys):
     first = path.read_bytes()
     name, ic = serialize.load(str(path))
     assert serialize.dumps(serialize.iota_complex_to_dict(name, ic)).encode() == first
+
+
+T23_FILE = (
+    '{\n  "name": "T(2,3)",\n  "generators": [\n'
+    '    {\n      "name": "x0",\n      "gr_u": 0,\n      "gr_v": -2\n    },\n'
+    '    {\n      "name": "x1",\n      "gr_u": -1,\n      "gr_v": -1\n    },\n'
+    '    {\n      "name": "x2",\n      "gr_u": -2,\n      "gr_v": 0\n    }\n  ],\n'
+    '  "differential": [\n'
+    '    {\n      "from": "x1",\n      "to": "x0",\n      "mono": [\n'
+    '        [\n          1,\n          0\n        ]\n      ]\n    },\n'
+    '    {\n      "from": "x1",\n      "to": "x2",\n      "mono": [\n'
+    '        [\n          0,\n          1\n        ]\n      ]\n    }\n  ],\n'
+    '  "iota": [\n'
+    '    {\n      "from": "x0",\n      "to": "x2",\n      "mono": [\n'
+    '        [\n          0,\n          0\n        ]\n      ]\n    },\n'
+    '    {\n      "from": "x1",\n      "to": "x1",\n      "mono": [\n'
+    '        [\n          0,\n          0\n        ]\n      ]\n    },\n'
+    '    {\n      "from": "x2",\n      "to": "x0",\n      "mono": [\n'
+    '        [\n          0,\n          0\n        ]\n      ]\n    }\n  ]\n}\n'
+).encode()
+
+
+def test_torus_file_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "t23.json"
+    assert run(capsys, "torus", "2", "3", "-o", str(path)) == (0, "", "")
+    assert path.read_bytes() == T23_FILE
+
+
+def _assert_round_trip(path, name, ic):
+    """save, load and save again: the same complex and the same bytes."""
+    serialize.save(path, name, ic)
+    first = Path(path).read_bytes()
+    name2, ic2 = serialize.load(path)
+    assert name2 == name
+    assert ic2.complex.basis == ic.complex.basis
+    assert ic2.complex.diff == ic.complex.diff
+    assert ic2.iota.entries == ic.iota.entries
+    serialize.save(path, name2, ic2)
+    assert Path(path).read_bytes() == first
+
+
+@settings(max_examples=25, deadline=None)
+@given(parts_strategy, st.sampled_from([1, 2]))
+def test_save_load_round_trips_sums(parts, variant):
+    with tempfile.TemporaryDirectory() as d:
+        _assert_round_trip(os.path.join(d, "s.json"), "K", staircase_sum(parts, variant))
+
+
+def test_escaped_generator_names_round_trip(tmp_path):
+    """Names with a quote, a backslash and non-ASCII characters are
+    written as JSON escapes and read back unchanged."""
+    t = torus_knot(2, 3)
+    names = ('q"0', "b\\1", "\u00e9\u2603\U0001d54c")
+    basis = [BasisElement(n, b.gr_u, b.gr_v) for n, b in zip(names, t.complex.basis)]
+    cx = FreeComplex(basis, t.complex.diff)
+    ic = IotaComplex(cx, Morphism(cx, cx, t.iota.entries, SKEW, (0, 0)))
+    path = tmp_path / "odd.json"
+    _assert_round_trip(str(path), 'K "\\ \u00e9', ic)
+    text = path.read_text(encoding="ascii")
+    assert '"q\\"0"' in text and '"b\\\\1"' in text and '"\\u00e9\\u2603\\ud835\\udd4c"' in text
 
 
 def test_invariants_torus_json(capsys):
