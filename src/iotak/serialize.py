@@ -5,10 +5,15 @@ and the differential and involution as sparse entry lists; monomials are
 [i, j] exponent pairs with U first. Emission is canonical (entries
 sorted by source then target, monomials in ring order), so emit, parse,
 emit round-trips byte-identically. Parsing is strict: a malformed
-document raises ParseError and is never coerced.
+document, or a file json cannot decode (not UTF-8, nested too deeply, an
+integer longer than sys.get_int_max_str_digits()), raises ParseError and
+is never coerced. Polynomials are immutable, so the entries of a map
+with one monomial list share one LaurentPoly.
 
-dumps writes the text of json.dumps(doc, indent=2) + "\n" from the fixed
-schema through the C encoder (an indent forces the pure-Python one).
+dumps writes the text of json.dumps(iota_complex_to_dict(name, ic),
+indent=2) + "\n" straight from the complex, with no dict and not through
+json's encoder (an indent forces its pure-Python one): each generator
+name is quoted once and each distinct monomial list laid out once.
 save encodes the whole file before opening it, then writes over the old
 bytes and cuts the file at their end: truncating it to zero first frees
 the old blocks, which costs tens of milliseconds per rewrite on ext4.
@@ -22,7 +27,7 @@ from typing import Dict, List
 
 from .complexes import SKEW, BasisElement, Entries, FreeComplex, Morphism, differential_morphism
 from .iota import IotaComplex
-from .ring import _canonical
+from .ring import LaurentPoly, _canonical
 
 
 class ParseError(ValueError):
@@ -62,15 +67,24 @@ def _array(items: List[str], pad: str) -> str:
     return f"[{inner}{f',{inner}'.join(items)}\n{pad}]"
 
 
-def dumps(doc: Dict) -> str:
-    q = json.dumps
-    gens = [f'{{\n      "name": {q(g["name"])},\n      "gr_u": {g["gr_u"]},\n'
-            f'      "gr_v": {g["gr_v"]}\n    }}' for g in doc["generators"]]
-    maps = [[f'{{\n      "from": {q(e["from"])},\n      "to": {q(e["to"])},\n      "mono": '
-             f'{_array([_array([str(i), str(j)], " " * 8) for i, j in e["mono"]], " " * 6)}\n    }}'
-             for e in doc[key]] for key in ("differential", "iota")]
-    return (f'{{\n  "name": {q(doc["name"])},\n  "generators": {_array(gens, "  ")},\n'
-            f'  "differential": {_array(maps[0], "  ")},\n  "iota": {_array(maps[1], "  ")}\n}}\n')
+def dumps(name: str, ic: IotaComplex) -> str:
+    """The file text: json.dumps(iota_complex_to_dict(name, ic), indent=2) + "\n"."""
+    q = [json.dumps(x.name) for x in ic.complex.basis]
+    gens = [f'{{\n      "name": {n},\n      "gr_u": {x.gr_u},\n      "gr_v": {x.gr_v}\n    }}'
+            for n, x in zip(q, ic.complex.basis)]
+    monos: Dict[tuple, str] = {}
+    maps = []
+    for entries in (ic.complex.diff, ic.iota.entries):
+        items = []
+        for i in sorted(entries):
+            for j in sorted(entries[i]):
+                t = entries[i][j].terms
+                mono = monos.get(t) or monos.setdefault(t, _array(
+                    [f"[\n          {a},\n          {b}\n        ]" for a, b in t], " " * 6))
+                items.append(f'{{\n      "from": {q[i]},\n      "to": {q[j]},\n      "mono": {mono}\n    }}')
+        maps.append(_array(items, "  "))
+    return (f'{{\n  "name": {json.dumps(name)},\n  "generators": {_array(gens, "  ")},\n'
+            f'  "differential": {maps[0]},\n  "iota": {maps[1]}\n}}\n')
 
 
 def _list_field(doc: Dict, key: str) -> List:
@@ -82,6 +96,7 @@ def _list_field(doc: Dict, key: str) -> List:
 def _parse_entries(items: List, index, what: str) -> Entries:
     """Each entry as the sorted tuple of its exponent pairs, checked here, not by LaurentPoly."""
     entries: Entries = {}
+    polys: Dict[tuple, LaurentPoly] = {}
     for item in items:
         try:
             src = index[item["from"]]
@@ -106,7 +121,8 @@ def _parse_entries(items: List, index, what: str) -> Entries:
         row = entries.setdefault(src, {})
         if tgt in row:
             raise ParseError(f"duplicate {what} entry {item['from']} -> {item['to']}")
-        row[tgt] = _canonical(tuple(terms))
+        terms = tuple(terms)
+        row[tgt] = polys.get(terms) or polys.setdefault(terms, _canonical(terms))
     return entries
 
 
@@ -143,7 +159,7 @@ def iota_complex_from_dict(doc: Dict) -> tuple[str, IotaComplex]:
 
 
 def save(path: str, name: str, ic: IotaComplex) -> None:
-    data = dumps(iota_complex_to_dict(name, ic)).encode()
+    data = dumps(name, ic).encode()
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         stale = os.fstat(fh.fileno()).st_size > len(data)  # never so for a pipe or device
         fh.write(data)
@@ -155,7 +171,7 @@ def load(path: str) -> tuple[str, IotaComplex]:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers the JSON and UTF-8 errors
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -40,7 +40,7 @@ def test_round_trip_byte_identical(tmp_path, capsys):
     run(capsys, "torus", "3", "4", "-o", str(path))
     first = path.read_bytes()
     name, ic = serialize.load(str(path))
-    assert serialize.dumps(serialize.iota_complex_to_dict(name, ic)).encode() == first
+    assert serialize.dumps(name, ic).encode() == first
 
 
 T23_FILE = (
@@ -491,7 +491,7 @@ def test_failed_save_keeps_the_old_file(tmp_path, capsys, monkeypatch):
     def fail(name, ic):
         raise ValueError("cannot encode")
 
-    monkeypatch.setattr(serialize, "iota_complex_to_dict", fail)
+    monkeypatch.setattr(serialize, "dumps", fail)
     assert run(capsys, "torus", "3", "4", "-o", str(path)) == (2, "", "error: cannot encode\n")
     assert path.read_bytes() == old
 
@@ -507,8 +507,7 @@ def test_sum_loads_each_path_once(tmp_path, capsys, monkeypatch):
     assert loads == [t23, t34]
     k23, k34 = torus_knot(2, 3), torus_knot(3, 4)
     acc = product(product(product(k23, k34, verify=False), k23, verify=False), k23, verify=False)
-    expected = serialize.dumps(serialize.iota_complex_to_dict(
-        "T(2,3) # T(3,4) # T(2,3) # T(2,3)", acc))
+    expected = serialize.dumps("T(2,3) # T(3,4) # T(2,3) # T(2,3)", acc)
     assert (tmp_path / "out.json").read_text() == expected
 
 
@@ -585,8 +584,7 @@ def test_dumps_matches_json_indent2_on_sums(parts):
     acc = staircase_complex(parts[0])
     for part in parts[1:]:
         acc = product(acc, staircase_complex(part), verify=False)
-    doc = serialize.iota_complex_to_dict("K", acc)
-    assert serialize.dumps(doc) == _indent2(doc)
+    assert serialize.dumps("K", acc) == _indent2(serialize.iota_complex_to_dict("K", acc))
 
 
 def test_dumps_matches_json_indent2_on_edge_cases():
@@ -601,7 +599,7 @@ def test_dumps_matches_json_indent2_on_edge_cases():
                  {"from": "x\"", "to": odd, "mono": [[-1, 1]]}],
     }
     for doc in (unknot, escaped, dict(escaped, generators=[], iota=[])):
-        assert serialize.dumps(doc) == _indent2(doc)
+        assert serialize.dumps(*serialize.iota_complex_from_dict(doc)) == _indent2(doc)
 
 
 @pytest.mark.parametrize("content", [b"[" * 100_000, b'{"name": "\xe9"}'],
@@ -612,6 +610,32 @@ def test_undecodable_file_is_a_parse_error(tmp_path, capsys, content):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"parse error: {path}: ") and "Traceback" not in err
+
+
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on the digits of an int")
+
+
+def _long_grading_file(tmp_path):
+    """T(2,3)'s file with a grading longer than json may decode as an int."""
+    path = tmp_path / "long.json"
+    text = T23_FILE.decode().replace('"gr_u": 0,', f'"gr_u": {"7" * 5000},', 1)
+    path.write_text(text)
+    return path
+
+
+@needs_int_digit_limit
+def test_over_long_integer_is_a_parse_error(tmp_path, capsys):
+    path = _long_grading_file(tmp_path)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {path}: invalid JSON: ") and "Traceback" not in err
+
+
+@needs_int_digit_limit
+def test_load_raises_parse_error_on_an_over_long_integer(tmp_path):
+    with pytest.raises(serialize.ParseError, match="invalid JSON"):
+        serialize.load(str(_long_grading_file(tmp_path)))
 
 
 def test_local_equiv_above_default_cap(tmp_path, capsys):

@@ -525,6 +525,30 @@ def test_observed_connected_sum_inequalities(parts1, parts2):
     assert v <= v1 + v2
 
 
+def _v_s(stairs, s):
+    """V_s of the L-space knot with steps (a_1..a_k, b_1..b_k):
+    max(0, min over m of max(a_1 + ... + a_m, b_{m+1} + ... + b_k - s))."""
+    a, b = stairs.u_steps, stairs.v_steps
+    return max(0, min(max(sum(a[:m]), sum(b[m:]) - s) for m in range(len(a) + 1)))
+
+
+@given(st.lists(staircase_strategy, min_size=1, max_size=3), st.sampled_from([1, 2]))
+@settings(max_examples=30, deadline=None)
+def test_observed_v0_of_a_staircase_sum_is_the_min_plus_convolution(parts, variant):
+    """For a connected sum of L-space knots, V_s is the min-plus
+    convolution of the factors' V_s (Borodzik-Livingston), so V0 is the
+    least sum of V_{s_i} over s_1 + ... + s_n = 0. V_s comes from the
+    step data alone; V_s is 0 for s >= g and -s for s <= -g, so each
+    s_i but the last ranges over [-G, G], G the sum of the genera."""
+    ic = staircase_complex(parts[0])
+    for part in parts[1:]:
+        ic = product(ic, staircase_complex(part), variant=variant, verify=False)
+    g = sum(sum(p.u_steps) for p in parts)
+    v0 = min(sum(_v_s(p, s) for p, s in zip(parts, head + (-sum(head),)))
+             for head in itertools.product(range(-g, g + 1), repeat=len(parts) - 1))
+    assert triple(ic)[1] == v0
+
+
 def test_obstruction_patterns():
     def report(vb, v0, vu):
         return InvariantReport(-2 * v0, -2 * vb, -2 * vu)
