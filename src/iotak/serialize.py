@@ -81,7 +81,8 @@ def dumps(name: str, ic: IotaComplex) -> str:
                 t = entries[i][j].terms
                 mono = monos.get(t) or monos.setdefault(t, _array(
                     [f"[\n          {a},\n          {b}\n        ]" for a, b in t], " " * 6))
-                items.append(f'{{\n      "from": {q[i]},\n      "to": {q[j]},\n      "mono": {mono}\n    }}')
+                items.append(f'{{\n      "from": {q[i]},\n      "to": {q[j]},\n'
+                             f'      "mono": {mono}\n    }}')
         maps.append(_array(items, "  "))
     return (f'{{\n  "name": {json.dumps(name)},\n  "generators": {_array(gens, "  ")},\n'
             f'  "differential": {maps[0]},\n  "iota": {maps[1]}\n}}\n')

@@ -70,9 +70,12 @@ def test_torus_file_bytes_are_pinned(tmp_path, capsys):
 
 
 def _assert_round_trip(path, name, ic):
-    """save, load and save again: the same complex and the same bytes."""
+    """save writes json.dumps(doc, indent=2) + "\\n" of the document
+    iota_complex_to_dict builds; load and save again: the same complex
+    and the same bytes."""
     serialize.save(path, name, ic)
     first = Path(path).read_bytes()
+    assert first == _indent2(serialize.iota_complex_to_dict(name, ic)).encode()
     name2, ic2 = serialize.load(path)
     assert name2 == name
     assert ic2.complex.basis == ic.complex.basis
