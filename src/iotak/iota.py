@@ -166,12 +166,12 @@ def _product_terms(c1: FreeComplex, iota1: Morphism, c2: FreeComplex, iota2: Mor
     return (iota1, iota2), (left, right)
 
 
-def product(ic1: IotaComplex, ic2: IotaComplex, variant: int = 1,
+def product(ic1: IotaComplex, ic2: IotaComplex, *, variant: int = 1,
             verify: bool = True) -> IotaComplex:
     """Connected-sum product: tensor complex with the involution
-    iota1|iota2 + Phi1 iota1|Psi2 iota2 (variant 1) or the Psi/Phi
-    variant 2. Inputs failing verification are rejected. With
-    verify=False an inhomogeneous factor still raises ValueError, from
+    iota1|iota2 + Phi1 iota1|Psi2 iota2 (variant 1) or the Psi/Phi variant 2.
+    variant and verify are keyword-only; verify=True rejects failing inputs.
+    With verify=False an inhomogeneous factor still raises ValueError, from
     building its Phi or Psi; so when both factors' involutions are
     homogeneous, every term is, and the product's is recorded so."""
     if verify:

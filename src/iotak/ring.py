@@ -14,15 +14,13 @@ the tuple directly:
 
 - a parsed entry is its sorted pairs, which the parser checks are
   distinct ints;
-- the sum of two distinct monomials is their sorted pair;
-- a product with a monomial translates every exponent pair by the same
-  amount, which keeps the pairs distinct and their order;
-- the U/V swap of a monomial is a monomial;
+- the product of two monomials, and the U/V swap of one, is a monomial;
 - a single exponent pair is a monomial.
 
+Every other sum and product goes through the constructor.
 Polynomials are immutable: nothing assigns to `terms` after
-construction. So `ZERO + p` and `p + ZERO` may return the operand `p`
-itself rather than a copy.
+construction. So `ZERO + p` returns the operand `p` itself rather
+than a copy.
 """
 
 from __future__ import annotations
@@ -69,28 +67,18 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self.terms, other.terms
-        if not b:
-            return self
         if not a:
             return other
-        if len(a) == 1 and len(b) == 1:
-            if a == b:
-                return ZERO
-            return _canonical(a + b if a < b else b + a)
+        if a == b:
+            return ZERO
         # characteristic 2: addition is symmetric difference of term sets
         return LaurentPoly(set(a) ^ set(b))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         a, b = self.terms, other.terms
-        if len(b) == 1:
-            # the ring is commutative: take a monomial factor first
-            a, b = b, a
-        if len(a) == 1:
-            ((i, j),) = a
-            if len(b) == 1:
-                ((k, l),) = b
-                return _canonical(((i + k, j + l),))
-            return _canonical(tuple([(i + k, j + l) for (k, l) in b]))
+        if len(a) == 1 == len(b):
+            ((i, j),), ((k, l),) = a, b
+            return _canonical(((i + k, j + l),))
         return LaurentPoly([(i + k, j + l) for (i, j) in a for (k, l) in b])
 
     def swap_uv(self) -> "LaurentPoly":

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import strategies as st
 
@@ -45,9 +47,10 @@ def normal_form(basis, vec):
 
 
 def staircase_sum(parts, variant=1):
-    """The product of staircases, each mirrored when its flag is set."""
+    """The product of staircases, each mirrored when its flag is set,
+    folded left to right."""
     ics = [mirror(staircase_complex(s)) if flip else staircase_complex(s) for s, flip in parts]
-    return ics[0] if len(ics) == 1 else product(*ics, variant=variant, verify=False)
+    return functools.reduce(lambda a, b: product(a, b, variant=variant, verify=False), ics)
 
 
 @pytest.fixture(scope="session")

@@ -394,6 +394,23 @@ def test_reduction_keeps_homology_and_invariants(parts, variant):
     check_reduction(tower(staircase_sum(parts, variant)))
 
 
+@given(st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=3, max_size=3),
+       st.sampled_from([1, 2]))
+@settings(max_examples=20, deadline=None)
+def test_staircase_sum_of_three_parts_folds_left(parts, variant):
+    """staircase_sum on three parts is product(product(a, b), c), and the
+    cone's (d_bar, d_under) is the oracle's on its tower."""
+    a, b, c = (staircase_sum([part]) for part in parts)
+    want = product(product(a, b, variant=variant, verify=False), c, variant=variant, verify=False)
+    got = staircase_sum(parts, variant)
+    assert got.complex.basis == want.complex.basis
+    assert got.complex.diff == want.complex.diff
+    assert got.iota.entries == want.iota.entries
+    t = tower(got)
+    rep = involutive_invariants(t)
+    assert lemma_criteria_oracle(t) == (rep.d_bar, rep.d_under)
+
+
 @pytest.mark.parametrize("p", range(2, 8))
 @pytest.mark.parametrize("flips", [(True,) * 3, (True, False, False)], ids=["mirrored", "mixed"])
 def test_reduction_keeps_invariants_of_torus_sums(p, flips):

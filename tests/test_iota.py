@@ -145,6 +145,14 @@ def test_product_rejection_messages_pinned():
         assert str(exc.value) == message
 
 
+def test_product_flags_are_keyword_only():
+    """A third factor is a TypeError, not read as the variant."""
+    k = torus_knot(2, 3)
+    for args in ((k, k, k), (k, k, 2)):
+        with pytest.raises(TypeError):
+            product(*args, verify=False)
+
+
 def test_product_square_satisfies_involution(hand_trefoil):
     for variant in (1, 2):
         p = product(hand_trefoil, hand_trefoil, variant=variant)
