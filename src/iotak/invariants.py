@@ -28,8 +28,9 @@ class InvariantError(ValueError):
     """Structural assumption violated (odd d, missing free summand, ...)."""
 
 
-class UTowerComplex:
-    """A graded free F2[W]-complex, optionally with an endomorphism.
+class UTowerComplex(Slices):
+    """A graded free F2[W]-complex, optionally with an endomorphism, and
+    the complexes.Slices of its gradings and d.
 
     Matrices store supports only. An entry from x to y is the power W^k
     that the gradings force, 2k = gr(y) - gr(x) + 1 for the differential
@@ -37,26 +38,31 @@ class UTowerComplex:
     nonnegative integer. The basis is stored as given: each entry is a
     (str, int) pair, or InvariantError names it. So it names a matrix
     entry whose source or target is not an int in range(len(basis)).
+
+    The oracle's W-power tests read the top grading max_gr and the
+    grading span n_power, past which W^n_power kills every torsion class:
+    a cycle v of slice r <= max_gr is nontorsion iff it pairs oddly with
+    a cocycle of the canonical slice of r - 2 n_power (at or below
+    min_gr - 1) pulled back along W^n_power.
     """
 
     def __init__(self, basis: List[Tuple[str, int]], diff: TowerEntries,
                  endo: Optional[TowerEntries] = None):
         self.basis: Tuple[Tuple[str, int], ...] = tuple(basis)
-        self.diff = {i: set(row) for i, row in diff.items() if row}
+        for name, g in self.basis:
+            if not isinstance(name, str) or type(g) is not int:
+                raise InvariantError(f"tower basis entry {(name, g)!r} is not a (str, int) pair")
+        super().__init__([g for _, g in self.basis], {i: set(row) for i, row in diff.items() if row})
         self.endo = None if endo is None else {i: set(row) for i, row in endo.items() if row}
+        self.max_gr = max(self.gradings, default=0)
+        self.n_power = (self.max_gr - self.min_gr) // 2 + 1
         self._validate()
-
-    def grading(self, i: int) -> int:
-        return self.basis[i][1]
 
     def __len__(self) -> int:
         return len(self.basis)
 
     def _validate(self) -> None:
-        for name, g in self.basis:
-            if not isinstance(name, str) or type(g) is not int:
-                raise InvariantError(f"tower basis entry {(name, g)!r} is not a (str, int) pair")
-        gr = [g for _, g in self.basis]
+        gr = self.gradings
         indices = set(range(len(gr)))
         for mats, shift in ((self.diff, 1), (self.endo or {}, 0)):
             for i, row in mats.items():
@@ -78,6 +84,29 @@ class UTowerComplex:
                 acc ^= self.diff.get(j, set())
             if acc:
                 raise InvariantError(f"d^2 != 0 at generator {self.basis[i][0]}")
+
+    @_per_slice
+    def one_plus_iota_rows(self, r: int) -> List[int]:
+        assert self.endo is not None
+        rows = gf2.support_rows(self.endo, self.members(r), self.positions(r))
+        return [row ^ (1 << pos) for pos, row in enumerate(rows)]
+
+    def power_rows(self, r: int, m: int) -> List[int]:
+        """Multiplication by W^m from slice r to slice r - 2m."""
+        pos = self.positions(r - 2 * m)
+        return [1 << pos[i] for i in self.members(r)]
+
+    @_per_slice
+    def nontorsion_tests(self, r: int) -> List[int]:
+        """The cocycles of slice r - 2 n_power pulled back along W^n_power: a
+        cycle of slice r is nontorsion iff it pairs oddly with one of them."""
+        rows = self.power_rows(r, self.n_power)
+        return [gf2.pullback(rows, phi) for phi in self.cocycles(r - 2 * self.n_power)]
+
+    def spans_nontorsion(self, r: int, cycles: List[int]) -> bool:
+        """Whether some F2 combination of the given grading-r cycles (the inputs
+        must be cycles) is nontorsion: iff one cycle pairs oddly with a test."""
+        return any((v & phi).bit_count() & 1 for phi in self.nontorsion_tests(r) for v in cycles)
 
 
 def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
@@ -117,7 +146,7 @@ class HomologyDecomp:
 
 def homology_snf(t: UTowerComplex) -> HomologyDecomp:
     """Graded Smith normal form of the tower, by complexes.Slices.snf."""
-    return HomologyDecomp(*Slices([g for _, g in t.basis], t.diff).snf())
+    return HomologyDecomp(*t.snf())
 
 
 def reduce_tower(t: UTowerComplex) -> UTowerComplex:
@@ -129,7 +158,7 @@ def reduce_tower(t: UTowerComplex) -> UTowerComplex:
     sigma gives a row a new W^0 entry only if it had one, so one pass, in
     any order, leaves d with no W^0 entry: the result is minimal.
     """
-    gr = [g for _, g in t.basis]
+    gr = t.gradings
     n = len(gr)
     mats = [{i: set(m.get(i, ())) for i in range(n)} for m in (t.diff, t.endo or {})]
     into = [{j: set() for j in range(n)} for _ in mats]  # target -> the rows holding it
@@ -263,45 +292,7 @@ def involutive_invariants(t: UTowerComplex) -> InvariantReport:
 # ---------------------------------------------------------------------------
 # independent oracle via maximum-grading criteria
 
-class _TowerSlices(Slices):
-    """complexes.Slices of one tower complex, with the W-power tests of
-    the oracle. A cycle v of slice r <= max_gr is nontorsion iff it
-    pairs oddly with a cocycle of the canonical slice of r - 2 n_power
-    (at or below min_gr - 1) pulled back along W^n_power.
-    """
-
-    def __init__(self, t: UTowerComplex):
-        super().__init__([g for _, g in t.basis], t.diff)
-        self.t = t
-        self.max_gr = max(self.gradings)
-        # the grading span: W^n_power times any torsion class is zero
-        self.n_power = (self.max_gr - self.min_gr) // 2 + 1
-
-    @_per_slice
-    def one_plus_iota_rows(self, r: int) -> List[int]:
-        assert self.t.endo is not None
-        rows = gf2.support_rows(self.t.endo, self.members(r), self.positions(r))
-        return [row ^ (1 << pos) for pos, row in enumerate(rows)]
-
-    def power_rows(self, r: int, m: int) -> List[int]:
-        """Multiplication by W^m from slice r to slice r - 2m."""
-        pos = self.positions(r - 2 * m)
-        return [1 << pos[i] for i in self.members(r)]
-
-    @_per_slice
-    def nontorsion_tests(self, r: int) -> List[int]:
-        """The cocycles of slice r - 2 n_power pulled back along W^n_power: a
-        cycle of slice r is nontorsion iff it pairs oddly with one of them."""
-        rows = self.power_rows(r, self.n_power)
-        return [gf2.pullback(rows, phi) for phi in self.cocycles(r - 2 * self.n_power)]
-
-    def spans_nontorsion(self, r: int, cycles: List[int]) -> bool:
-        """Whether some F2 combination of the given grading-r cycles (the inputs
-        must be cycles) is nontorsion: iff one cycle pairs oddly with a test."""
-        return any((v & phi).bit_count() & 1 for phi in self.nontorsion_tests(r) for v in cycles)
-
-
-def _d_bar_hits(slices: _TowerSlices, c: int, m: int) -> bool:
+def _d_bar_hits(t: UTowerComplex, c: int, m: int) -> bool:
     """Whether a d_bar criterion holds at grading c for this m: (a) some
     solution of dy = (1+iota)x, dz = W^m x with x != 0 at grading c - 1
     has W^m y + (1+iota)z nontorsion, or (b) cycles y != 0 at grading c
@@ -313,44 +304,44 @@ def _d_bar_hits(slices: _TowerSlices, c: int, m: int) -> bool:
     is outside E, and if v has the image and u has x != 0, v, u or v + u has both.
     """
     r = c - 1
-    xs = slices.members(r)
-    tests = slices.nontorsion_tests(r + 1 - 2 * m)
+    xs = t.members(r)
+    tests = t.nontorsion_tests(r + 1 - 2 * m)
     if xs and tests:
-        ys = slices.members(r + 1)
-        zs = slices.members(r - 2 * m + 1)
+        ys = t.members(r + 1)
+        zs = t.members(r - 2 * m + 1)
         nx, ny, nz = len(xs), len(ys), len(zs)
         zero = [0]
-        l_rows = (zero * nx + slices.power_rows(r + 1, m)
-                  + slices.one_plus_iota_rows(r - 2 * m + 1))
+        l_rows = (zero * nx + t.power_rows(r + 1, m)
+                  + t.one_plus_iota_rows(r - 2 * m + 1))
         pulls = [gf2.pullback(l_rows, phi) for phi in tests]
-        images1 = slices.one_plus_iota_rows(r) + slices.diff_rows(r + 1) + zero * nz
+        images1 = t.one_plus_iota_rows(r) + t.diff_rows(r + 1) + zero * nz
         eqs = gf2.transpose(images1, nx)
-        images2 = slices.power_rows(r, m) + zero * ny + slices.diff_rows(r - 2 * m + 1)
-        eqs += gf2.transpose(images2, len(slices.members(r - 2 * m)))
+        images2 = t.power_rows(r, m) + zero * ny + t.diff_rows(r - 2 * m + 1)
+        eqs += gf2.transpose(images2, len(t.members(r - 2 * m)))
         span = gf2.RowBasis(eqs)
         if (not all(span.contains(p) for p in pulls)
                 and not all(span.contains(1 << k) for k in range(nx))):
             return True
-    y_cycles = slices.cycle_basis(c)
+    y_cycles = t.cycle_basis(c)
     if not y_cycles:
         return False
-    ym_rows = slices.power_rows(c, m)
-    zi_rows = slices.one_plus_iota_rows(c - 2 * m)
+    ym_rows = t.power_rows(c, m)
+    zi_rows = t.one_plus_iota_rows(c - 2 * m)
     images = [gf2.apply_rows(ym_rows, y) for y in y_cycles]
-    images += [gf2.apply_rows(zi_rows, z) for z in slices.cycle_basis(c - 2 * m)]
-    return slices.spans_nontorsion(c - 2 * m, images)
+    images += [gf2.apply_rows(zi_rows, z) for z in t.cycle_basis(c - 2 * m)]
+    return t.spans_nontorsion(c - 2 * m, images)
 
 
-def _d_under_hits(slices: _TowerSlices, r: int) -> bool:
+def _d_under_hits(t: UTowerComplex, r: int) -> bool:
     """Whether some cycle v at grading r has a nontorsion class and (1 + iota)v a boundary."""
     # psi_a has bit k when cycle k pairs oddly with nontorsion test a
-    psis = [gf2.pullback(slices.cycle_basis(r), phi) for phi in slices.nontorsion_tests(r)]
+    psis = [gf2.pullback(t.cycle_basis(r), phi) for phi in t.nontorsion_tests(r)]
     if not any(psis):
         return False
     # the cycle combinations with (1 + iota)-image killed by every cocycle of
     # slice r are these rows' null space; one pairs oddly with psi iff psi is outside
-    images = [gf2.apply_rows(slices.one_plus_iota_rows(r), z) for z in slices.cycle_basis(r)]
-    span = gf2.RowBasis(gf2.pullback(images, phi) for phi in slices.cocycles(r))
+    images = [gf2.apply_rows(t.one_plus_iota_rows(r), z) for z in t.cycle_basis(r)]
+    span = gf2.RowBasis(gf2.pullback(images, phi) for phi in t.cocycles(r))
     return not all(span.contains(psi) for psi in psis)
 
 
@@ -376,20 +367,19 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
         raise InvariantError("oracle needs the endomorphism")
     if not len(t):
         raise InvariantError("oracle needs a nonempty complex")
-    slices = _TowerSlices(t)
-    max_gr, min_gr, n_power = slices.max_gr, slices.min_gr, slices.n_power
+    max_gr, min_gr, n_power = t.max_gr, t.min_gr, t.n_power
 
     # a witness W^N v for a free class v can sit as far as 2 n_power
     # below the lowest generator grading
     d_under = next((r for r in range(max_gr, min_gr - 2 * n_power - 1, -1)
-                    if _d_under_hits(slices, r)), None)
+                    if _d_under_hits(t, r)), None)
     if d_under is None:
         raise InvariantError("no d_under witness in the grading range")
 
     for c in range(max_gr + 1, min_gr - 1, -1):
-        if _d_bar_hits(slices, c, n_power):
+        if _d_bar_hits(t, c, n_power):
             return (c, d_under)
-        if _d_bar_hits(slices, c, n_power + 1):
+        if _d_bar_hits(t, c, n_power + 1):
             raise InvariantError(
                 f"m bound {n_power} too small: raising it changes d_bar")
     raise InvariantError("no d_bar witness in the grading range")

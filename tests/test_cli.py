@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import IntSubclass, parts_strategy, staircase_strategy, staircase_sum
 from iotak import cli, serialize
 from iotak.complexes import EQUIVARIANT, SKEW, BasisElement, FreeComplex, Morphism
-from iotak.invariants import InvariantError
+from iotak.invariants import InvariantError, a_zero_minus, reduce_tower
 from iotak.iota import IotaComplex, product, verify_local_equivalence
 from iotak.models import staircase_complex, torus_knot
 
@@ -234,6 +234,11 @@ def _no_iota(doc):
     doc["iota"] = []
 
 
+def _iota_unfiltered(doc):
+    """iota x0 = x2 + U V^-1 x0: homogeneous, but the V^-1 breaks the filtration."""
+    doc["iota"].append({"from": "x0", "to": "x0", "mono": [[1, -1]]})
+
+
 @pytest.mark.parametrize("edit, verdicts, offenders", [
     (_d_squared_nonzero, "FPPFFF",
      ["d^2 nonzero: x1 -> x1", "d^2 nonzero: x0 -> x0", "d^2 nonzero: x0 -> x2",
@@ -241,8 +246,9 @@ def _no_iota(doc):
     (_unfiltered, "PFPPPF", ["entry x1 -> x0: negative exponent in filtered complex",
                              "entry x1 -> x2: negative exponent in filtered complex"]),
     (_zero_differential, "PPPFPF", ["slice homology dims (2, 1) != (1, 0)"]),
+    (_iota_unfiltered, "PPPPFF", ["iota is not skew-filtered"]),
     (_no_iota, "PPPPPF", ["no filtered equivariant homotopy from iota^2 to id + Phi Psi"]),
-], ids=["axiom1", "axiom2", "axiom4", "axiom6"])
+], ids=["axiom1", "axiom2", "axiom4", "axiom5", "axiom6"])
 def test_check_reports_the_first_failing_axiom(tmp_path, capsys, edit, verdicts, offenders):
     """check on T(2,3) edited to fail first at one axiom: the exact
     report, exit 1. A failure of (1) or (3) leaves (4) unchecked, a
@@ -693,6 +699,61 @@ def test_oracle_failure_exits_3(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "invariants", str(bad), "--oracle")
     assert (code, out) == (1, "")
     assert err.startswith(f"{bad}: fails axiom (6) ")
+
+
+def test_oracle_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    """An oracle that answers, but not as the cone does, exits 3 and
+    names both pairs."""
+    t23 = tmp_path / "t23.json"
+    run(capsys, "torus", "2", "3", "-o", str(t23))
+    monkeypatch.setattr(cli, "lemma_criteria_oracle", lambda tower: (99, 99))
+    code, out, err = run(capsys, "invariants", str(t23), "--oracle")
+    assert (code, out) == (3, "")
+    assert err == ("oracle disagreement: cone gives (d_bar, d_under) = (-2, -2), "
+                   "max-grading oracle gives (99, 99)\n")
+
+
+def _count_oracle_towers(monkeypatch, module, sizes):
+    """Wrap module's oracle to record the generator count of each tower it gets."""
+    oracle = module.lemma_criteria_oracle
+
+    def counted(tower):
+        sizes.append(len(tower))
+        return oracle(tower)
+    monkeypatch.setattr(module, "lemma_criteria_oracle", counted)
+
+
+def test_oracle_gets_the_unreduced_tower(tmp_path, capsys, monkeypatch):
+    """The oracle checks reduce_tower only while it is handed the tower
+    before the reduction: through invariants --oracle on T(4,5)^#3 and
+    through reproduce_table.py --oracle, every tower it gets has one
+    generator per generator of the complex."""
+    t45, s = tmp_path / "t45.json", tmp_path / "s.json"
+    run(capsys, "torus", "4", "5", "-o", str(t45))
+    run(capsys, "sum", str(t45), str(t45), str(t45), "-o", str(s))
+    seen = []
+    _count_oracle_towers(monkeypatch, cli, seen)
+    assert run(capsys, "invariants", str(s), "--oracle")[0] == 0
+    ic = serialize.load(str(s))[1]
+    assert seen == [len(ic.complex)]
+    assert len(reduce_tower(a_zero_minus(ic, verify=False))) < len(ic.complex)
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_table.py"
+    spec = importlib.util.spec_from_file_location("reproduce_table", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seen, built = [], []
+    _count_oracle_towers(monkeypatch, script, seen)
+    build = script.build
+
+    def counted_build(spec):
+        ic = build(spec)
+        built.append(len(ic.complex))
+        return ic
+    monkeypatch.setattr(script, "build", counted_build)
+    monkeypatch.setattr(sys, "argv", [str(path), "--oracle"])
+    assert script.main() == 0
+    assert seen == built and len(seen) == len(script.ROWS)
 
 
 def test_reproduce_table_reports_oracle_failure(capsys, monkeypatch):

@@ -34,7 +34,7 @@ from iotak.iota import dual_iota, identity_complex, product
 from iotak.models import mirror, staircase_complex, torus_knot
 from iotak import gf2
 from iotak.ring import ONE
-from iotak.invariants import _TowerSlices, _d_bar_hits, _d_under_hits
+from iotak.invariants import _d_bar_hits, _d_under_hits
 
 
 def tower(ic):
@@ -189,6 +189,19 @@ def test_tower_rejects_an_int_subclass_grading():
         UTowerComplex([("a", IntSubclass(1))], {})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: UTowerComplex([("a", 0), ("b", -1), ("c", -2)], {0: {1}, 1: {2}}),
+     "d^2 != 0 at generator a"),
+    (lambda: involutive_invariants(UTowerComplex([("a", 0), ("b", -1)], {0: {1}}, {})),
+     "tower homology has no free summand"),
+], ids=["d squared", "acyclic tower"])
+def test_invariants_rejections_are_pinned(build, message):
+    """da = b, db = c has d^2 a = c; the tower with da = b has no homology."""
+    with pytest.raises(InvariantError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_snf_mixed_exponents():
     # da = b + c, dd = W(b + c): homology is free on [b] and [d + Wa]
     t = UTowerComplex(
@@ -220,7 +233,7 @@ def snf_by_full_scan(t):
     """Reference SNF: the same cancellation, each pivot the least
     (k, source, target) found by scanning every entry, with each k
     read from the gradings."""
-    cols = {i: {j: (t.grading(j) - t.grading(i) + 1) // 2 for j in row}
+    cols = {i: {j: (t.gradings[j] - t.gradings[i] + 1) // 2 for j in row}
             for i, row in t.diff.items()}
     rows = {}
     for i, row in cols.items():
@@ -240,7 +253,7 @@ def snf_by_full_scan(t):
     while cols:
         k, x, y = min((k, i, j) for i, row in cols.items() for j, k in row.items())
         if k > 0:
-            torsion.append((t.grading(y), k))
+            torsion.append((t.gradings[y], k))
         sources = [(w, kw) for w, kw in rows[y].items() if w != x]
         targets = [(z, kz) for z, kz in cols[x].items() if z != y]
         for w, kw in sources:
@@ -258,7 +271,7 @@ def snf_by_full_scan(t):
         for w in list(rows.get(x, {})):
             drop(w, x)
         alive -= {x, y}
-    return HomologyDecomp(tuple(sorted(t.grading(i) for i in alive)), tuple(sorted(torsion)))
+    return HomologyDecomp(tuple(sorted(t.gradings[i] for i in alive)), tuple(sorted(torsion)))
 
 
 # sums of 1-3 random staircases, each mirrored or not
@@ -336,7 +349,7 @@ def slice_dim(decomp, r):
 
 
 def slice_dims_direct(t, r):
-    slices = _TowerSlices(t)
+    slices = t
     n = len(slices.members(r))
     return n - gf2.rank(slices.diff_rows(r)) - gf2.rank(slices.diff_rows(r + 1))
 
@@ -384,7 +397,7 @@ def check_reduction(t):
     rep = involutive_invariants(t)
     assert involutive_invariants(r) == rep
     assert lemma_criteria_oracle(r) == lemma_criteria_oracle(t) == (rep.d_bar, rep.d_under)
-    assert all(r.grading(j) != r.grading(i) - 1 for i, row in r.diff.items() for j in row)
+    assert all(r.gradings[j] != r.gradings[i] - 1 for i, row in r.diff.items() for j in row)
     assert len(r) == len(decomp.free) + 2 * len(decomp.torsion)
 
 
@@ -610,7 +623,7 @@ def test_oracle_d_bar_matches_every_m(parts):
     """The oracle's two tests per grading, at n_power and n_power + 1,
     give the every-m loop's d_bar because the criteria are monotone in m."""
     t = sum_tower(parts)
-    slices = _TowerSlices(t)
+    slices = t
     n = slices.n_power
     d_bar, firsts = d_bar_every_m(slices)
     assert lemma_criteria_oracle(t)[0] == d_bar
@@ -691,7 +704,7 @@ def reference_d_bar_hits(slices, c, m):
 
 def reference_oracle(t):
     """lemma_criteria_oracle's scan over the reference criteria."""
-    slices = _TowerSlices(t)
+    slices = t
     max_gr, min_gr, n = slices.max_gr, slices.min_gr, slices.n_power
     d_under = next((r for r in range(max_gr, min_gr - 2 * n - 1, -1)
                     if reference_d_under_hits(slices, r)), None)
@@ -719,7 +732,7 @@ def test_oracle_criteria_match_references(parts):
     test and of both d_bar tests (m = n_power, n_power + 1) decide as
     the references do, and so does spans_nontorsion on each cycle."""
     t = sum_tower(parts)
-    slices = _TowerSlices(t)
+    slices = t
     n = slices.n_power
     for r in range(slices.max_gr, slices.min_gr - 2 * n - 1, -1):
         assert _d_under_hits(slices, r) == reference_d_under_hits(slices, r), r
@@ -737,7 +750,7 @@ def test_cocycles_are_dual_to_homology(parts):
     homology representatives as the identity, and number as many as the
     slice homology's dimension from the Smith normal form."""
     t = sum_tower(parts)
-    slices = _TowerSlices(t)
+    slices = t
     decomp = homology_snf(t)
     for r in range(slices.max_gr + 1, slices.min_gr - 2 * slices.n_power - 3, -1):
         phis = slices.cocycles(r)
@@ -757,7 +770,7 @@ def test_stable_slices_are_the_slice_homology(parts, variant):
     stable cocycles count its dims, the even one is its functional, and
     the even slice's first class is its generator, bit for bit."""
     ic = staircase_sum(parts, variant)
-    s = _TowerSlices(a_zero_minus(ic, verify=False))
+    s = a_zero_minus(ic, verify=False)
     even = s.min_gr - 4 - s.min_gr % 2
     odd = even - 1
     hom = ic.complex.slice_homology
@@ -772,7 +785,7 @@ def test_stable_cocycles_of_an_iota_complex():
     slices carry one cocycle in d's parity and none in the other, and
     the other parity has no nontorsion tests at all."""
     t = sum_tower([(palindromic_staircase([1, 2]), False), (palindromic_staircase([2]), True)])
-    slices = _TowerSlices(t)
+    slices = t
     d = involutive_invariants(t).d
     low = slices.min_gr - 2
     assert {r % 2: len(slices.cocycles(r)) for r in (low, low + 1)} == {d % 2: 1, (d + 1) % 2: 0}
@@ -799,7 +812,7 @@ def test_oracle_with_several_stable_cocycles(t, stable_dims):
     """Towers whose homology has two free summands of one parity, so
     stable slices carry two cocycles: the oracle's answer (or its error)
     equals the reference's."""
-    slices = _TowerSlices(t)
+    slices = t
     low = slices.min_gr - 2
     assert {r % 2: len(slices.cocycles(r)) for r in (low, low + 1)} == stable_dims
     assert outcome(lemma_criteria_oracle, t) == outcome(reference_oracle, t)

@@ -294,6 +294,37 @@ def test_verify_local_equivalence_zero_fails(hand_trefoil):
     assert rep.first_failure == "f isomorphism on homology"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda k, f: IotaComplex(torus_knot(3, 4).complex, k.iota),
+     "iota must be an endomorphism of the underlying complex"),
+    (lambda k, f: IotaComplex(k.complex, Morphism(k.complex, k.complex, k.iota.entries,
+                                                  EQUIVARIANT, (0, 0))),
+     "iota must be skew of bidegree (0, 0)"),
+    (lambda k, f: product(k, k, variant=3, verify=False), "variant must be 1 or 2"),
+    (lambda k, f: verify_local_equivalence(k, identity_complex(), f, f), "f must map ic1 to ic2"),
+    (lambda k, f: verify_local_equivalence(
+        k, k, Morphism(k.complex, k.complex, f.entries, SKEW, (0, 0)), f),
+     "f must be equivariant of bidegree (0, 0)"),
+], ids=["iota between complexes", "equivariant iota", "variant 3", "f to the wrong complex",
+        "skew f"])
+def test_iota_rejections_are_pinned(build, message):
+    """On T(2,3), with f its identity map."""
+    k = torus_knot(2, 3)
+    with pytest.raises(ValueError) as exc:
+        build(k, identity_morphism(k.complex))
+    assert str(exc.value) == message
+
+
+def test_verify_local_equivalence_stops_at_a_failed_map_check():
+    """f = {x0 -> x0} is no chain map of T(2,3), so the report holds the
+    six map checks only: no homology or intertwining check runs."""
+    k = torus_knot(2, 3)
+    f = Morphism(k.complex, k.complex, {0: {0: ONE}}, EQUIVARIANT, (0, 0))
+    rep = verify_local_equivalence(k, k, f, identity_morphism(k.complex))
+    assert rep.checks == (("f homogeneous", True), ("f filtered", True), ("f chain map", False),
+                          ("g homogeneous", True), ("g filtered", True), ("g chain map", True))
+
+
 def test_search_finds_identity(hand_trefoil):
     found = search_local_equivalence(hand_trefoil, hand_trefoil)
     assert found is not None
