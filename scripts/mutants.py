@@ -36,6 +36,7 @@ SNF = ("tests/test_invariants.py", "tests/test_complexes.py",
 ORACLE = ("tests/test_invariants.py", "-k", "oracle")
 PHI = ("tests/test_iota.py", "-k", "phi")
 LOCAL = ("tests/test_iota.py", "-k", "local or search or witness")
+DUAL = ("tests/test_iota.py", "tests/test_models.py")
 TIER1 = ("tests/",)
 
 # (name, file under src/, old text, new text, pytest arguments)
@@ -87,6 +88,17 @@ MUTANTS = [
      "            acc.update({o + i2: p for o, p in offsets})\n"
      "            if row2:\n",
      ("tests/test_complexes.py", "-k", "tensor")),
+    ("dual_iota keeps iota's entries unswapped", "iotak/iota.py",
+     "{i: p.swap_uv() for i, p in col.items()}", "{i: p for i, p in col.items()}", DUAL),
+    ("dual_iota does not transpose iota", "iotak/iota.py",
+     "_transpose(ic.iota.entries).items()", "ic.iota.entries.items()", DUAL),
+    ("SliceHomologyReport without its homogeneity check", "iotak/complexes.py",
+     "        if c.inhomogeneous:\n            raise ValueError(_NOT_HOMOGENEOUS)\n"
+     "        super().__init__", "        super().__init__",
+     ("tests/test_complexes.py", "-k", "rejects_wrong_monomial")),
+    ("_product_terms takes a variant that is not an int", "iotak/iota.py",
+     "if type(variant) is not int or variant not in (1, 2):", "if variant not in (1, 2):",
+     ("tests/test_iota.py", "-k", "rejections")),
 ]
 
 # (name, file under src/, old text, new text, pytest arguments, why no test kills it)

@@ -5,7 +5,7 @@ from .complexes import (
     BasisElement,
     FreeComplex,
     Morphism,
-    homology_is_r,
+    SliceHomologyReport,
     homotopy_solve,
     tensor,
     dual,

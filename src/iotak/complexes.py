@@ -71,8 +71,8 @@ class FreeComplex:
 
     @functools.cached_property
     def slice_homology(self) -> "SliceHomologyReport":
-        """homology_is_r of this complex, built on first use."""
-        return homology_is_r(self)
+        """The SliceHomologyReport of this complex, built on first use."""
+        return SliceHomologyReport(self)
 
     def __len__(self) -> int:
         return len(self.basis)
@@ -415,19 +415,6 @@ def dual(c: FreeComplex) -> FreeComplex:
     return FreeComplex(basis, _transpose(c.diff))
 
 
-def dual_morphism(f: Morphism, dual_target_of_f_source: FreeComplex,
-                  dual_source_of_f_target: FreeComplex) -> Morphism:
-    """Dual of an endpoint map: transpose, with entries swapped for skew f.
-
-    For skew f the functional phi maps to swap o phi o f, which is what
-    keeps the dual skew-graded for the negated gradings.
-    """
-    out = _transpose(f.entries)
-    if f.variance == SKEW:
-        out = {j: {i: p.swap_uv() for i, p in col.items()} for j, col in out.items()}
-    return Morphism(dual_source_of_f_target, dual_target_of_f_source, out, f.variance, f.bidegree)
-
-
 # ---------------------------------------------------------------------------
 # finite slices and homology
 
@@ -565,11 +552,23 @@ _NOT_HOMOGENEOUS = "slice homology needs homogeneous maps and differentials"
 
 
 class SliceHomologyReport(Slices):
-    """The slice homology of one complex (see homology_is_r): its Slices,
-    whose slice p holds the generators with gr_u = p mod 2, in order, and
-    the dims of the even and the odd slice."""
+    """Decide H_*(C) = R by the two parity slices (A=0, gr_u in {0, 1}).
+
+    U and V are invertible, so the slice at gr_u = g has one vector
+    U^i V^j x per generator x with gr_u(x) = g mod 2, and a homogeneous
+    map's slice matrix is the support of its matrix: these are slices 0
+    and 1 of the Slices with grading 2 for gr_u even and 1 for gr_u odd.
+    d flips the parity of gr_u, so these gradings force each entry to
+    W^0 (even to odd) or W^1 (odd to even), filtered or not. Holding all
+    generators of their parity, the slices see the complex with W
+    inverted, where torsion dies: the dims count the free gradings 2 and
+    1 of Slices.snf. Homology R, generator even, is exactly dims (1, 0).
+    ValueError unless d is homogeneous.
+    """
 
     def __init__(self, c: FreeComplex):
+        if c.inhomogeneous:
+            raise ValueError(_NOT_HOMOGENEOUS)
         super().__init__([2 - x.gr_u % 2 for x in c.basis], c.diff)
         free, _ = self.snf()
         self.dims = (free.count(2), free.count(1))
@@ -595,24 +594,6 @@ class SliceHomologyReport(Slices):
             raise ValueError("source slice homology has no generator class")
         rows = gf2.support_rows(f.entries, self.members(0), target.positions(0))
         return not target.boundaries(0).contains(gf2.apply_rows(rows, self.generator))
-
-
-def homology_is_r(c: FreeComplex) -> SliceHomologyReport:
-    """Decide H_*(C) = R by the two parity slices (A=0, gr_u in {0, 1}).
-
-    U and V are invertible, so the slice at gr_u = g has one vector
-    U^i V^j x per generator x with gr_u(x) = g mod 2, and a homogeneous
-    map's slice matrix is the support of its matrix: these are slices 0
-    and 1 of the Slices with grading 2 for gr_u even and 1 for gr_u odd.
-    d flips the parity of gr_u, so these gradings force each entry to
-    W^0 (even to odd) or W^1 (odd to even), filtered or not. Holding all
-    generators of their parity, the slices see the complex with W
-    inverted, where torsion dies: the dims count the free gradings 2 and
-    1 of Slices.snf. Homology R, generator even, is exactly dims (1, 0).
-    """
-    if c.inhomogeneous:
-        raise ValueError(_NOT_HOMOGENEOUS)
-    return SliceHomologyReport(c)
 
 
 def homology_class_map(f: Morphism) -> bool:

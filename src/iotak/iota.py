@@ -26,7 +26,6 @@ from .complexes import (
     _transpose,
     compose,
     dual,
-    dual_morphism,
     homotopy_solve,
     identity_morphism,
     is_chain_map,
@@ -157,12 +156,12 @@ def _product_terms(c1: FreeComplex, iota1: Morphism, c2: FreeComplex, iota2: Mor
     the product: (iota1, iota2) and (Phi1 iota1, Psi2 iota2) for variant
     1, (Psi1 iota1, Phi2 iota2) for variant 2. Each f|g is skew of
     bidegree (0, 0)."""
+    if type(variant) is not int or variant not in (1, 2):
+        raise ValueError("variant must be 1 or 2")
     if variant == 1:
         left, right = compose(build_phi(c1), iota1), compose(build_psi(c2), iota2)
-    elif variant == 2:
-        left, right = compose(build_psi(c1), iota1), compose(build_phi(c2), iota2)
     else:
-        raise ValueError("variant must be 1 or 2")
+        left, right = compose(build_psi(c1), iota1), compose(build_phi(c2), iota2)
     return (iota1, iota2), (left, right)
 
 
@@ -186,9 +185,14 @@ def product(ic1: IotaComplex, ic2: IotaComplex, *, variant: int = 1,
 
 
 def dual_iota(ic: IotaComplex) -> IotaComplex:
-    """The inverse: dual complex with the dualized involution."""
+    """The inverse: dual complex with the dualized involution, the
+    transpose of iota with each entry U/V-swapped. The functional phi maps
+    to swap o phi o iota, which keeps the dual skew-graded for the
+    negated gradings."""
     dc = dual(ic.complex)
-    return IotaComplex(dc, dual_morphism(ic.iota, dc, dc))
+    entries = {j: {i: p.swap_uv() for i, p in col.items()}
+               for j, col in _transpose(ic.iota.entries).items()}
+    return IotaComplex(dc, Morphism(dc, dc, entries, SKEW, (0, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ integer longer than sys.get_int_max_str_digits()), raises ParseError and
 is never coerced. Polynomials are immutable, so the entries of a map
 with one monomial list share one LaurentPoly.
 
-dumps writes the text of json.dumps(iota_complex_to_dict(name, ic),
-indent=2) + "\n" straight from the complex, with no dict and not through
-json's encoder (an indent forces its pure-Python one): each generator
-name is quoted once and each distinct monomial list laid out once.
+dumps writes the text of json.dumps(doc, indent=2) + "\n", for doc the
+file's document as the specification in tests/conftest.py builds it,
+straight from the complex, with no dict and not through json's encoder
+(an indent forces its pure-Python one): each generator name is quoted
+once and each distinct monomial list laid out once.
 save encodes the whole file before opening it, then writes over the old
 bytes and cuts the file at their end: truncating it to zero first frees
 the old blocks, which costs tens of milliseconds per rewrite on ext4.
@@ -25,7 +26,7 @@ import json
 import os
 from typing import Dict, List
 
-from .complexes import SKEW, BasisElement, Entries, FreeComplex, Morphism, differential_morphism
+from .complexes import SKEW, BasisElement, Entries, FreeComplex, Morphism
 from .iota import IotaComplex
 from .ring import LaurentPoly, _canonical
 
@@ -47,18 +48,6 @@ def morphism_to_list(m: Morphism) -> List[Dict]:
     return out
 
 
-def iota_complex_to_dict(name: str, ic: IotaComplex) -> Dict:
-    cx = ic.complex
-    return {
-        "name": name,
-        "generators": [
-            {"name": x.name, "gr_u": x.gr_u, "gr_v": x.gr_v} for x in cx.basis
-        ],
-        "differential": morphism_to_list(differential_morphism(cx)),
-        "iota": morphism_to_list(ic.iota),
-    }
-
-
 def _array(items: List[str], pad: str) -> str:
     """A JSON array of encoded items as indent=2 lays it out at indent pad."""
     if not items:
@@ -68,7 +57,7 @@ def _array(items: List[str], pad: str) -> str:
 
 
 def dumps(name: str, ic: IotaComplex) -> str:
-    """The file text: json.dumps(iota_complex_to_dict(name, ic), indent=2) + "\n"."""
+    """The file text, as the module docstring specifies it."""
     q = [json.dumps(x.name) for x in ic.complex.basis]
     gens = [f'{{\n      "name": {n},\n      "gr_u": {x.gr_u},\n      "gr_v": {x.gr_v}\n    }}'
             for n, x in zip(q, ic.complex.basis)]

@@ -3,10 +3,11 @@ import functools
 import pytest
 from hypothesis import strategies as st
 
-from iotak.complexes import SKEW, BasisElement, FreeComplex, Morphism
+from iotak.complexes import SKEW, BasisElement, FreeComplex, Morphism, differential_morphism
 from iotak.iota import IotaComplex, product
 from iotak.models import Staircase, mirror, staircase_complex, torus_knot
 from iotak.ring import ONE, monomial
+from iotak.serialize import morphism_to_list
 
 CORPUS_TORUS = [(2, 3), (2, 5), (3, 4), (4, 5), (5, 6), (6, 7)]
 
@@ -44,6 +45,21 @@ def normal_form(basis, vec):
         else:
             vec ^= piv
     return out
+
+
+def iota_complex_to_dict(name, ic):
+    """The document of a complex file, the specification of
+    serialize.dumps: its text is json.dumps of this, indent=2, plus a
+    newline."""
+    cx = ic.complex
+    return {
+        "name": name,
+        "generators": [
+            {"name": x.name, "gr_u": x.gr_u, "gr_v": x.gr_v} for x in cx.basis
+        ],
+        "differential": morphism_to_list(differential_morphism(cx)),
+        "iota": morphism_to_list(ic.iota),
+    }
 
 
 def staircase_sum(parts, variant=1):

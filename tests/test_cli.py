@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import IntSubclass, parts_strategy, staircase_strategy, staircase_sum
+from conftest import (
+    IntSubclass,
+    iota_complex_to_dict,
+    parts_strategy,
+    staircase_strategy,
+    staircase_sum,
+)
 from iotak import cli, serialize
 from iotak.complexes import EQUIVARIANT, SKEW, BasisElement, FreeComplex, Morphism
 from iotak.invariants import InvariantError, a_zero_minus, reduce_tower
@@ -75,7 +81,7 @@ def _assert_round_trip(path, name, ic):
     and the same bytes."""
     serialize.save(path, name, ic)
     first = Path(path).read_bytes()
-    assert first == _indent2(serialize.iota_complex_to_dict(name, ic)).encode()
+    assert first == _indent2(iota_complex_to_dict(name, ic)).encode()
     name2, ic2 = serialize.load(path)
     assert name2 == name
     assert ic2.complex.basis == ic.complex.basis
@@ -386,7 +392,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_strict_parser_rejects(tmp_path, capsys, case):
-    doc = serialize.iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
+    doc = iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
     mutate, kind = MALFORMED[case]
     mutate(doc)
     path = tmp_path / "bad.json"
@@ -403,7 +409,7 @@ def test_strict_parser_rejects(tmp_path, capsys, case):
 def test_parser_rejects_an_int_subclass(mutate):
     """json.load never makes an int subclass, but a caller's dict can: a
     ParseError, not a value coerced through int()."""
-    doc = serialize.iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
+    doc = iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
     mutate(doc)
     with pytest.raises(serialize.ParseError, match="^bad (generator|monomial list)"):
         serialize.iota_complex_from_dict(doc)
@@ -523,7 +529,7 @@ def test_sum_loads_each_path_once(tmp_path, capsys, monkeypatch):
 def _renamed_t23(path, names):
     """Write T(2,3) with its generators x0, x1, x2 renamed to names."""
     rename = dict(zip(("x0", "x1", "x2"), names))
-    doc = serialize.iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
+    doc = iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
     for g in doc["generators"]:
         g["name"] = rename[g["name"]]
     for entry in doc["differential"] + doc["iota"]:
@@ -593,11 +599,11 @@ def test_dumps_matches_json_indent2_on_sums(parts):
     acc = staircase_complex(parts[0])
     for part in parts[1:]:
         acc = product(acc, staircase_complex(part), verify=False)
-    assert serialize.dumps("K", acc) == _indent2(serialize.iota_complex_to_dict("K", acc))
+    assert serialize.dumps("K", acc) == _indent2(iota_complex_to_dict("K", acc))
 
 
 def test_dumps_matches_json_indent2_on_edge_cases():
-    unknot = serialize.iota_complex_to_dict("T(1,1)", torus_knot(1, 1))
+    unknot = iota_complex_to_dict("T(1,1)", torus_knot(1, 1))
     assert unknot["differential"] == []
     odd = "q\"b\\s/é☃\t\U0001d54c"
     escaped = {
@@ -891,7 +897,7 @@ MUTATIONS = [wrong_type, missing_key, bad_monomial, unknown_name, duplicate_entr
 @given(st.sampled_from(MUTATIONS), st.data())
 @settings(max_examples=80, deadline=None)
 def test_malformed_documents_exit_2(tmp_path_factory, mutate, data):
-    doc = mutate(data, serialize.iota_complex_to_dict("T(2,3)", torus_knot(2, 3)))
+    doc = mutate(data, iota_complex_to_dict("T(2,3)", torus_knot(2, 3)))
     path = tmp_path_factory.mktemp("fuzz") / "bad.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()

@@ -14,12 +14,12 @@ from iotak.complexes import (
     BasisElement,
     FreeComplex,
     Morphism,
+    SliceHomologyReport,
     _HomEquations,
     compose,
     differential_morphism,
     dual,
     homology_class_map,
-    homology_is_r,
     homotopy_solve,
     identity_morphism,
     is_chain_map,
@@ -180,14 +180,14 @@ def test_skew_trefoil(hand_trefoil):
 
 def test_homology_is_r_examples(hand_trefoil):
     unit = FreeComplex([BasisElement("e", 0, 0)], {})
-    assert homology_is_r(unit).holds
-    assert homology_is_r(unit).dims == (1, 0)
-    assert homology_is_r(hand_trefoil.complex).holds
+    assert SliceHomologyReport(unit).holds
+    assert SliceHomologyReport(unit).dims == (1, 0)
+    assert SliceHomologyReport(hand_trefoil.complex).holds
     acyclic = FreeComplex(
         [BasisElement("a", 0, 0), BasisElement("b", 1, -1)],
         {0: {1: monomial(1, 0)}},
     )
-    rep = homology_is_r(acyclic)
+    rep = SliceHomologyReport(acyclic)
     assert not rep.holds
     assert rep.dims == (0, 0) == ref_homology_dims(acyclic)
 
@@ -210,7 +210,7 @@ def test_slice_homology_pinned():
         (mixed, ((1, 0), 3, 73)),
     ]
     for c, pinned in cases:
-        rep = homology_is_r(c)
+        rep = SliceHomologyReport(c)
         assert (rep.dims, rep.generator, rep.functional) == pinned
 
 
@@ -225,8 +225,8 @@ def test_constructions_stay_clean(s1, s2):
     assert verify_complex(t).passed
     assert verify_complex(dual(t)).passed
     assert verify_complex(skew(t)).passed
-    assert homology_is_r(c1).holds
-    assert homology_is_r(t).holds
+    assert SliceHomologyReport(c1).holds
+    assert SliceHomologyReport(t).holds
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +280,13 @@ def test_slice_translation_isomorphisms(s):
     # slice bases the matrices agree on the nose, and they are the
     # support rows of the parity slices
     c = tensor(staircase_complex(s).complex, torus_knot(2, 3).complex)
-    hom = homology_is_r(c)
+    hom = SliceHomologyReport(c)
     for alex, gr in [(0, 0), (0, 1), (1, -1), (-2, 4)]:
         base = ref_diff_rows(c, alex, gr)
         assert base == ref_diff_rows(c, alex + 1, gr)
         assert base == ref_diff_rows(c, alex, gr - 2)
         assert base == gf2.support_rows(c.diff, hom.members(gr % 2), hom.positions((gr - 1) % 2))
-    assert homology_is_r(c).dims == ref_homology_dims(c)
+    assert SliceHomologyReport(c).dims == ref_homology_dims(c)
 
 
 def direct_sum(*complexes):
@@ -330,7 +330,7 @@ def summands_off_the_ring(draw):
 def test_slice_homology_dims_off_the_ring(c):
     """The slice dims against the monomial-keyed reference on complexes
     whose homology is mostly not the ring."""
-    assert homology_is_r(c).dims == ref_homology_dims(c)
+    assert SliceHomologyReport(c).dims == ref_homology_dims(c)
 
 
 def test_slice_homology_rejects_wrong_monomial(hand_trefoil):
@@ -344,7 +344,7 @@ def test_slice_homology_rejects_wrong_monomial(hand_trefoil):
     for wrong in ({0: monomial(3, 0), 2: monomial(0, 1)}, {0: monomial(1, 0), 2: monomial(1, 2)}):
         bad = FreeComplex(c.basis, {1: wrong})
         with pytest.raises(ValueError):
-            homology_is_r(bad)
+            SliceHomologyReport(bad)
         with pytest.raises(ValueError):
             _HomEquations(bad, bad, EQUIVARIANT, (1, 1))
         with pytest.raises(ValueError):
@@ -799,7 +799,15 @@ def test_every_built_matrix_is_normalized(parts):
      "composition endpoint mismatch"),
     (lambda c: tensor_morphism(identity_morphism(c), Morphism(c, c, {}, SKEW, (0, 0)), c, c),
      "tensor of morphisms needs equal variances"),
-], ids=["variance", "names", "add-grading", "add-endpoints", "compose", "tensor-variance"])
+    (lambda c: homology_class_map(Morphism(c, c, {}, SKEW, (0, 0))),
+     "homology_class_map needs an equivariant bidegree-(0,0) map"),
+    (lambda c: homotopy_solve(identity_morphism(c), identity_morphism(dual(c))),
+     "homotopy_solve needs maps with equal endpoints"),
+    (lambda c: homology_class_map(identity_morphism(FreeComplex(
+        [BasisElement("a", 0, 0), BasisElement("b", -1, -1)], {0: {1: ONE}}))),
+     "source slice homology has no generator class"),
+], ids=["variance", "names", "add-grading", "add-endpoints", "compose", "tensor-variance",
+        "class-map-skew", "solve-endpoints", "class-map-acyclic"])
 def test_guards_name_what_they_reject(hand_trefoil, build, message):
     """The checks that FreeComplex, Morphism, +, compose and
     tensor_morphism keep raise ValueError with these exact messages."""

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +84,13 @@ def test_apply_and_transpose():
     assert gf2.apply_rows(rows, 0b11) == 0b111
     t = gf2.transpose(rows, 3)
     assert t == [0b01, 0b01, 0b10]
+
+
+def test_support_rows_rejects_an_entry_outside_the_target_slice():
+    """An entry into a target of position -1 is an error, not bit -1."""
+    with pytest.raises(ValueError) as exc:
+        gf2.support_rows({0: {1: None}}, [0], [0, -1])
+    assert str(exc.value) == "map image left the target slice"
 
 
 def test_row_basis_membership():

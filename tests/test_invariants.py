@@ -194,9 +194,13 @@ def test_tower_rejects_an_int_subclass_grading():
      "d^2 != 0 at generator a"),
     (lambda: involutive_invariants(UTowerComplex([("a", 0), ("b", -1)], {0: {1}}, {})),
      "tower homology has no free summand"),
-], ids=["d squared", "acyclic tower"])
+    (lambda: lemma_criteria_oracle(UTowerComplex([], {}, {})), "oracle needs a nonempty complex"),
+    (lambda: lemma_criteria_oracle(UTowerComplex([("a", 0), ("b", -1)], {0: {1}}, {})),
+     "no d_under witness in the grading range"),
+], ids=["d squared", "acyclic tower", "empty oracle", "acyclic oracle"])
 def test_invariants_rejections_are_pinned(build, message):
-    """da = b, db = c has d^2 a = c; the tower with da = b has no homology."""
+    """da = b, db = c has d^2 a = c; the tower with da = b has no homology,
+    so the oracle finds no d_under witness for it."""
     with pytest.raises(InvariantError) as exc:
         build()
     assert str(exc.value) == message

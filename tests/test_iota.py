@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     T23_D_SQUARED_NONZERO,
+    iota_complex_to_dict,
     parts_strategy,
     staircase_strategy,
     staircase_sum,
@@ -301,12 +302,15 @@ def test_verify_local_equivalence_zero_fails(hand_trefoil):
                                                   EQUIVARIANT, (0, 0))),
      "iota must be skew of bidegree (0, 0)"),
     (lambda k, f: product(k, k, variant=3, verify=False), "variant must be 1 or 2"),
+    (lambda k, f: product(k, k, variant=True, verify=False), "variant must be 1 or 2"),
+    (lambda k, f: product(k, k, variant=1.0, verify=False), "variant must be 1 or 2"),
+    (lambda k, f: product(k, k, variant=2.0, verify=False), "variant must be 1 or 2"),
     (lambda k, f: verify_local_equivalence(k, identity_complex(), f, f), "f must map ic1 to ic2"),
     (lambda k, f: verify_local_equivalence(
         k, k, Morphism(k.complex, k.complex, f.entries, SKEW, (0, 0)), f),
      "f must be equivariant of bidegree (0, 0)"),
-], ids=["iota between complexes", "equivariant iota", "variant 3", "f to the wrong complex",
-        "skew f"])
+], ids=["iota between complexes", "equivariant iota", "variant 3", "variant True",
+        "variant 1.0", "variant 2.0", "f to the wrong complex", "skew f"])
 def test_iota_rejections_are_pinned(build, message):
     """On T(2,3), with f its identity map."""
     k = torus_knot(2, 3)
@@ -523,7 +527,7 @@ def test_inverse_witnesses_on_a_corrupted_dual(monkeypatch):
             dc = complexes.dual(k.complex)
             diff = {a: {b: p for b, p in row.items() if (a, b) != drop} for a, row in dc.diff.items()}
             bad = FreeComplex(dc.basis, {a: row for a, row in diff.items() if row})
-            return IotaComplex(bad, complexes.dual_morphism(k.iota, bad, bad))
+            return IotaComplex(bad, Morphism(bad, bad, dual_iota(k).iota.entries, SKEW, (0, 0)))
         with monkeypatch.context() as m:
             m.setattr(iota, "dual_iota", corrupted)
             outcome = witness_outcome(ic)
@@ -536,7 +540,7 @@ def test_inverse_witnesses_on_a_corrupted_dual(monkeypatch):
         """The unknot's dual with its generator two higher in both gradings."""
         (x,) = complexes.dual(k.complex).basis
         bad = FreeComplex([BasisElement(x.name, x.gr_u + 2, x.gr_v + 2)], {})
-        return IotaComplex(bad, complexes.dual_morphism(k.iota, bad, bad))
+        return IotaComplex(bad, Morphism(bad, bad, dual_iota(k).iota.entries, SKEW, (0, 0)))
     unknot = unknot_complex()
     with monkeypatch.context() as m:
         m.setattr(iota, "dual_iota", shifted)
@@ -822,7 +826,7 @@ def test_homotopy_witnesses_pinned():
 def test_verify_scans_each_matrix_once(monkeypatch):
     """verify_iota_complex decides the homogeneity of d and of iota with one
     forced_base call per row of each, and a_zero_minus then reuses both."""
-    _, ic = serialize.iota_complex_from_dict(serialize.iota_complex_to_dict(
+    _, ic = serialize.iota_complex_from_dict(iota_complex_to_dict(
         "k", product(torus_knot(3, 4), torus_knot(2, 3))))
     assert (len(ic.complex.diff), len(ic.iota.entries)) == (9, 15)
     calls = []
