@@ -37,6 +37,7 @@ ORACLE = ("tests/test_invariants.py", "-k", "oracle")
 PHI = ("tests/test_iota.py", "-k", "phi")
 LOCAL = ("tests/test_iota.py", "-k", "local or search or witness")
 DUAL = ("tests/test_iota.py", "tests/test_models.py")
+AXIOM6 = ("tests/test_iota.py", "tests/test_cli.py", "-k", "axiom_six")
 TIER1 = ("tests/",)
 
 # (name, file under src/, old text, new text, pytest arguments)
@@ -99,6 +100,12 @@ MUTANTS = [
     ("_product_terms takes a variant that is not an int", "iotak/iota.py",
      "if type(variant) is not int or variant not in (1, 2):", "if variant not in (1, 2):",
      ("tests/test_iota.py", "-k", "rejections")),
+    ("axiom (6) without the diagonal of id", "iotak/iota.py",
+     " ^ {(i, i) for i in range(len(cx))}", "", AXIOM6),
+    ("Psi's support read off the U exponent", "iotak/iota.py",
+     "(a, b - 1) if b % 2 else None", "(a, b - 1) if a % 2 else None", AXIOM6),
+    ("the zero witness whatever the right-hand side", "iotak/complexes.py",
+     "if not rhs and not (src.inhomogeneous", "if not (src.inhomogeneous", AXIOM6),
 ]
 
 # (name, file under src/, old text, new text, pytest arguments, why no test kills it)
@@ -111,6 +118,10 @@ KNOWN_SURVIVORS = [
      "k = a * n + b", "k = b * n + a", TIER1,
      "on every iota-complex tried (staircase sums, the figure-eight model) "
      "iota o cotrace is symmetric in (a, b)"),
+    ("axiom (6) counts Psi o Phi in place of Phi o Psi", "iotak/iota.py",
+     "(_kept(cx, _PHI), _kept(cx, _PSI))", "(_kept(cx, _PSI), _kept(cx, _PHI))", TIER1,
+     "Phi Psi = Psi Phi entry for entry on every staircase complex checked: T(p,p+1) "
+     "for p = 2..7, their mirrors, K # mirror(K) and variant-2 sums with T(2,3)"),
 ]
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from . import gf2
 from .ring import ONE, LaurentPoly, Monomial, monomial, require_ints
@@ -678,34 +678,34 @@ def homotopy_solve(f: Morphism, g: Morphism) -> Optional[Morphism]:
     has nonnegative exponents. f and g need not be chain maps (with
     d^2 = 0, a non-chain f + g has no H). ValueError only for mismatched
     endpoints, variance or bidegree, or an entry that is not the
-    grading-forced monomial.
+    grading-forced monomial. The solve is _solve_support's, on f + g.
     """
     if f.source != g.source or f.target != g.target:
         raise ValueError("homotopy_solve needs maps with equal endpoints")
     if f.bidegree != g.bidegree or f.variance != g.variance:
         raise ValueError("homotopy_solve needs maps of equal bidegree and variance")
-    src, tgt = f.source, f.target
-    hdeg = (f.bidegree[0] + 1, f.bidegree[1] + 1)
-
     fg = f + g
-    # f = g has the zero homotopy; an inhomogeneous d still gets _HomEquations' ValueError
-    if fg.is_zero() and not (src.inhomogeneous or tgt.inhomogeneous):
-        return Morphism(src, tgt, {}, f.variance, hdeg)
-
-    space = _HomEquations(src, tgt, f.variance, hdeg)
-    if fg.inhomogeneous:
+    # an inhomogeneous d is named first, by _HomEquations
+    if fg.inhomogeneous and not (f.source.inhomogeneous or f.target.inhomogeneous):
         raise ValueError("f + g is not homogeneous")
-    rhs_keys = {(i, j) for i, row in fg.entries.items() for j in row}
+    return _solve_support(f.source, f.target, f.variance, (f.bidegree[0] + 1, f.bidegree[1] + 1),
+                          {(i, j) for i, row in fg.entries.items() for j in row})
 
-    keys = sorted(set(space.equations) | rhs_keys)
-    rows = [space.equations.get(k, 0) for k in keys]
-    rhs = [1 if k in rhs_keys else 0 for k in keys]
-    sol = gf2.solve(rows, rhs, len(space.unknowns))
+
+def _solve_support(src: FreeComplex, tgt: FreeComplex, variance: str,
+                   bidegree: Tuple[int, int], rhs: Set[Tuple[int, int]]) -> Optional[Morphism]:
+    """The least filtered H of this variance and bidegree with dH + Hd supported on rhs, or None."""
+    # rhs = 0 has the zero homotopy; an inhomogeneous d still gets _HomEquations' ValueError
+    if not rhs and not (src.inhomogeneous or tgt.inhomogeneous):
+        return Morphism(src, tgt, {}, variance, bidegree)
+    space = _HomEquations(src, tgt, variance, bidegree)
+    keys = sorted(set(space.equations) | rhs)
+    sol = gf2.solve([space.equations.get(k, 0) for k in keys], [k in rhs for k in keys],
+                    len(space.unknowns))
     if sol is None:
         return None
     h = space.morphism(sol)
-
-    # both differentials, f + g and h are homogeneous, so supports decide
-    if set(_odd_support((tgt.diff, h.entries), (h.entries, src.diff))) != rhs_keys:
+    # both differentials and h are homogeneous, so supports decide
+    if set(_odd_support((tgt.diff, h.entries), (h.entries, src.diff))) != rhs:
         raise AssertionError("homotopy solver produced an invalid solution")
     return h

@@ -3,8 +3,8 @@
 The involution iota squares to id + Phi o Psi. Phi = dd/dU, Psi = dd/dV
 and the Phi^2 homotopy are read off the forced exponents of a homogeneous
 differential d (ValueError otherwise). The module verifies the six axioms,
-forms the connected-sum products, duals, trace/cotrace inverse witnesses,
-and decides local equivalence by one F2 solve per direction.
+the sixth on supports, forms connected-sum products, duals and trace/cotrace
+inverse witnesses, and decides local equivalence by one F2 solve per direction.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .complexes import (
     LazyTensor,
     Morphism,
     _HomEquations,
+    _odd_support,
+    _solve_support,
     _transpose,
     compose,
     dual,
@@ -57,12 +59,21 @@ def identity_complex() -> IotaComplex:
     return IotaComplex(c, Morphism(c, c, {0: {0: ONE}}, SKEW, (0, 0)))
 
 
-def _from_exponents(c: FreeComplex, bidegree: Tuple[int, int],
-                    rule: Callable[[int, int], Optional[Monomial]]) -> Morphism:
-    """The equivariant endomorphism of c that keeps each entry U^a V^b of
-    the differential as U^rule(a, b), and drops it where rule gives None.
-    ValueError unless every entry is the single monomial its gradings force.
-    """
+# Phi keeps an entry U^a V^b of d with a odd, as U^(a-1) V^b; Psi one with b odd, as U^a V^(b-1)
+Rule = Callable[[int, int], Optional[Monomial]]
+_PHI: Rule = lambda a, b: (a - 1, b) if a % 2 else None
+_PSI: Rule = lambda a, b: (a, b - 1) if b % 2 else None
+
+
+def _kept(c: FreeComplex, rule: Rule) -> Dict[int, List[int]]:
+    """The targets of the entries U^a V^b of d with rule(a, b) not None, by source."""
+    return {i: [j for j, p in row.items() if rule(*p.terms[0]) is not None]
+            for i, row in c.diff.items()}
+
+
+def _from_exponents(c: FreeComplex, bidegree: Tuple[int, int], rule: Rule) -> Morphism:
+    """The equivariant endomorphism of c keeping each entry U^a V^b of d as U^rule(a, b)
+    where that is not None; ValueError unless every entry is its grading-forced monomial."""
     if c.inhomogeneous:
         raise ValueError("the differential is not homogeneous")
     entries: Entries = {}
@@ -75,12 +86,12 @@ def _from_exponents(c: FreeComplex, bidegree: Tuple[int, int],
 
 def build_phi(c: FreeComplex) -> Morphism:
     """d/dU of each entry of d; equivariant, bidegree (1, -1); ValueError if d is inhomogeneous."""
-    return _from_exponents(c, (1, -1), lambda a, b: (a - 1, b) if a % 2 else None)
+    return _from_exponents(c, (1, -1), _PHI)
 
 
 def build_psi(c: FreeComplex) -> Morphism:
     """d/dV of each entry of d; equivariant, bidegree (-1, 1); ValueError if d is inhomogeneous."""
-    return _from_exponents(c, (-1, 1), lambda a, b: (a, b - 1) if b % 2 else None)
+    return _from_exponents(c, (-1, 1), _PSI)
 
 
 def phi_squared_homotopy(c: FreeComplex) -> Morphism:
@@ -108,11 +119,15 @@ class IotaReport(CheckReport):
 def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaReport:
     """Check all six axioms; failures are reported with witnesses.
 
-    (1)-(3) and (5) are always decided. (4) is decided when (1) and (3)
-    pass: the slice homology needs a homogeneous d with d^2 = 0, and not
-    the filtration. (6) is decided when (1)-(5) all pass, and
-    check_involution=False skips its homotopy solve and passes it.
-    Otherwise an undecided (4) or (6) reads as failed.
+    (1)-(3) and (5) are always decided. (4) is decided when (1) and (3) pass:
+    the slice homology needs a homogeneous d with d^2 = 0, and not the
+    filtration. (6) is decided when (1)-(5) all pass, and
+    check_involution=False skips it and passes it; otherwise an undecided (4)
+    or (6) reads as failed. Then d and iota are homogeneous, so iota o iota,
+    Phi o Psi and id are equivariant of bidegree (0, 0) and each entry i -> k
+    of their sum is its forced monomial once per path i -> j -> k through
+    (iota, iota) or (Phi, Psi), plus once on the diagonal: (6) solves
+    homotopy_solve's system on that odd support.
     """
     cx = ic.complex
     base = verify_complex(cx)
@@ -139,9 +154,9 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
     involution_ok = not check_involution
     witness = None
     if check_involution and base.passed and homology_r_ok and iota_ok:
-        lhs = compose(ic.iota, ic.iota)
-        rhs = identity_morphism(cx) + compose(build_phi(cx), build_psi(cx))
-        witness = homotopy_solve(lhs, rhs)
+        paths = _odd_support((ic.iota.entries, ic.iota.entries), (_kept(cx, _PHI), _kept(cx, _PSI)))
+        rhs = set(paths) ^ {(i, i) for i in range(len(cx))}
+        witness = _solve_support(cx, cx, EQUIVARIANT, (1, 1), rhs)
         involution_ok = witness is not None
         if not involution_ok:
             offenders.append("no filtered equivariant homotopy from iota^2 to id + Phi Psi")

@@ -3,7 +3,15 @@ import functools
 import pytest
 from hypothesis import strategies as st
 
-from iotak.complexes import SKEW, BasisElement, FreeComplex, Morphism, differential_morphism
+from iotak.complexes import (
+    SKEW,
+    BasisElement,
+    FreeComplex,
+    Morphism,
+    _HomEquations,
+    compose,
+    differential_morphism,
+)
 from iotak.iota import IotaComplex, product
 from iotak.models import Staircase, mirror, staircase_complex, torus_knot
 from iotak.ring import ONE, monomial
@@ -67,6 +75,23 @@ def staircase_sum(parts, variant=1):
     folded left to right."""
     ics = [mirror(staircase_complex(s)) if flip else staircase_complex(s) for s, flip in parts]
     return functools.reduce(lambda a, b: product(a, b, variant=variant, verify=False), ics)
+
+
+def perturbed(ic, bits):
+    """ic with iota + dK + Kd in place of iota, for K the filtered skew map
+    of bidegree (1, 1) whose _HomEquations unknowns are the bits set in
+    bits. It is still a filtered, homogeneous skew chain map, homotopic
+    to iota, so axiom (6) still holds, but its witness may be nonzero."""
+    c = ic.complex
+    k = _HomEquations(c, c, SKEW, (1, 1)).morphism(bits)
+    d = differential_morphism(c)
+    return IotaComplex(c, ic.iota + compose(d, k) + compose(k, d))
+
+
+def perturbed_t34_mirror_t23():
+    """T(3,4) # T(2,3)^-1 perturbed by its first K unknown: its axiom-6
+    witness has the two entries 3 -> 8 and 11 -> 6, by basis index."""
+    return perturbed(product(torus_knot(3, 4), mirror(torus_knot(2, 3))), 1)
 
 
 @pytest.fixture(scope="session")

@@ -16,13 +16,14 @@ from conftest import (
     IntSubclass,
     iota_complex_to_dict,
     parts_strategy,
+    perturbed_t34_mirror_t23,
     staircase_strategy,
     staircase_sum,
 )
 from iotak import cli, serialize
 from iotak.complexes import EQUIVARIANT, SKEW, BasisElement, FreeComplex, Morphism
 from iotak.invariants import InvariantError, a_zero_minus, reduce_tower
-from iotak.iota import IotaComplex, product, verify_local_equivalence
+from iotak.iota import IotaComplex, product, verify_iota_complex, verify_local_equivalence
 from iotak.models import staircase_complex, torus_knot
 
 
@@ -271,6 +272,18 @@ def test_check_reports_the_first_failing_axiom(tmp_path, capsys, edit, verdicts,
     assert (code, err) == (1, "")
     assert out == "\n".join([*axioms, *(f"  {o}" for o in offenders),
                              "T(2,3): NOT an iota-complex", ""])
+
+
+def test_check_axiom_six_with_a_nonzero_witness(tmp_path, capsys):
+    """check on a perturbed involution iota + dK + Kd of T(3,4) # T(2,3)^-1,
+    whose axiom-6 homotopy is nonzero: six passes, exit 0."""
+    ic = perturbed_t34_mirror_t23()
+    assert verify_iota_complex(ic).involution_homotopy.entries
+    path = tmp_path / "perturbed.json"
+    serialize.save(str(path), "K", ic)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert out == "\n".join([*(f"{line}: pass" for line in AXIOM_LINES), "K: iota-complex", ""])
 
 
 def test_dual_subcommand(tmp_path, capsys):

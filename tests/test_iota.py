@@ -9,6 +9,8 @@ from conftest import (
     T23_D_SQUARED_NONZERO,
     iota_complex_to_dict,
     parts_strategy,
+    perturbed,
+    perturbed_t34_mirror_t23,
     staircase_strategy,
     staircase_sum,
     t23_with,
@@ -823,6 +825,54 @@ def test_homotopy_witnesses_pinned():
         assert homotopy_solve(f, g).entries == pinned
 
 
+def reference_axiom_six(ic):
+    """Axiom (6)'s witness through Laurent arithmetic: homotopy_solve of
+    iota o iota against id + Phi o Psi, every composite built."""
+    c = ic.complex
+    rhs = identity_morphism(c) + compose(build_phi(c), build_psi(c))
+    return homotopy_solve(compose(ic.iota, ic.iota), rhs)
+
+
+def _assert_axiom_six_witness(ic, h):
+    """dH + Hd = iota^2 + id + Phi Psi, every side composed over the ring."""
+    c = ic.complex
+    d = differential_morphism(c)
+    rhs = compose(ic.iota, ic.iota) + identity_morphism(c) + compose(build_phi(c), build_psi(c))
+    assert (compose(d, h) + compose(h, d) + rhs).is_zero()
+
+
+@given(parts_strategy, st.sampled_from([1, 2]), st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_axiom_six_on_supports_matches_the_laurent_path(parts, variant, dualize, rnd):
+    """On staircase sums, their duals and iota + dK + Kd for a random
+    filtered skew K: the verdict and witness of axiom (6) decided on
+    supports are those of the composed path, and the witness is one."""
+    ic = staircase_sum(parts, variant)
+    if dualize:
+        ic = dual_iota(ic)
+    c = ic.complex
+    n = len(_HomEquations(c, c, SKEW, (1, 1)).unknowns)
+    for bits in dict.fromkeys((0, rnd.getrandbits(n))):
+        pic = perturbed(ic, bits)
+        rep, ref = verify_iota_complex(pic), reference_axiom_six(pic)
+        assert rep.checks[:5] == ((1, True), (2, True), (3, True), (4, True), (5, True))
+        assert rep.checks[5] == (6, ref is not None)
+        if ref is not None:
+            assert rep.involution_homotopy == ref
+            _assert_axiom_six_witness(pic, ref)
+
+
+def test_axiom_six_witness_pinned():
+    """A perturbed involution whose axiom-6 witness is nonzero."""
+    ic = perturbed_t34_mirror_t23()
+    rep = verify_iota_complex(ic)
+    assert rep.passed
+    h = rep.involution_homotopy
+    assert (h.variance, h.bidegree, h.entries) == (EQUIVARIANT, (1, 1), {3: {8: ONE}, 11: {6: ONE}})
+    assert h == reference_axiom_six(ic)
+    _assert_axiom_six_witness(ic, h)
+
+
 def test_verify_scans_each_matrix_once(monkeypatch):
     """verify_iota_complex decides the homogeneity of d and of iota with one
     forced_base call per row of each, and a_zero_minus then reuses both."""
@@ -835,6 +885,26 @@ def test_verify_scans_each_matrix_once(monkeypatch):
     assert verify_iota_complex(ic, check_involution=False).passed
     assert len(calls) == 9 + 15
     a_zero_minus(ic, verify=False)
+    assert len(calls) == 9 + 15
+
+
+def test_axiom_six_composes_nothing(monkeypatch):
+    """Axiom (6) is decided on supports: on a staircase sum all six axioms
+    pass with no LaurentPoly product or sum and no compose, and with the
+    same one forced_base call per row of d and of iota."""
+    _, ic = serialize.iota_complex_from_dict(iota_complex_to_dict(
+        "k", product(torus_knot(3, 4), torus_knot(2, 3))))
+    calls = []
+    forced_base = complexes.forced_base
+    monkeypatch.setattr(complexes, "forced_base", lambda *a: calls.append(a) or forced_base(*a))
+
+    def forbidden(*args):
+        raise AssertionError("Laurent arithmetic in verify_iota_complex")
+    monkeypatch.setattr(LaurentPoly, "__mul__", forbidden)
+    monkeypatch.setattr(LaurentPoly, "__add__", forbidden)
+    monkeypatch.setattr(iota, "compose", forbidden)
+    rep = verify_iota_complex(ic, check_involution=True)
+    assert rep.passed and rep.involution_homotopy.entries == {}
     assert len(calls) == 9 + 15
 
 
