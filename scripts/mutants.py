@@ -65,6 +65,14 @@ MUTANTS = [
      "if _d_bar_hits(t, c, n_power):", "if _d_bar_hits(t, c, 0):", ORACLE),
     ("the oracle's nontorsion tests use one cocycle", "iotak/invariants.py",
      "self.cocycles(r - 2 * self.n_power)]", "self.cocycles(r - 2 * self.n_power)[:1]]", ORACLE),
+    ("a slice's cycle basis drops the full slice's vector of top bit n_r",
+     "iotak/complexes.py", "v.bit_length() <= n]", "v.bit_length() < n]", ORACLE),
+    ("criterion (a)'s z-block drops its kernel rows", "iotak/invariants.py",
+     "for low, v in basis.pivots.items() if low >= n)", "for low, v in basis.pivots.items() if 0)",
+     ORACLE),
+    ("criterion (a) restricts the kernel rows with lowest bit at or above n_x",
+     "iotak/invariants.py", "kernel[:bisect.bisect_left(lows, nx)]",
+     "kernel[bisect.bisect_left(lows, nx):]", ORACLE),
     ("the Phi^2 homotopy keeps n(n+1)/2 odd", "iotak/iota.py",
      "a * (a - 1) // 2 % 2", "a * (a + 1) // 2 % 2", PHI),
     ("build_phi keeps the even U powers", "iotak/iota.py",

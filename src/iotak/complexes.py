@@ -435,31 +435,58 @@ class Slices:
     degree -1 with d^2 = 0, as its supports {i: targets}.
 
     Slice r has one basis vector W^k x per generator x with
-    gr(x) = r + 2k, k >= 0, in generator order. Up to one above the
-    lowest grading min_gr a slice holds every generator of its parity,
-    so slices below min_gr - 1 share a canonical grading, and every
-    per-slice result is built once for it. Callers must not mutate
-    what these methods return.
+    gr(x) = r + 2k, k >= 0. Each parity's generators are ordered once,
+    by (descending grading, index), and slice r lists the first n_r of
+    them, those at grading r or above: every slice is a prefix of its
+    parity's full slice, a generator has the same position in every
+    slice that holds it, and W^m from slice r to slice r - 2m is the
+    inclusion of a prefix. This is the order snf sorts by, split by
+    parity on the first slice query, so a caller of snf alone pays only
+    snf's own sort. Eliminations take their rows from the highest
+    position down, which fills in less under gf2's lowest-bit pivots;
+    spans, null spaces and gf2.solve's solutions do not depend on the
+    order rows go in. Up to one above the lowest grading min_gr a slice
+    holds every generator of its parity, so slices below min_gr - 1
+    share a canonical grading, and every per-slice result is built once
+    for it. Callers must not mutate what these methods return.
     """
 
     def __init__(self, gradings: List[int], diff: Dict[int, Iterable[int]]):
         self.gradings = gradings
         self.diff = diff
         self.min_gr = min(gradings, default=0)
-        self._memo: Dict[Tuple[str, int], object] = {}
+        self._memo: Dict[tuple, object] = {}
 
     def canonical(self, r: int) -> int:
-        """The grading that stands for the slice of r. Slices up to
-        min_gr + 1 hold every generator of their parity, so below
-        low = min_gr - 1 the slice of r and its neighbours r +- 1 equal
-        those of low or low + 1, whichever has r's parity."""
+        """The grading that stands for the slice of r: r itself from
+        low = min_gr - 1 up, and below it the full slice of r's parity."""
+        return r if r >= self.min_gr - 1 else self.full(r)
+
+    def full(self, r: int) -> int:
+        """low or low + 1, whichever has r's parity: slices up to min_gr + 1
+        hold every generator of their parity, so below low the slice of r
+        and its neighbours r +- 1 equal those of low or low + 1."""
         low = self.min_gr - 1
-        return r if r >= low else low + (r - low) % 2
+        return low + (r - low) % 2
+
+    @functools.cached_property
+    def _order(self) -> List[int]:
+        """The generators by (descending grading, index)."""
+        g = self.gradings
+        return sorted(range(len(g)), key=lambda i: (-g[i], i))
+
+    @functools.cached_property
+    def _parity_order(self) -> Tuple[List[int], ...]:
+        """_order split into the even and the odd gradings."""
+        g = self.gradings
+        return tuple([i for i in self._order if g[i] % 2 == p] for p in (0, 1))
 
     @_per_slice
     def members(self, r: int) -> List[int]:
-        """The generators with a power in slice r, in order."""
-        return [i for i, g in enumerate(self.gradings) if (g - r) % 2 == 0 and g >= r]
+        """The generators with a power in slice r, in slice order: the prefix
+        of r's parity at grading r or above."""
+        g, order = self.gradings, self._parity_order[r % 2]
+        return order[:bisect.bisect_right(order, -r, key=lambda i: -g[i])]
 
     @_per_slice
     def positions(self, r: int) -> List[int]:
@@ -471,16 +498,37 @@ class Slices:
 
     @_per_slice
     def diff_rows(self, r: int) -> List[int]:
+        """d from slice r to slice r - 1, one bitset row per member. d(x) lies
+        at gr(x) - 1 or above, so these are the full slice's first n_r rows."""
+        full = self.full(r)
+        if r != full:
+            return self.diff_rows(full)[:len(self.members(r))]
         return gf2.support_rows(self.diff, self.members(r), self.positions(r - 1))
 
     @_per_slice
     def cycle_basis(self, r: int) -> List[int]:
-        eqs = gf2.transpose(self.diff_rows(r), len(self.members(r - 1)))
-        return gf2.nullspace(eqs, len(self.members(r)))
+        """gf2.nullspace of d on slice r, read off the full slice of r's
+        parity: its vectors of top bit below n_r = len(members(r)).
+
+        This is exactly what nullspace returns on slice r alone. A target
+        below grading r - 1 is hit only from gradings below r, so slice r's
+        system is the full system restricted to its first n_r columns, and
+        its null vectors are the full ones with top bit below n_r. The
+        vector nullspace gives for free column f is e_f plus pivot columns
+        below f, so its top bit is f: the top bits of null vectors are the
+        free columns, the free columns of slice r are the full ones below
+        n_r, and the vector for each is the one null vector that is e_f on
+        those free columns, in both systems.
+        """
+        full = self.full(r)
+        n = len(self.members(r))
+        if r != full:
+            return [v for v in self.cycle_basis(full) if v.bit_length() <= n]
+        return gf2.nullspace(gf2.transpose(self.diff_rows(r), len(self.members(r - 1)))[::-1], n)
 
     @_per_slice
     def boundaries(self, r: int) -> gf2.RowBasis:
-        return gf2.RowBasis(self.diff_rows(r + 1))
+        return gf2.RowBasis(self.diff_rows(r + 1)[::-1])
 
     @_per_slice
     def cocycles(self, r: int) -> List[int]:
@@ -519,8 +567,7 @@ class Slices:
         Unpaired generators are the free summands. The decomposition is an
         isomorphism invariant, so the pivot order cannot change it.
         """
-        g, diff = self.gradings, self.diff
-        order = sorted(range(len(g)), key=lambda i: (-g[i], i))
+        g, diff, order = self.gradings, self.diff, self._order
         pos = [0] * len(g)
         for p, i in enumerate(order):
             pos[i] = p

@@ -11,6 +11,7 @@ unreduced tower.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -87,26 +88,61 @@ class UTowerComplex(Slices):
 
     @_per_slice
     def one_plus_iota_rows(self, r: int) -> List[int]:
+        """1 + endo on slice r: the first n_r rows of the full slice's, as
+        the endomorphism raises no grading."""
+        full = self.full(r)
+        if r != full:
+            return self.one_plus_iota_rows(full)[:len(self.members(r))]
         assert self.endo is not None
         rows = gf2.support_rows(self.endo, self.members(r), self.positions(r))
         return [row ^ (1 << pos) for pos, row in enumerate(rows)]
 
     def power_rows(self, r: int, m: int) -> List[int]:
-        """Multiplication by W^m from slice r to slice r - 2m."""
-        pos = self.positions(r - 2 * m)
-        return [1 << pos[i] for i in self.members(r)]
+        """Multiplication by W^m from slice r to slice r - 2m: the inclusion
+        of a prefix, so the identity on slice r's positions."""
+        return [1 << p for p in range(len(self.members(r)))]
 
     @_per_slice
     def nontorsion_tests(self, r: int) -> List[int]:
-        """The cocycles of slice r - 2 n_power pulled back along W^n_power: a
-        cycle of slice r is nontorsion iff it pairs oddly with one of them."""
-        rows = self.power_rows(r, self.n_power)
-        return [gf2.pullback(rows, phi) for phi in self.cocycles(r - 2 * self.n_power)]
+        """The cocycles of slice r - 2 n_power pulled back along W^n_power, so
+        masked to slice r: a cycle of slice r is nontorsion iff it pairs
+        oddly with one of them."""
+        mask = (1 << len(self.members(r))) - 1
+        return [phi & mask for phi in self.cocycles(r - 2 * self.n_power)]
 
     def spans_nontorsion(self, r: int, cycles: List[int]) -> bool:
         """Whether some F2 combination of the given grading-r cycles (the inputs
         must be cycles) is nontorsion: iff one cycle pairs oddly with a test."""
         return any((v & phi).bit_count() & 1 for phi in self.nontorsion_tests(r) for v in cycles)
+
+    @_per_slice
+    def iota_cycle_images(self, r: int) -> List[int]:
+        """(1 + endo)z for each z of cycle_basis(r)."""
+        rows = self.one_plus_iota_rows(r)
+        return [gf2.apply_rows(rows, z) for z in self.cycle_basis(r)]
+
+    @_per_slice
+    def z_block(self, r: int) -> Tuple[List[int], List[int], List[Tuple[int, Optional[int]]]]:
+        """Criterion (a)'s equations W^m x + dz = 0 with z in slice r, reduced
+        in z once for every x-slice above (see _solutions_hit): one row per
+        w of slice r - 1, its z-part the z with w in dz, tracking its
+        combination of rows in the bits above slice r's.
+
+        Returns the kernel, the combinations whose z-part reduces to zero
+        (the cocycles of slice r - 1), in echelon form sorted by lowest bit,
+        with those lowest bits; and per nontorsion test phi of slice r,
+        (phi, X): X is the combination that clears the z-part of phi's
+        (1 + iota)-pullback, or None when no combination does.
+        """
+        n = len(self.members(r))
+        rows = gf2.transpose(self.diff_rows(r), len(self.members(r - 1)))
+        basis = gf2.RowBasis(rows[w] | 1 << (n + w) for w in reversed(range(len(rows))))
+        kernel = sorted((low - n, v >> n) for low, v in basis.pivots.items() if low >= n)
+        pulls = []
+        for phi in self.nontorsion_tests(r):
+            v = basis.reduce(gf2.pullback(self.one_plus_iota_rows(r), phi))
+            pulls.append((phi, None if v & ((1 << n) - 1) else v >> n))
+        return [low for low, _ in kernel], [a for _, a in kernel], pulls
 
 
 def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
@@ -298,38 +334,53 @@ def _d_bar_hits(t: UTowerComplex, c: int, m: int) -> bool:
     has W^m y + (1+iota)z nontorsion, or (b) cycles y != 0 at grading c
     and z at c - 2m have W^m y + (1+iota)z nontorsion.
 
-    The solutions v = (x, y, z) of (a), x in the low bits, are the null
-    space of the row space E of its equations: one has x_k = 1 iff e_k is
-    outside E, one has a nontorsion image iff a pulled-back nontorsion test
-    is outside E, and if v has the image and u has x != 0, v, u or v + u has both.
+    W^m is the inclusion of a prefix of slice c - 2m, so the answer
+    depends on m only through that slice, and it is decided once per
+    grading c and canonical slice of c - 2m: within the oracle's range
+    the tests at n_power and n_power + 1 are one test.
     """
-    r = c - 1
-    xs = t.members(r)
-    tests = t.nontorsion_tests(r + 1 - 2 * m)
-    if xs and tests:
-        ys = t.members(r + 1)
-        zs = t.members(r - 2 * m + 1)
-        nx, ny, nz = len(xs), len(ys), len(zs)
-        zero = [0]
-        l_rows = (zero * nx + t.power_rows(r + 1, m)
-                  + t.one_plus_iota_rows(r - 2 * m + 1))
-        pulls = [gf2.pullback(l_rows, phi) for phi in tests]
-        images1 = t.one_plus_iota_rows(r) + t.diff_rows(r + 1) + zero * nz
-        eqs = gf2.transpose(images1, nx)
-        images2 = t.power_rows(r, m) + zero * ny + t.diff_rows(r - 2 * m + 1)
-        eqs += gf2.transpose(images2, len(t.members(r - 2 * m)))
-        span = gf2.RowBasis(eqs)
-        if (not all(span.contains(p) for p in pulls)
-                and not all(span.contains(1 << k) for k in range(nx))):
-            return True
-    y_cycles = t.cycle_basis(c)
-    if not y_cycles:
+    key = ("_d_bar_hits", c, t.canonical(c - 2 * m))
+    if key not in t._memo:
+        t._memo[key] = _solutions_hit(t, c - 1, c - 2 * m) or _cycle_pairs_hit(t, c, c - 2 * m)
+    return t._memo[key]
+
+
+def _solutions_hit(t: UTowerComplex, r: int, s: int) -> bool:
+    """Criterion (a) with x in slice r, y in slice r + 1 and z in slice s.
+
+    The solutions v = (x, y, z) are the null space of the row space E of
+    the equations: one has x_k = 1 iff e_k is outside E, one has a
+    nontorsion image iff a pulled-back nontorsion test is outside E, and if
+    v has the image and u has x != 0, v, u or v + u has both.
+
+    z is eliminated once per z-slice, by z_block(s). The equations
+    W^m x + dz = 0 have one row per w of slice s - 1, with x-part e_w when
+    w is in slice r (W^m keeps x's position) and 0 otherwise. So a kernel
+    combination a, whose z-parts cancel, leaves the row a & xmask in x
+    alone, and the kernel rows with lowest bit below n_x span these. E's
+    rows free of z are those of dy = (1+iota)x and these. A test's
+    pullback has y-part phi on slice r + 1 and z-part (1+iota)^T phi: it
+    is outside E when no combination X of the rows clears its z-part,
+    and otherwise iff its remainder, X & xmask in x and phi in y, is
+    outside the rows free of z.
+    """
+    nx = len(t.members(r))
+    if not nx or not t.nontorsion_tests(s):
         return False
-    ym_rows = t.power_rows(c, m)
-    zi_rows = t.one_plus_iota_rows(c - 2 * m)
-    images = [gf2.apply_rows(ym_rows, y) for y in y_cycles]
-    images += [gf2.apply_rows(zi_rows, z) for z in t.cycle_basis(c - 2 * m)]
-    return t.spans_nontorsion(c - 2 * m, images)
+    lows, kernel, pulls = t.z_block(s)
+    xmask, ymask = (1 << nx) - 1, (1 << len(t.members(r + 1))) - 1
+    eqs = gf2.transpose(t.one_plus_iota_rows(r) + t.diff_rows(r + 1), nx)
+    eqs += [a & xmask for a in kernel[:bisect.bisect_left(lows, nx)]]
+    span = gf2.RowBasis(eqs)
+    return (any(x is None or not span.contains(x & xmask | (phi & ymask) << nx)
+                for phi, x in pulls)
+            and not all(span.contains(1 << k) for k in range(nx)))
+
+
+def _cycle_pairs_hit(t: UTowerComplex, c: int, s: int) -> bool:
+    """Criterion (b) with y in slice c and z in slice s: W^m y is y."""
+    y_cycles = t.cycle_basis(c)
+    return bool(y_cycles) and t.spans_nontorsion(s, y_cycles + t.iota_cycle_images(s))
 
 
 def _d_under_hits(t: UTowerComplex, r: int) -> bool:
@@ -340,7 +391,7 @@ def _d_under_hits(t: UTowerComplex, r: int) -> bool:
         return False
     # the cycle combinations with (1 + iota)-image killed by every cocycle of
     # slice r are these rows' null space; one pairs oddly with psi iff psi is outside
-    images = [gf2.apply_rows(t.one_plus_iota_rows(r), z) for z in t.cycle_basis(r)]
+    images = t.iota_cycle_images(r)
     span = gf2.RowBasis(gf2.pullback(images, phi) for phi in t.cocycles(r))
     return not all(span.contains(psi) for psi in psis)
 
@@ -362,6 +413,14 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
     and (y, Wz) does the same for (b); W times a nontorsion class is
     nontorsion. So some m <= n_power hits exactly when m = n_power hits,
     and each grading needs only the tests at n_power and n_power + 1.
+
+    The slices are prefixes of their parity's full slice (complexes.Slices),
+    so one null space per parity gives every slice's cycles, and W^m is a
+    prefix inclusion. Every c scanned has c - 2 n_power at or below min_gr,
+    so both tests at c read the same two full slices and share one
+    decision, and criterion (a)'s z-block on them is reduced once per
+    parity (UTowerComplex.z_block). The oracle uses neither reduce_tower
+    nor the Smith normal form.
     """
     if t.endo is None:
         raise InvariantError("oracle needs the endomorphism")

@@ -747,6 +747,30 @@ def test_oracle_criteria_match_references(parts):
             assert _d_bar_hits(slices, c, m) == reference_d_bar_hits(slices, c, m), (c, m)
 
 
+@given(staircase_sums, st.sampled_from([1, 2]))
+@settings(max_examples=30, deadline=None)
+def test_slices_are_prefixes_of_the_full_slice(parts, variant):
+    """Each slice lists its parity's generators at grading r or above by
+    (descending grading, index), a prefix of the full slice, and what is
+    read off the full slice is slice r's own: d's rows, a cycle basis
+    equal to gf2.nullspace on slice r alone, and W^m as the identity on
+    slice r's positions."""
+    t = tower(staircase_sum(parts, variant))
+    g = t.gradings
+    for r in range(t.max_gr + 1, t.min_gr - 2 * t.n_power - 2, -1):
+        members = t.members(r)
+        assert members == sorted((i for i in range(len(g)) if g[i] >= r and (g[i] - r) % 2 == 0),
+                                 key=lambda i: (-g[i], i))
+        assert members == t.members(t.full(r))[:len(members)]
+        rows = gf2.support_rows(t.diff, members, t.positions(r - 1))
+        assert t.diff_rows(r) == rows
+        eqs = gf2.transpose(rows, len(t.members(r - 1)))
+        assert t.cycle_basis(r) == gf2.nullspace(eqs, len(members)), r
+        for m in (0, 1, t.n_power, t.n_power + 1):
+            pos = t.positions(r - 2 * m)
+            assert t.power_rows(r, m) == [1 << pos[i] for i in members]
+
+
 @given(staircase_sums)
 @settings(max_examples=20, deadline=None)
 def test_cocycles_are_dual_to_homology(parts):
@@ -770,18 +794,37 @@ def test_cocycles_are_dual_to_homology(parts):
 @settings(max_examples=20, deadline=None)
 def test_stable_slices_are_the_slice_homology(parts, variant):
     """Inverting W turns the tower's slices below min_gr - 2 into the
-    slice homology's parity slices, in the same generator order: the
-    stable cocycles count its dims, the even one is its functional, and
-    the even slice's first class is its generator, bit for bit."""
+    slice homology's parity slices, up to the tower's generator order
+    (descending grading): permuted, d's rows agree row for row, the
+    stable cocycles count its dims, the even one agrees with its
+    functional on every cycle, and the even slice's first class is a
+    cycle on which the functional is one."""
     ic = staircase_sum(parts, variant)
     s = a_zero_minus(ic, verify=False)
     even = s.min_gr - 4 - s.min_gr % 2
     odd = even - 1
     hom = ic.complex.slice_homology
+
+    def permuted(r, v):
+        """A vector of tower slice r at the slice homology's positions."""
+        pos = hom.positions(r % 2)
+        return sum(1 << pos[i] for p, i in enumerate(s.members(r)) if v >> p & 1)
+
     assert hom.dims == (len(s.cocycles(even)), len(s.cocycles(odd)))
-    assert [hom.functional] == s.cocycles(even)
+    for r in (even, odd):
+        assert sorted(s.members(r)) == hom.members(r % 2)
+        rows = hom.diff_rows(r % 2)
+        pos = hom.positions(r % 2)
+        assert all(rows[pos[i]] == permuted(r - 1, row)
+                   for i, row in zip(s.members(r), s.diff_rows(r)))
+    (phi,) = s.cocycles(even)
+    phi = permuted(even, phi)
+    assert all((phi & z).bit_count() % 2 == (hom.functional & z).bit_count() % 2
+               for z in hom.cycle_basis(0))
     span = gf2.RowBasis(s.diff_rows(even + 1))
-    assert hom.generator == next(z for z in s.cycle_basis(even) if not span.contains(z))
+    first = permuted(even, next(z for z in s.cycle_basis(even) if not span.contains(z)))
+    assert gf2.apply_rows(hom.diff_rows(0), first) == 0
+    assert (hom.functional & first).bit_count() % 2 == 1
 
 
 def test_stable_cocycles_of_an_iota_complex():
@@ -811,7 +854,11 @@ def test_stable_cocycles_of_an_iota_complex():
     # nontorsion, so criterion (a) must insist on x != 0
     (UTowerComplex([("e", 0), ("a", -1), ("b", -1)], {}, endo={0: {0}, 1: {2}, 2: {1}}),
      {0: 1, 1: 2}),
-], ids=["free at 0 and 2", "free at 2 and 0", "swapped pair", "swapped pair below e"])
+    # free a, b at 0 with iota(a) = a + b: the d_under witness b pairs
+    # only with the second cocycle, the one dual to the later generator
+    (UTowerComplex([("a", 0), ("b", 0)], {}, endo={0: {0, 1}, 1: {1}}), {0: 2, 1: 0}),
+], ids=["free at 0 and 2", "free at 2 and 0", "swapped pair", "swapped pair below e",
+        "a + b over b"])
 def test_oracle_with_several_stable_cocycles(t, stable_dims):
     """Towers whose homology has two free summands of one parity, so
     stable slices carry two cocycles: the oracle's answer (or its error)
