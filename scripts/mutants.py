@@ -43,12 +43,16 @@ TIER1 = ("tests/",)
 # (name, file under src/, old text, new text, pytest arguments)
 MUTANTS = [
     ("reduce_tower drops the sigma update of iota", "iotak/invariants.py",
-     "            add(endo, endo_into, b, endo[x])\n", "", REDUCTION),
+     "            add(endo, endo_into, b, ex)\n", "", REDUCTION),
     ("reduce_tower drops the pi update of iota", "iotak/invariants.py",
-     "        for b in list(endo_into[y]):\n            add(endo, endo_into, b, d[x])\n", "",
-     REDUCTION),
+     "        for b in [b for b in endo_into[y] if not dead[b]]:\n"
+     "            add(endo, endo_into, b, dx)\n", "", REDUCTION),
     ("reduce_tower cancels entries one grading up", "iotak/invariants.py",
      "gr[y] == gr[x] - 1", "gr[y] == gr[x] + 1", REDUCTION),
+    ("reduce_tower's unit search accepts a dead target", "iotak/invariants.py",
+     "if not dead[y] and gr[y] == gr[x] - 1", "if gr[y] == gr[x] - 1", REDUCTION),
+    ("reduce_tower's renumbering keeps dead targets", "iotak/invariants.py",
+     "{new[j] for j in m[i] if not dead[j]}", "{new[j] for j in m[i]}", REDUCTION),
     ("ZERO + p returns ZERO", "iotak/ring.py",
      "        if not a:\n            return other\n",
      "        if not a:\n            return self\n", RING),
@@ -97,6 +101,9 @@ MUTANTS = [
      "            acc.update({o + i2: p for o, p in offsets})\n"
      "            if row2:\n",
      ("tests/test_complexes.py", "-k", "tensor")),
+    ("tensor_morphism's product memo ignores q", "iotak/complexes.py",
+     "prod.get(k := (id(p), id(q)))", "prod.get(k := id(p))",
+     ("tests/test_complexes.py", "-k", "accumulating_reference")),
     ("dual_iota keeps iota's entries unswapped", "iotak/iota.py",
      "{i: p.swap_uv() for i, p in col.items()}", "{i: p for i, p in col.items()}", DUAL),
     ("dual_iota does not transpose iota", "iotak/iota.py",

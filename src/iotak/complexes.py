@@ -389,12 +389,15 @@ def tensor_morphism(f: Morphism, g: Morphism, source: FreeComplex, target: FreeC
         raise ValueError("tensor of morphisms needs equal variances")
     n2s = len(g.source)
     n2t = len(g.target)
-    # targets (j1, j2) are distinct within a row, and the ring is a domain,
-    # so every product is a nonzero entry of its own
+    # targets (j1, j2) are distinct within a row and the ring is a domain, so every
+    # product is a nonzero entry; f and g hold their entries for the call, so ids
+    # are stable and entries share one product per pair of entry objects
     out: Entries = {}
+    prod: Dict[Tuple[int, int], LaurentPoly] = {}
     for i1, row_f in f.entries.items():
         for i2, row_g in g.entries.items():
-            out[i1 * n2s + i2] = {j1 * n2t + j2: p * q
+            out[i1 * n2s + i2] = {j1 * n2t + j2: prod.get(k := (id(p), id(q)))
+                                  or prod.setdefault(k, p * q)
                                   for j1, p in row_f.items() for j2, q in row_g.items()}
     bidegree = (f.bidegree[0] + g.bidegree[0], f.bidegree[1] + g.bidegree[1])
     return Morphism(source, target, out, f.variance, bidegree)

@@ -189,21 +189,27 @@ def reduce_tower(t: UTowerComplex) -> UTowerComplex:
     """Cancel every W^0 entry x -> y of d, carrying the endomorphism along
     as pi endo sigma (see involutive_invariants): each row b with y in d(b)
     gains d(x) in d and endo(x) in endo (sigma), each endo row holding y
-    gains d(x) (pi), and x and y leave every row. The gradings force every
-    power, so a symmetric difference of supports is the exact F2[W] sum.
-    sigma gives a row a new W^0 entry only if it had one, so one pass, in
-    any order, leaves d with no W^0 entry: the result is minimal.
+    gains d(x) (pi), and x and y are marked dead, to be dropped at the
+    renumbering. The gradings force every power, so a symmetric difference
+    of supports is the exact F2[W] sum. sigma gives a row a new W^0 entry
+    only if it had one, so one pass, in any order, leaves d with no W^0
+    entry: the result is minimal. A dead generator stays in rows but
+    reaches no decision: the unit search and the updates skip it, d(x) and
+    endo(x) are cut to live generators before they are added, and only the
+    dying d-rows leave the into-index, so len(d_into[y]), which the pivot
+    rule reads, counts exactly the live rows of d holding y.
     """
     gr = t.gradings
     n = len(gr)
-    mats = [{i: set(m.get(i, ())) for i in range(n)} for m in (t.diff, t.endo or {})]
-    into = [{j: set() for j in range(n)} for _ in mats]  # target -> the rows holding it
+    mats = [[set(m.get(i, ())) for i in range(n)] for m in (t.diff, t.endo or {})]
+    into = [[set() for _ in range(n)] for _ in mats]  # target -> the rows holding it
     for m, inv in zip(mats, into):
-        for i, row in m.items():
+        for i, row in enumerate(m):
             for j in row:
                 inv[j].add(i)
+    dead = bytearray(n)
 
-    def add(m: TowerEntries, inv: TowerEntries, b: int, delta: Set[int]) -> None:
+    def add(m: List[Set[int]], inv: List[Set[int]], b: int, delta: List[int]) -> None:
         row = m[b]
         for z in delta:
             if z in row:
@@ -215,24 +221,25 @@ def reduce_tower(t: UTowerComplex) -> UTowerComplex:
 
     (d, endo), (d_into, endo_into) = mats, into
     for x in sorted(range(n), key=gr.__getitem__):
-        units = [y for y in d.get(x, ()) if gr[y] == gr[x] - 1]
+        units = [] if dead[x] else [y for y in d[x] if not dead[y] and gr[y] == gr[x] - 1]
         if not units:
             continue
         y = min(units, key=lambda y: (len(d_into[y]), y))
-        for b in [b for b in d_into[y] if b != x]:
-            add(d, d_into, b, d[x])
-            add(endo, endo_into, b, endo[x])
-        for b in list(endo_into[y]):
-            add(endo, endo_into, b, d[x])
+        dead[x] = 1
+        dx, ex = ([z for z in m[x] if not dead[z]] for m in mats)
+        for b in [b for b in d_into[y] if not dead[b]]:
+            add(d, d_into, b, dx)
+            add(endo, endo_into, b, ex)
+        for b in [b for b in endo_into[y] if not dead[b]]:
+            add(endo, endo_into, b, dx)
+        dead[y] = 1
         for v in (x, y):
-            for m, inv in zip(mats, into):
-                for b in inv.pop(v):
-                    m[b].discard(v)
-                for z in m.pop(v):
-                    inv[z].discard(v)
-    keep = sorted(d)
+            for z in d[v]:
+                d_into[z].discard(v)
+    keep = [i for i in range(n) if not dead[i]]
     new = {i: k for k, i in enumerate(keep)}
-    d, endo = ({new[i]: {new[j] for j in m[i]} for i in keep if m[i]} for m in mats)
+    d, endo = ({new[i]: row for i in keep if (row := {new[j] for j in m[i] if not dead[j]})}
+               for m in mats)
     return UTowerComplex([t.basis[i] for i in keep], d, None if t.endo is None else endo)
 
 

@@ -65,10 +65,18 @@ _PHI: Rule = lambda a, b: (a - 1, b) if a % 2 else None
 _PSI: Rule = lambda a, b: (a, b - 1) if b % 2 else None
 
 
-def _kept(c: FreeComplex, rule: Rule) -> Dict[int, List[int]]:
-    """The targets of the entries U^a V^b of d with rule(a, b) not None, by source."""
-    return {i: [j for j, p in row.items() if rule(*p.terms[0]) is not None]
-            for i, row in c.diff.items()}
+def _kept(c: FreeComplex, rule: Rule) -> Entries:
+    """Each entry U^a V^b of d with rule(a, b) not None, as U^rule(a, b), one rule call and
+    one monomial per distinct entry object (d holds them; loaded or built, it shares them)."""
+    memo: Dict[int, Optional[LaurentPoly]] = {}  # memo itself marks a miss
+    entries: Entries = {}
+    for i, row in c.diff.items():
+        for j, p in row.items():
+            if (m := memo.get(id(p), memo)) is memo:
+                m = memo[id(p)] = None if (e := rule(*p.terms[0])) is None else monomial(*e)
+            if m is not None:
+                entries.setdefault(i, {})[j] = m
+    return entries
 
 
 def _from_exponents(c: FreeComplex, bidegree: Tuple[int, int], rule: Rule) -> Morphism:
@@ -76,12 +84,7 @@ def _from_exponents(c: FreeComplex, bidegree: Tuple[int, int], rule: Rule) -> Mo
     where that is not None; ValueError unless every entry is its grading-forced monomial."""
     if c.inhomogeneous:
         raise ValueError("the differential is not homogeneous")
-    entries: Entries = {}
-    for i, row in c.diff.items():
-        kept = {j: monomial(*m) for j, p in row.items() if (m := rule(*p.terms[0])) is not None}
-        if kept:
-            entries[i] = kept
-    return Morphism(c, c, entries, EQUIVARIANT, bidegree)
+    return Morphism(c, c, _kept(c, rule), EQUIVARIANT, bidegree)
 
 
 def build_phi(c: FreeComplex) -> Morphism:

@@ -31,6 +31,7 @@ from iotak.invariants import InvariantError, a_zero_minus
 from iotak.iota import (
     IotaComplex,
     _iota_through_trace,
+    _product_terms,
     build_phi,
     build_psi,
     dual_iota,
@@ -686,6 +687,28 @@ def test_constructions_match_accumulating_reference(data):
     fk = tensor_morphism(f, k, t, tensor(c2, c1))
     assert fk.entries == ref_tensor_morphism(f, k)
     assert_normalized(fk.entries)
+
+
+def test_tensor_morphism_multiplies_each_pair_of_entry_objects_once(monkeypatch):
+    """On the last product of T(4,5)^#3, each tensor of the involution
+    calls LaurentPoly.__mul__ once per distinct pair (id(p), id(q)) of
+    entry objects and still equals the reference: 61 products for 427
+    entries."""
+    k = torus_knot(4, 5)
+    a = product(k, k, verify=False)
+    prod = tensor(a.complex, k.complex)
+    terms = _product_terms(a.complex, a.iota, k.complex, k.iota, 1)
+    mul, calls = LaurentPoly.__mul__, []
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    counts = []
+    for f, g in terms:
+        calls.clear()
+        fg = tensor_morphism(f, g, prod, prod)
+        ids = [{id(p) for row in m.entries.values() for p in row.values()} for m in (f, g)]
+        assert len(calls) == len(ids[0]) * len(ids[1])
+        assert fg.entries == ref_tensor_morphism(f, g)
+        counts.append((len(calls), sum(map(len, fg.entries.values()))))
+    assert counts == [(5, 371), (56, 56)]
 
 
 def ref_tensor_ordered(c1, c2):

@@ -77,6 +77,28 @@ def test_build_phi_tensor_leibniz(hand_trefoil):
     assert phi.entries.get(bb) == {0 * 3 + 1: ONE, 1 * 3 + 0: ONE}  # a|b + b|a
 
 
+def test_phi_rules_run_once_per_distinct_entry_object():
+    """T(4,5)^#3's d shares 6 entry objects among its 882 entries (tensor
+    reuses the factors'); Phi's, Psi's and the Phi^2 homotopy's rules run
+    once per object, and each kept entry is the rule's monomial."""
+    k = torus_knot(4, 5)
+    c = product(product(k, k, verify=False), k, verify=False).complex
+    distinct = {id(p) for row in c.diff.values() for p in row.values()}
+    assert (len(distinct), sum(map(len, c.diff.values()))) == (6, 882)
+    phi2 = lambda a, b: (a - 2, b) if a * (a - 1) // 2 % 2 else None
+    for build, rule in ((build_phi, iota._PHI), (build_psi, iota._PSI),
+                        (phi_squared_homotopy, phi2)):
+        want = {}
+        for i, row in c.diff.items():
+            for j, p in row.items():
+                if (m := rule(*p.terms[0])) is not None:
+                    want.setdefault(i, {})[j] = monomial(*m)
+        calls = []
+        assert iota._kept(c, lambda a, b: calls.append(1) or rule(a, b)) == want
+        assert build(c).entries == want
+        assert len(calls) == len(distinct)
+
+
 def test_phi_is_chain_map_exactly(corpus_staircases):
     for ic in corpus_staircases:
         c = ic.complex
