@@ -121,6 +121,16 @@ MUTANTS = [
      "(a, b - 1) if b % 2 else None", "(a, b - 1) if a % 2 else None", AXIOM6),
     ("the zero witness whatever the right-hand side", "iotak/complexes.py",
      "if not rhs and not (src.inhomogeneous", "if not (src.inhomogeneous", AXIOM6),
+    ("_odd_support keeps every reached target", "iotak/complexes.py",
+     "hits.symmetric_difference_update(ks)", "hits.update(ks)",
+     ("tests/test_complexes.py", "-k", "odd_support or reference_order")),
+    ("filtration tests only the first entry object", "iotak/complexes.py",
+     "for k, p in distinct.items() if not p.is_filtered()}",
+     "for k, p in list(distinct.items())[:1] if not p.is_filtered()}",
+     ("tests/test_complexes.py", "-k", "filtered or offenders")),
+    ("the one-monomial parse accepts a bool exponent", "iotak/serialize.py",
+     "type(m[0]) is int and type(m[1]) is int", "type(m[0]) is int and isinstance(m[1], int)",
+     ("tests/test_cli.py", "-k", "one_monomial")),
 ]
 
 # (name, file under src/, old text, new text, pytest arguments, why no test kills it)

@@ -13,7 +13,8 @@ makes d^2 = 0, is_chain_map and the solver's final check parities of
 paths on homogeneous input (see _odd_support); compose is kept for
 composites whose entries are used later. Morphism.inhomogeneous decides
 homogeneity once per matrix. Complexes are filtered: verify_complex
-checks that the differential stays in F2[U, V].
+checks that the differential stays in F2[U, V], testing each distinct
+entry object once (see _unfiltered).
 """
 
 from __future__ import annotations
@@ -120,18 +121,21 @@ class Morphism:
         out = []
         for i, row in self.entries.items():
             gu, gv = forced_base(self.source.basis[i], self.variance, self.bidegree)
+            basis = self.target.basis  # read per row: a LazyTensor builds on the first read
             for j, p in row.items():
-                y = self.target.basis[j]
-                du, dv = y.gr_u - gu, y.gr_v - gv
-                if du % 2 or dv % 2 or p.terms != ((du // 2, dv // 2),):
-                    out.append((i, j))
+                if len(p.terms) == 1:
+                    ((a, b),) = p.terms
+                    y = basis[j]
+                    if 2 * a == y.gr_u - gu and 2 * b == y.gr_v - gv:
+                        continue
+                out.append((i, j))
         return tuple(out)
 
     def is_zero(self) -> bool:
         return not self.entries
 
     def is_filtered(self) -> bool:
-        return all(p.is_filtered() for row in self.entries.values() for p in row.values())
+        return not _unfiltered(self.entries)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -225,25 +229,31 @@ def differential_morphism(c: FreeComplex) -> Morphism:
     return Morphism(c, c, c.diff, EQUIVARIANT, (-1, -1))
 
 
-def _odd_support(*pairs: Tuple[Entries, Entries]) -> List[Tuple[int, int]]:
+def _odd_support(*pairs: Tuple[Entries, Entries]) -> Set[Tuple[int, int]]:
     """The (i, k) reached by an odd number of paths i -> j -> k through
-    the pairs (after, before), rows in before's order and targets in the
-    order compose first reaches them. This is the support of the sum of
-    the composites when they share one variance and bidegree and every
-    entry is its forced monomial (a skew map's U/V swap keeps it forced):
-    then each path's monomial depends only on (i, k)."""
-    odd: Dict[int, Dict[int, bool]] = {}
+    the pairs (after, before). This is the support of the sum of the
+    composites when they share one variance and bidegree and every entry
+    is its forced monomial (a skew map's U/V swap keeps it forced): then
+    each path's monomial depends only on (i, k). Each step i -> j flips
+    row i's targets by after's row j, one set operation."""
+    odd: Dict[int, Set[int]] = {}
     for after, before in pairs:
         for i, row in before.items():
-            hits = None  # a row that reaches nothing allocates nothing
+            hits = odd.get(i)
+            if hits is None:
+                hits = odd[i] = set()
             for j in row:
                 ks = after.get(j)
                 if ks:
-                    if hits is None:
-                        hits = odd.setdefault(i, {})
-                    for k in ks:
-                        hits[k] = not hits.get(k, False)
-    return [(i, k) for i, hits in odd.items() for k, o in hits.items() if o]
+                    hits.symmetric_difference_update(ks)
+    return {(i, k) for i, hits in odd.items() for k in hits}
+
+
+def _unfiltered(entries: Entries) -> Set[int]:
+    """The ids of the distinct entry objects with a negative exponent;
+    each object is tested once, however many entries share it."""
+    distinct = {id(p): p for row in entries.values() for p in row.values()}
+    return {k for k, p in distinct.items() if not p.is_filtered()}
 
 
 def is_chain_map(f: Morphism) -> bool:
@@ -298,11 +308,16 @@ def verify_complex(c: FreeComplex) -> CheckReport:
         d2 = [(i, j) for i, row in compose(d, d).entries.items() for j in row]
     else:
         d2 = _odd_support((c.diff, c.diff))
+        if d2:
+            # in the order compose first reaches them
+            d2 = list(dict.fromkeys((i, k) for i, row in c.diff.items() for j in row
+                                    for k in c.diff.get(j, ()) if (i, k) in d2))
     offenders += [f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}" for i, j in d2]
 
+    bad = _unfiltered(c.diff)
     unfiltered = [f"entry {c.basis[i].name} -> {c.basis[j].name}: negative exponent in "
                   "filtered complex" for i, row in c.diff.items() for j, p in row.items()
-                  if not p.is_filtered()]
+                  if id(p) in bad] if bad else []
     offenders += unfiltered
     return CheckReport(((1, not d2), (2, not unfiltered), (3, homogeneous)), tuple(offenders))
 
@@ -756,6 +771,6 @@ def _solve_support(src: FreeComplex, tgt: FreeComplex, variance: str,
         return None
     h = space.morphism(sol)
     # both differentials and h are homogeneous, so supports decide
-    if set(_odd_support((tgt.diff, h.entries), (h.entries, src.diff))) != rhs:
+    if _odd_support((tgt.diff, h.entries), (h.entries, src.diff)) != rhs:
         raise AssertionError("homotopy solver produced an invalid solution")
     return h

@@ -71,8 +71,12 @@ class UTowerComplex(Slices):
                     j = next(iter(row - indices or row))
                     raise InvariantError(f"tower entry {i!r} -> {j!r} indexes outside "
                                          f"a basis of {len(gr)}")
+                # 1.0 and True pass the sets; rows are never empty, so row names a j
+                if type(i) is not int:
+                    raise InvariantError(f"tower entry {i!r} -> {next(iter(row))!r} has a "
+                                         "non-int index")
                 for j in row:
-                    if type(i) is not int or type(j) is not int:  # 1.0 and True pass the sets
+                    if type(j) is not int:
                         raise InvariantError(f"tower entry {i!r} -> {j!r} has a non-int index")
                     twice_k = gr[j] - gr[i] + shift
                     if twice_k < 0 or twice_k % 2:
@@ -82,7 +86,9 @@ class UTowerComplex(Slices):
         for i, row in self.diff.items():
             acc: Set[int] = set()
             for j in row:
-                acc ^= self.diff.get(j, set())
+                dj = self.diff.get(j)
+                if dj:
+                    acc ^= dj
             if acc:
                 raise InvariantError(f"d^2 != 0 at generator {self.basis[i][0]}")
 
@@ -412,7 +418,9 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
     for solutions of dy = (1+iota)x, dz = W^m x with x != 0 and
     W^m y + (1+iota)z nontorsion, and (b) gr(y) for cycle pairs y != 0, z
     with W^m y + (1+iota)z nontorsion, for m up to the grading span
-    n_power. Raises when allowing m = n_power + 1 changes the answer.
+    n_power. Raises when the test at m = n_power + 1 could differ from the
+    one at n_power, that is when c - 2 n_power and c - 2 n_power - 2 have
+    different canonical slices, which the grading range below rules out.
     Tests pair with the tower's own cocycles; existence is row-space membership.
 
     Both d_bar criteria are monotone in m: if (x, y, z) solves (a) for m,
@@ -445,7 +453,8 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
     for c in range(max_gr + 1, min_gr - 1, -1):
         if _d_bar_hits(t, c, n_power):
             return (c, d_under)
-        if _d_bar_hits(t, c, n_power + 1):
+        # the test at n_power + 1 would read the same slice, so it misses too
+        if t.canonical(c - 2 * n_power) != t.canonical(c - 2 * n_power - 2):
             raise InvariantError(
                 f"m bound {n_power} too small: raising it changes d_bar")
     raise InvariantError("no d_bar witness in the grading range")

@@ -158,7 +158,7 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
     witness = None
     if check_involution and base.passed and homology_r_ok and iota_ok:
         paths = _odd_support((ic.iota.entries, ic.iota.entries), (_kept(cx, _PHI), _kept(cx, _PSI)))
-        rhs = set(paths) ^ {(i, i) for i in range(len(cx))}
+        rhs = paths ^ {(i, i) for i in range(len(cx))}
         witness = _solve_support(cx, cx, EQUIVARIANT, (1, 1), rhs)
         involution_ok = witness is not None
         if not involution_ok:

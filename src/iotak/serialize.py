@@ -94,24 +94,29 @@ def _parse_entries(items: List, index, what: str) -> Entries:
             mono = item["mono"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad {what} entry: {item!r}") from exc
-        terms = []
-        for m in mono if isinstance(mono, list) else ():
-            if not (isinstance(m, list) and len(m) == 2):
-                break
-            a, b = m
-            if type(a) is not int or type(b) is not int:
-                break
-            terms.append((a, b))
-        if not terms or len(terms) != len(mono):
-            raise ParseError(f"bad monomial list in {what} entry {item['from']} -> {item['to']}")
-        if len(terms) > 1:
+        m = mono[0] if type(mono) is list and len(mono) == 1 else None
+        if type(m) is list and len(m) == 2 and type(m[0]) is int and type(m[1]) is int:
+            terms = ((m[0], m[1]),)  # one monomial, the common case, checked inline
+        else:
+            terms = []
+            for m in mono if isinstance(mono, list) else ():
+                if not (isinstance(m, list) and len(m) == 2):
+                    break
+                a, b = m
+                if type(a) is not int or type(b) is not int:
+                    break
+                terms.append((a, b))
+            if not terms or len(terms) != len(mono):
+                raise ParseError(f"bad monomial list in {what} entry "
+                                 f"{item['from']} -> {item['to']}")
             terms.sort()
             if any(s == t for s, t in zip(terms, terms[1:])):
-                raise ParseError(f"repeated monomial in {what} entry {item['from']} -> {item['to']}")
+                raise ParseError(f"repeated monomial in {what} entry "
+                                 f"{item['from']} -> {item['to']}")
+            terms = tuple(terms)
         row = entries.setdefault(src, {})
         if tgt in row:
             raise ParseError(f"duplicate {what} entry {item['from']} -> {item['to']}")
-        terms = tuple(terms)
         row[tgt] = polys.get(terms) or polys.setdefault(terms, _canonical(terms))
     return entries
 

@@ -428,6 +428,39 @@ def test_parser_rejects_an_int_subclass(mutate):
         serialize.iota_complex_from_dict(doc)
 
 
+class ListSubclass(list):
+    pass
+
+
+@pytest.mark.parametrize("mono", [
+    [(1, 2)], [[IntSubclass(1), 0]], [[0, IntSubclass(1)]], [[0, True]], [[True, 0]],
+    [[0, 1.0]], [ListSubclass([0, True])], ListSubclass([[0, True]]), [[0]], [[0, 0, 0]],
+], ids=["tuple monomial", "int-subclass U exponent", "int-subclass V exponent",
+        "bool V exponent", "bool U exponent", "float exponent", "list-subclass monomial",
+        "list-subclass mono", "short monomial", "long monomial"])
+def test_one_monomial_entries_rejected_with_the_general_message(mono):
+    """A one-monomial list that the inline check refuses goes through the
+    general loop, which rejects it with the same message as before."""
+    doc = iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
+    entry = doc["differential"][0]
+    entry["mono"] = mono
+    with pytest.raises(serialize.ParseError) as exc:
+        serialize.iota_complex_from_dict(doc)
+    assert str(exc.value) == f"bad monomial list in differential entry {entry['from']} -> {entry['to']}"
+
+
+@pytest.mark.parametrize("mono", [ListSubclass([[1, 0]]), [ListSubclass([1, 0])]],
+                         ids=["list-subclass mono", "list-subclass monomial"])
+def test_list_subclass_monomial_lists_parse_as_lists(mono):
+    """isinstance admits list subclasses, which json.load never makes, so
+    the general loop parses one as the plain list [[1, 0]]."""
+    doc = iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
+    assert doc["differential"][0]["mono"] == [[1, 0]]
+    plain = serialize.iota_complex_from_dict(doc)
+    doc["differential"][0]["mono"] = mono
+    assert serialize.iota_complex_from_dict(doc) == plain
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "check", str(tmp_path / "missing.json"))[0] == 2
     bad = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 import os
 import re
 import tempfile
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from iotak.complexes import (
     Morphism,
     SliceHomologyReport,
     _HomEquations,
+    _odd_support,
     compose,
     differential_morphism,
     dual,
@@ -495,6 +497,110 @@ def test_support_checks_match_compose_references(parts, k_iota, k_diff):
         if h is not None:
             d = differential_morphism(cx)
             assert (compose(d, h) + compose(h, d)).entries == (f + g).entries
+
+
+def reference_odd_support(*pairs):
+    """The dict-flip path count that _odd_support replaced, verbatim: the
+    odd (i, k) as a list, rows in before's order and targets in the order
+    compose first reaches them."""
+    odd: Dict[int, Dict[int, bool]] = {}
+    for after, before in pairs:
+        for i, row in before.items():
+            hits = None  # a row that reaches nothing allocates nothing
+            for j in row:
+                ks = after.get(j)
+                if ks:
+                    if hits is None:
+                        hits = odd.setdefault(i, {})
+                    for k in ks:
+                        hits[k] = not hits.get(k, False)
+    return [(i, k) for i, hits in odd.items() for k, o in hits.items() if o]
+
+
+@st.composite
+def sparse_supports(draw, n):
+    """A sparse {source: {target: ONE}} on n generators, rows and targets
+    in drawn order, rows sometimes empty."""
+    rows = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return {i: dict.fromkeys(draw(st.lists(st.integers(0, n - 1), unique=True, max_size=4)), ONE)
+            for i in rows}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_odd_support_matches_the_dict_flip_reference(data):
+    n = data.draw(st.integers(1, 8))
+    pairs = data.draw(st.lists(st.tuples(sparse_supports(n), sparse_supports(n)),
+                               min_size=1, max_size=3))
+    ref = reference_odd_support(*pairs)
+    assert _odd_support(*pairs) == set(ref)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_d_squared_offenders_in_the_reference_order(data):
+    """On a homogeneous d between adjacent gradings, drawn with rows and
+    targets in any order and often with d^2 != 0, the d^2 offenders are
+    reference_odd_support's pairs in its order."""
+    levels = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    basis, level_of = [], []
+    for g, size in enumerate(levels):
+        for k in range(size):
+            basis.append(BasisElement(f"x{g}_{k}", -g, -g))
+            level_of.append(g)
+    n = len(basis)
+    down = {i: [j for j in range(n) if level_of[j] == level_of[i] + 1] for i in range(n)}
+    order = data.draw(st.permutations(range(n)))
+    diff = {}
+    for i in order:
+        if down[i]:
+            targets = data.draw(st.lists(st.sampled_from(down[i]), unique=True))
+            if targets:
+                diff[i] = dict.fromkeys(targets, ONE)
+    c = FreeComplex(basis, diff)
+    assert not c.inhomogeneous
+    report = verify_complex(c)
+    ref = reference_odd_support((diff, diff))
+    assert report.offenders == tuple(f"d^2 nonzero: {basis[i].name} -> {basis[k].name}"
+                                     for i, k in ref)
+    assert dict(report.checks)[1] == (not ref)
+
+
+def test_a_shared_unfiltered_entry_is_reported_at_every_position(monkeypatch):
+    """One unfiltered LaurentPoly held by three entries, and an equal one
+    built apart, are tested once per object and reported at each of their
+    positions, in entry order."""
+    basis = [BasisElement(name, 0, 0) for name in "abcd"]
+    bad, twin, uv = monomial(-1, 0), monomial(-1, 0), monomial(1, 1)
+    diff = {2: {1: bad, 0: ONE}, 0: {3: bad, 2: uv}, 3: {0: twin, 1: bad}}
+    c = FreeComplex(basis, diff)
+    tested = []
+    real = LaurentPoly.is_filtered
+    monkeypatch.setattr(LaurentPoly, "is_filtered", lambda p: tested.append(p) or real(p))
+    report = verify_complex(c)
+    assert sorted(map(id, tested)) == sorted(map(id, (bad, twin, ONE, uv)))
+    assert [o for o in report.offenders if "negative exponent" in o] == [
+        f"entry {s} -> {t}: negative exponent in filtered complex"
+        for s, t in (("c", "b"), ("a", "d"), ("d", "a"), ("d", "b"))]
+    assert not dict(report.checks)[2]
+    assert not differential_morphism(c).is_filtered()
+
+
+@pytest.mark.parametrize("exponents", [(-1, 2), (1, 0), (0, -3), (0, 0)])
+def test_parsed_and_built_entries_get_one_filtration_verdict(exponents):
+    """A parsed entry and an equal LaurentPoly built apart are distinct
+    objects with the verdict of LaurentPoly.is_filtered, alone or together."""
+    doc = {"name": "k", "generators": [{"name": "a", "gr_u": 0, "gr_v": 0}],
+           "differential": [], "iota": [{"from": "a", "to": "a", "mono": [list(exponents)]}]}
+    _, ic = serialize.iota_complex_from_dict(doc)
+    parsed = ic.iota.entries[0][0]
+    built = monomial(*exponents)
+    assert parsed is not built and parsed == built
+    expected = min(exponents) >= 0
+    cx = FreeComplex([BasisElement("a", 0, 0), BasisElement("b", 0, 0)], {})
+    for entries in ({0: {0: parsed}}, {0: {0: built}}, {0: {0: parsed}, 1: {1: built}}):
+        assert Morphism(cx, cx, entries, SKEW, (0, 0)).is_filtered() == expected
+    assert built.is_filtered() == parsed.is_filtered() == expected
 
 
 def ref_inhomogeneous(f):

@@ -933,13 +933,16 @@ def test_oracle_with_several_stable_cocycles(t, stable_dims):
 
 
 def test_oracle_raises_when_the_m_bound_matters(monkeypatch, hand_trefoil):
-    """A criterion that first holds at m = n_power + 1 is an error, not
-    an answer."""
-    import iotak.invariants as inv
-
-    monkeypatch.setattr(inv, "_d_bar_hits", lambda slices, c, m: m > slices.n_power)
+    """A grading whose tests at m = n_power and n_power + 1 would read
+    different slices is an error, not an answer. No tower has one, as
+    every scanned c has c - 2 n_power at or below min_gr, where a slice
+    and the one two below share a canonical grading; a canonical that
+    keeps every grading makes one."""
+    t = tower(hand_trefoil)
+    assert t.canonical(t.min_gr - 2) == t.canonical(t.min_gr)
+    monkeypatch.setattr(t, "canonical", lambda r: r)
     with pytest.raises(InvariantError, match="m bound 1 too small"):
-        lemma_criteria_oracle(tower(hand_trefoil))
+        lemma_criteria_oracle(t)
 
 
 def test_oracle_d_under_combinations_modulo_boundaries():
