@@ -36,6 +36,7 @@ SNF = ("tests/test_invariants.py", "tests/test_complexes.py",
 ORACLE = ("tests/test_invariants.py", "-k", "oracle")
 PHI = ("tests/test_iota.py", "-k", "phi")
 LOCAL = ("tests/test_iota.py", "-k", "local or search or witness")
+VERIFIER = ("tests/test_iota.py", "-k", "local or search or witness or verifier or homotopy")
 DUAL = ("tests/test_iota.py", "tests/test_models.py")
 AXIOM6 = ("tests/test_iota.py", "tests/test_cli.py", "-k", "axiom_six")
 TIER1 = ("tests/",)
@@ -83,6 +84,12 @@ MUTANTS = [
      "(a - 1, b) if a % 2 else None", "(a - 1, b) if not a % 2 else None", PHI),
     ("the local-equivalence solve has a zero lambda row", "iotak/iota.py",
      "maps.equations.values()), on_homology << n]", "maps.equations.values()), 0]", LOCAL),
+    ("the verifier drops the (iota2, F) pair", "iotak/iota.py",
+     "(b.iota.entries, m.entries), ", "", VERIFIER),
+    ("the verifier skips H's filtration", "iotak/iota.py",
+     "and h.is_filtered() and not", "and not", VERIFIER),
+    ("_search_direction takes H from the F bits", "iotak/iota.py",
+     "homotopies.morphism(sol & ((1 << n) - 1))", "homotopies.morphism(sol >> n)", VERIFIER),
     ("the search cap rejects a dimension equal to it", "iotak/iota.py",
      "if dim > cap:", "if dim >= cap:", ("tests/test_iota.py", "tests/test_cli.py", "-k", "cap")),
     ("the semigroup sieve needs both n - p and n - q", "iotak/models.py",

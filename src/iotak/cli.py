@@ -198,7 +198,7 @@ def cmd_local_equiv(args) -> int:
     if found is None:
         print(json.dumps({"locally_equivalent": False, "search": "exhausted"}))
     else:
-        f, g = found
+        f, g, _, _ = found
         print(json.dumps({
             "locally_equivalent": True,
             "F": serialize.morphism_to_list(f),

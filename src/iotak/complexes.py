@@ -6,15 +6,15 @@ variance flag: equivariant maps commute with U and V, skew maps exchange
 them (F(U.x) = V.F(x)). Skew maps are stored as plain matrices; the U/V
 swap is applied to scalars during composition and grading checks.
 
-Everything here is exact. Homogeneity forces each matrix entry of a
-graded map to a single monomial, which is what makes chain-homotopy
-existence a finite F2 linear problem (see homotopy_solve), and what
-makes d^2 = 0, is_chain_map and the solver's final check parities of
-paths on homogeneous input (see _odd_support); compose is kept for
-composites whose entries are used later. Morphism.inhomogeneous decides
-homogeneity once per matrix. Complexes are filtered: verify_complex
-checks that the differential stays in F2[U, V], testing each distinct
-entry object once (see _unfiltered).
+Everything here is exact. Homogeneity forces each matrix entry of a graded
+map to a single monomial, which is what makes chain-homotopy existence a
+finite F2 linear problem (see homotopy_solve), and what makes d^2 = 0,
+is_chain_map, the solver's final check and the local-equivalence verifier
+parities of paths on homogeneous input (see _odd_support); compose is kept
+for composites whose entries are used later. Morphism.inhomogeneous
+decides homogeneity once per matrix. Complexes are filtered:
+verify_complex checks that the differential stays in F2[U, V], testing
+each distinct entry object once (see _unfiltered).
 """
 
 from __future__ import annotations
@@ -230,12 +230,12 @@ def differential_morphism(c: FreeComplex) -> Morphism:
 
 
 def _odd_support(*pairs: Tuple[Entries, Entries]) -> Set[Tuple[int, int]]:
-    """The (i, k) reached by an odd number of paths i -> j -> k through
-    the pairs (after, before). This is the support of the sum of the
-    composites when they share one variance and bidegree and every entry
-    is its forced monomial (a skew map's U/V swap keeps it forced): then
-    each path's monomial depends only on (i, k). Each step i -> j flips
-    row i's targets by after's row j, one set operation."""
+    """The (i, k) reached by an odd number of paths i -> j -> k through the
+    pairs (after, before). This is the support of the sum of the composites
+    when they share one variance and bidegree and every entry is its forced
+    monomial (a skew map's U/V swap keeps it forced): then each path's
+    monomial depends only on (i, k). Each step i -> j flips row i's targets
+    by after's row j, one set operation."""
     odd: Dict[int, Set[int]] = {}
     for after, before in pairs:
         for i, row in before.items():
@@ -302,16 +302,11 @@ def verify_complex(c: FreeComplex) -> CheckReport:
                   "is not homogeneous of bidegree (-1,-1)" for i, j in c.inhomogeneous]
     homogeneous = not offenders
 
-    if c.inhomogeneous:
-        # no support determines an inhomogeneous entry
-        d = differential_morphism(c)
-        d2 = [(i, j) for i, row in compose(d, d).entries.items() for j in row]
-    else:
-        d2 = _odd_support((c.diff, c.diff))
-        if d2:
-            # in the order compose first reaches them
-            d2 = list(dict.fromkeys((i, k) for i, row in c.diff.items() for j in row
-                                    for k in c.diff.get(j, ()) if (i, k) in d2))
+    # on a homogeneous d, d^2 = 0 is a parity of paths; an inhomogeneous d, which no
+    # support determines, and a failure take compose, which lists offenders in its order
+    d = differential_morphism(c)
+    d2 = ([(i, j) for i, row in compose(d, d).entries.items() for j in row]
+          if c.inhomogeneous or _odd_support((c.diff, c.diff)) else [])
     offenders += [f"d^2 nonzero: {c.basis[i].name} -> {c.basis[j].name}" for i, j in d2]
 
     bad = _unfiltered(c.diff)

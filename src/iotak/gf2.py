@@ -2,7 +2,9 @@
 
 Vectors are Python ints (bit i = coordinate i), rows of a matrix are a
 list of such ints. Pivoting is on the lowest set bit, so a reduced row
-contains only columns >= its pivot column. `solve` back-substitutes,
+contains only columns >= its pivot column. `solve` and `rank` reduce rows
+sparsest first: it fills in less, and the pivot columns, the lowest bits
+of the row space, do not depend on row order. `solve` back-substitutes,
 walking pivots in decreasing order; `nullspace` brings the pivot rows
 to reduced echelon form once, highest pivot first, and reads every
 basis vector off the reduced rows.
@@ -49,20 +51,21 @@ class RowBasis:
 
 
 def rank(rows: Iterable[int]) -> int:
-    return RowBasis(rows).rank
+    return RowBasis(sorted(rows, key=int.bit_count)).rank
 
 
 def solve(rows: List[int], rhs: List[int], nvars: int) -> Optional[int]:
-    """One solution of the affine system rows[k] . x = rhs[k], or None.
+    """The least solution of the affine system rows[k] . x = rhs[k], or None.
 
     The right-hand side rides along as an extra bit above all variable
     bits; a row reducing to that bit alone means 0 = 1. Back
     substitution from that bit, highest pivot first, gives the solution
-    with all free variables zero.
+    with all free variables zero, the least one: a null vector's top bit
+    is a free column, since a pivot row would meet it there alone.
     """
     aug = 1 << nvars
     basis = RowBasis()
-    for row, b in zip(rows, rhs):
+    for row, b in sorted(zip(rows, rhs), key=lambda rb: rb[0].bit_count()):
         vec = basis.reduce(row | (aug if b else 0))
         if vec == aug:
             return None

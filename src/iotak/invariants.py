@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import gf2
-from .complexes import Slices, _per_slice
+from .complexes import Slices, _odd_support, _per_slice
 from .iota import IotaComplex, verify_iota_complex
 
 # sparse F2[W] matrix: {source index: set of target indices}. Homogeneity
@@ -83,14 +83,9 @@ class UTowerComplex(Slices):
                         raise InvariantError(f"tower entry {self.basis[i][0]} -> "
                                              f"{self.basis[j][0]} forces no W^k, k >= 0")
         # d^2 = 0: homogeneity pins every path's exponent, so only parity matters
-        for i, row in self.diff.items():
-            acc: Set[int] = set()
-            for j in row:
-                dj = self.diff.get(j)
-                if dj:
-                    acc ^= dj
-            if acc:
-                raise InvariantError(f"d^2 != 0 at generator {self.basis[i][0]}")
+        if bad := {i for i, _ in _odd_support((self.diff, self.diff))}:
+            i = next(i for i in self.diff if i in bad)
+            raise InvariantError(f"d^2 != 0 at generator {self.basis[i][0]}")
 
     @_per_slice
     def one_plus_iota_rows(self, r: int) -> List[int]:

@@ -319,28 +319,34 @@ def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:
 # ---------------------------------------------------------------------------
 # local equivalence
 
-def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
-                             f: Morphism, g: Morphism) -> CheckReport:
-    """Check that (f, g) witnesses a local equivalence ic1 ~ ic2."""
-    checks: List[Tuple[str, bool]] = []
-    for name, m, a, b, ends in (("f", f, ic1, ic2, "ic1 to ic2"), ("g", g, ic2, ic1, "ic2 to ic1")):
-        if m.source != a.complex or m.target != b.complex:
-            raise ValueError(f"{name} must map {ends}")
-        if m.variance != EQUIVARIANT or m.bidegree != (0, 0):
-            raise ValueError(f"{name} must be equivariant of bidegree (0, 0)")
-        checks.append((f"{name} homogeneous", not m.inhomogeneous))
-        checks.append((f"{name} filtered", m.is_filtered()))
-        checks.append((f"{name} chain map", is_chain_map(m)))
+def verify_local_equivalence(ic1: IotaComplex, ic2: IotaComplex, f: Morphism, g: Morphism,
+                             h_f: Morphism, h_g: Morphism) -> CheckReport:
+    """Check, solving nothing, that (f, g) witnesses ic1 ~ ic2 with h_f, h_g the homotopies of
+    iota2 f ~ f iota1 and iota1 g ~ g iota2: homogeneous, filtered, and dH + Hd + iota' F + F iota
+    zero as a parity of paths. ValueError for an inhomogeneous iota or a misshapen map or H."""
+    sides = (("f", f, h_f, ic1, ic2, 1, 2), ("g", g, h_g, ic2, ic1, 2, 1))
+    for name, m, h, a, b, s, t in sides:
+        if a.iota.inhomogeneous:
+            raise ValueError(f"iota{s} is not homogeneous")
+        for what, x, shape in ((name, m, (EQUIVARIANT, (0, 0))), (f"h_{name}", h, (SKEW, (1, 1)))):
+            if x.source != a.complex or x.target != b.complex:
+                raise ValueError(f"{what} must map ic{s} to ic{t}")
+            if (x.variance, x.bidegree) != shape:
+                raise ValueError(f"{what} must be {shape[0]} of bidegree {shape[1]}")
+    checks = [(f"{name} {what}", ok) for name, m, *_ in sides for what, ok in (
+        ("homogeneous", not m.inhomogeneous), ("filtered", m.is_filtered()),
+        ("chain map", is_chain_map(m)))]
     if not all(ok for _, ok in checks):
         return CheckReport(tuple(checks))
 
     hom1, hom2 = ic1.complex.slice_homology, ic2.complex.slice_homology
     checks.append(("f isomorphism on homology", hom1.maps_generator_nonzero(f, hom2)))
     checks.append(("g isomorphism on homology", hom2.maps_generator_nonzero(g, hom1)))
-    h1 = homotopy_solve(compose(ic2.iota, f), compose(f, ic1.iota))
-    checks.append(("iota2 f ~ f iota1", h1 is not None))
-    h2 = homotopy_solve(compose(ic1.iota, g), compose(g, ic2.iota))
-    checks.append(("iota1 g ~ g iota2", h2 is not None))
+    for name, m, h, a, b, s, t in sides:
+        checks.append((f"iota{t} {name} ~ {name} iota{s}", not h.inhomogeneous
+                       and h.is_filtered() and not _odd_support(
+                           (b.complex.diff, h.entries), (h.entries, a.complex.diff),
+                           (b.iota.entries, m.entries), (m.entries, a.iota.entries))))
     return CheckReport(tuple(checks))
 
 
@@ -348,8 +354,9 @@ class CapExceededError(Exception):
     """A chain-map solution space is larger than the search's cap."""
 
 
-def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Optional[Morphism]:
-    """The least witness map src -> tgt, or None (see search_local_equivalence)."""
+def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex,
+                      cap: int) -> Optional[Tuple[Morphism, Morphism]]:
+    """The least witness F: src -> tgt and its H, or None (see search_local_equivalence)."""
     src, tgt = src_ic.complex, tgt_ic.complex
     z, phi = src.slice_homology.generator, tgt.slice_homology.functional
     if z is None or phi is None:
@@ -368,29 +375,29 @@ def _search_direction(src_ic: IotaComplex, tgt_ic: IotaComplex, cap: int) -> Opt
                       for j, var in maps.by_source.get(i, ()) if phi >> tgt_positions[j] & 1)
     rows = [*skew_rows.values(), *(eq << n for eq in maps.equations.values()), on_homology << n]
     sol = gf2.solve(rows, [0] * (len(rows) - 1) + [1], n + len(maps.unknowns))
-    return None if sol is None else maps.morphism(sol >> n)
+    return None if sol is None else (maps.morphism(sol >> n),
+                                     homotopies.morphism(sol & ((1 << n) - 1)))
 
 
-def search_local_equivalence(ic1: IotaComplex, ic2: IotaComplex,
-                             cap: int = 24) -> Optional[Tuple[Morphism, Morphism]]:
-    """A local equivalence witness pair (f, g), or None if there is none.
+def search_local_equivalence(ic1: IotaComplex, ic2: IotaComplex, cap: int = 24
+                             ) -> Optional[Tuple[Morphism, Morphism, Morphism, Morphism]]:
+    """A local equivalence witness (f, g, h_f, h_g), or None, which proves there is none.
 
-    Each direction is one F2 system over the filtered skew homotopy bits
-    H, low, and the filtered chain-map bits F above them: dF + Fd = 0,
-    dH + Hd = iota2 F + F iota1 entrywise (exact on supports: gradings
-    force every monomial), and lambda . F = 1, where lambda has the bit
-    of F's entry i -> j when the source's slice generator has i and the
-    target's functional has j. gf2.solve returns the least solution, so
-    F is the least valid chain map, the least valid combination c of a
-    chain-map nullspace basis: vector k alone has its free column f_k,
-    as its top bit, so bit f_k of F is c_k and maps compare as their c.
-    None proves non-equivalence; verify_local_equivalence checks a pair.
-    CapExceededError: a chain-map dimension (F bits less a rank) > cap.
+    Each direction is one F2 system over the filtered skew homotopy bits H, low,
+    and the filtered chain-map bits F above them: dF + Fd = 0, dH + Hd = iota2 F +
+    F iota1 on supports (gradings force every monomial), and lambda . F = 1, where
+    lambda has F's bit i -> j when the source's slice generator has i and the
+    target's functional has j. gf2.solve's least solution gives the least valid
+    chain map F, the least valid combination c of a chain-map nullspace basis:
+    vector k alone has its free column f_k as its top bit, so bit f_k of F is c_k
+    and maps compare as their c. Its H is h_f or h_g, which verify_local_equivalence
+    checks. CapExceededError: a chain-map dimension (F bits less a rank) > cap.
     """
-    f = _search_direction(ic1, ic2, cap)
-    g = None if f is None else _search_direction(ic2, ic1, cap)
-    if g is None:
+    there = _search_direction(ic1, ic2, cap)
+    back = None if there is None else _search_direction(ic2, ic1, cap)
+    if back is None:
         return None
-    if not verify_local_equivalence(ic1, ic2, f, g).passed:
+    (f, h_f), (g, h_g) = there, back
+    if not verify_local_equivalence(ic1, ic2, f, g, h_f, h_g).passed:
         raise AssertionError("local-equivalence solve produced an invalid witness")
-    return (f, g)
+    return f, g, h_f, h_g

@@ -99,8 +99,8 @@ def _parse_entries(items: List, index, what: str) -> Entries:
             terms = ((m[0], m[1]),)  # one monomial, the common case, checked inline
         else:
             terms = []
-            for m in mono if isinstance(mono, list) else ():
-                if not (isinstance(m, list) and len(m) == 2):
+            for m in mono if type(mono) is list else ():
+                if not (type(m) is list and len(m) == 2):
                     break
                 a, b = m
                 if type(a) is not int or type(b) is not int:

@@ -21,7 +21,8 @@ from conftest import (
     staircase_sum,
 )
 from iotak import cli, serialize
-from iotak.complexes import EQUIVARIANT, SKEW, BasisElement, FreeComplex, Morphism
+from iotak.complexes import (EQUIVARIANT, SKEW, BasisElement, FreeComplex, Morphism, compose,
+                             homotopy_solve)
 from iotak.invariants import InvariantError, a_zero_minus, reduce_tower
 from iotak.iota import IotaComplex, product, verify_iota_complex, verify_local_equivalence
 from iotak.models import staircase_complex, torus_knot
@@ -451,14 +452,18 @@ def test_one_monomial_entries_rejected_with_the_general_message(mono):
 
 @pytest.mark.parametrize("mono", [ListSubclass([[1, 0]]), [ListSubclass([1, 0])]],
                          ids=["list-subclass mono", "list-subclass monomial"])
-def test_list_subclass_monomial_lists_parse_as_lists(mono):
-    """isinstance admits list subclasses, which json.load never makes, so
-    the general loop parses one as the plain list [[1, 0]]."""
+def test_list_subclass_monomial_lists_are_rejected(mono):
+    """json.load never makes a list subclass, so the parser takes a mono
+    or a monomial only as a plain list: [[1, 0]] is accepted as a list and
+    rejected, with the general message, as a list subclass."""
     doc = iota_complex_to_dict("T(2,3)", torus_knot(2, 3))
-    assert doc["differential"][0]["mono"] == [[1, 0]]
-    plain = serialize.iota_complex_from_dict(doc)
-    doc["differential"][0]["mono"] = mono
-    assert serialize.iota_complex_from_dict(doc) == plain
+    entry = doc["differential"][0]
+    assert entry["mono"] == [[1, 0]]
+    serialize.iota_complex_from_dict(doc)
+    entry["mono"] = mono
+    with pytest.raises(serialize.ParseError) as exc:
+        serialize.iota_complex_from_dict(doc)
+    assert str(exc.value) == f"bad monomial list in differential entry {entry['from']} -> {entry['to']}"
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -702,7 +707,7 @@ def test_load_raises_parse_error_on_an_over_long_integer(tmp_path):
 def test_local_equiv_above_default_cap(tmp_path, capsys):
     """T(4,5) # T(4,5) has a 59-dimensional chain-map space: above the
     default cap it exits 3, and with --cap 59 it prints a witness pair
-    that verify_local_equivalence accepts."""
+    that verify_local_equivalence accepts, with homotopies solved here."""
     t45, t44 = str(tmp_path / "t45.json"), str(tmp_path / "t44.json")
     run(capsys, "torus", "4", "5", "-o", t45)
     run(capsys, "sum", t45, t45, "-o", t44)
@@ -717,7 +722,8 @@ def test_local_equiv_above_default_cap(tmp_path, capsys):
     index = {x.name: i for i, x in enumerate(ic.complex.basis)}
     f, g = (Morphism(ic.complex, ic.complex, serialize._parse_entries(doc[k], index, k),
                      EQUIVARIANT, (0, 0)) for k in ("F", "G"))
-    assert verify_local_equivalence(ic, ic, f, g).passed
+    h_f, h_g = (homotopy_solve(compose(ic.iota, m), compose(m, ic.iota)) for m in (f, g))
+    assert verify_local_equivalence(ic, ic, f, g, h_f, h_g).passed
 
 
 def test_file_failing_only_axiom_six_exits_1(tmp_path, capsys):

@@ -79,6 +79,28 @@ def test_solve_infeasible():
     assert gf2.solve([0b1, 0b1], [0, 1], 1) is None
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_is_least_and_rank_is_free_of_row_order(data):
+    """On random systems of up to 14 variables, solve returns the
+    brute-force least solution (or None) for the rows in any order, and
+    the rank of the rows in any order is rank's."""
+    nvars = data.draw(st.integers(1, 14))
+    rows = data.draw(st.lists(st.integers(0, (1 << nvars) - 1), max_size=12))
+    if data.draw(st.booleans()):
+        secret = data.draw(st.integers(0, (1 << nvars) - 1))
+        rhs = [dot(r, secret) for r in rows]
+    else:
+        rhs = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    order = data.draw(st.permutations(range(len(rows))))
+    shuffled = [rows[k] for k in order]
+    least = next((x for x in range(1 << nvars)
+                  if all(dot(r, x) == b for r, b in zip(rows, rhs))), None)
+    assert gf2.solve(rows, rhs, nvars) == least
+    assert gf2.solve(shuffled, [rhs[k] for k in order], nvars) == least
+    assert gf2.rank(rows) == gf2.RowBasis(shuffled).rank == gf2.RowBasis(rows).rank
+
+
 def test_apply_and_transpose():
     rows = [0b011, 0b100]
     assert gf2.apply_rows(rows, 0b11) == 0b111

@@ -293,9 +293,16 @@ def test_inverse_witnesses_match_slice_homology(parts):
     assert checks["trace nonzero on homology"] == homology_class_map(rep.trace)
 
 
+def zero_homotopies(ic1, ic2):
+    """The zero homotopies h_f: ic1 -> ic2 and h_g: ic2 -> ic1."""
+    return (Morphism(ic1.complex, ic2.complex, {}, SKEW, (1, 1)),
+            Morphism(ic2.complex, ic1.complex, {}, SKEW, (1, 1)))
+
+
 def test_verify_local_equivalence_identity(hand_trefoil):
     f = identity_morphism(hand_trefoil.complex)
-    rep = verify_local_equivalence(hand_trefoil, hand_trefoil, f, f)
+    rep = verify_local_equivalence(hand_trefoil, hand_trefoil, f, f,
+                                   *zero_homotopies(hand_trefoil, hand_trefoil))
     assert rep.passed
 
 
@@ -308,13 +315,15 @@ def test_verify_local_equivalence_products(hand_trefoil):
     )
     f12 = Morphism(p1.complex, p2.complex, f.entries, EQUIVARIANT, (0, 0))
     f21 = Morphism(p2.complex, p1.complex, f.entries, EQUIVARIANT, (0, 0))
-    rep = verify_local_equivalence(p1, p2, f12, f21)
+    # both intertwine on the nose: the homotopies are zero
+    rep = verify_local_equivalence(p1, p2, f12, f21, *zero_homotopies(p1, p2))
     assert rep.passed, rep.first_failure
 
 
 def test_verify_local_equivalence_zero_fails(hand_trefoil):
     z = Morphism(hand_trefoil.complex, hand_trefoil.complex, {}, EQUIVARIANT, (0, 0))
-    rep = verify_local_equivalence(hand_trefoil, hand_trefoil, z, z)
+    rep = verify_local_equivalence(hand_trefoil, hand_trefoil, z, z,
+                                   *zero_homotopies(hand_trefoil, hand_trefoil))
     assert not rep.passed
     assert rep.first_failure == "f isomorphism on homology"
 
@@ -329,12 +338,32 @@ def test_verify_local_equivalence_zero_fails(hand_trefoil):
     (lambda k, f: product(k, k, variant=True, verify=False), "variant must be 1 or 2"),
     (lambda k, f: product(k, k, variant=1.0, verify=False), "variant must be 1 or 2"),
     (lambda k, f: product(k, k, variant=2.0, verify=False), "variant must be 1 or 2"),
-    (lambda k, f: verify_local_equivalence(k, identity_complex(), f, f), "f must map ic1 to ic2"),
+    (lambda k, f: verify_local_equivalence(k, identity_complex(), f, f, *zero_homotopies(k, k)),
+     "f must map ic1 to ic2"),
     (lambda k, f: verify_local_equivalence(
-        k, k, Morphism(k.complex, k.complex, f.entries, SKEW, (0, 0)), f),
+        k, k, Morphism(k.complex, k.complex, f.entries, SKEW, (0, 0)), f, *zero_homotopies(k, k)),
      "f must be equivariant of bidegree (0, 0)"),
+    (lambda k, f: verify_local_equivalence(
+        k, k, f, f, *zero_homotopies(k, identity_complex())), "h_f must map ic1 to ic2"),
+    (lambda k, f: verify_local_equivalence(
+        k, k, f, f, zero_homotopies(k, k)[0], zero_homotopies(identity_complex(), k)[0]),
+     "h_g must map ic2 to ic1"),
+    (lambda k, f: verify_local_equivalence(
+        k, k, f, f, Morphism(k.complex, k.complex, {}, EQUIVARIANT, (1, 1)), zero_homotopies(k, k)[1]),
+     "h_f must be skew of bidegree (1, 1)"),
+    (lambda k, f: verify_local_equivalence(
+        k, k, f, f, zero_homotopies(k, k)[0], Morphism(k.complex, k.complex, {}, SKEW, (0, 0))),
+     "h_g must be skew of bidegree (1, 1)"),
+    (lambda k, f: verify_local_equivalence(
+        t23_with(iota={**k.iota.entries, 1: {1: monomial(1, 1)}}), k, f, f, *zero_homotopies(k, k)),
+     "iota1 is not homogeneous"),
+    (lambda k, f: verify_local_equivalence(
+        k, t23_with(iota={**k.iota.entries, 1: {1: monomial(1, 1)}}), f, f, *zero_homotopies(k, k)),
+     "iota2 is not homogeneous"),
 ], ids=["iota between complexes", "equivariant iota", "variant 3", "variant True",
-        "variant 1.0", "variant 2.0", "f to the wrong complex", "skew f"])
+        "variant 1.0", "variant 2.0", "f to the wrong complex", "skew f",
+        "h_f to the wrong complex", "h_g from the wrong complex", "equivariant h_f",
+        "h_g of bidegree (0, 0)", "inhomogeneous iota1", "inhomogeneous iota2"])
 def test_iota_rejections_are_pinned(build, message):
     """On T(2,3), with f its identity map."""
     k = torus_knot(2, 3)
@@ -348,7 +377,7 @@ def test_verify_local_equivalence_stops_at_a_failed_map_check():
     six map checks only: no homology or intertwining check runs."""
     k = torus_knot(2, 3)
     f = Morphism(k.complex, k.complex, {0: {0: ONE}}, EQUIVARIANT, (0, 0))
-    rep = verify_local_equivalence(k, k, f, identity_morphism(k.complex))
+    rep = verify_local_equivalence(k, k, f, identity_morphism(k.complex), *zero_homotopies(k, k))
     assert rep.checks == (("f homogeneous", True), ("f filtered", True), ("f chain map", False),
                           ("g homogeneous", True), ("g filtered", True), ("g chain map", True))
 
@@ -356,8 +385,7 @@ def test_verify_local_equivalence_stops_at_a_failed_map_check():
 def test_search_finds_identity(hand_trefoil):
     found = search_local_equivalence(hand_trefoil, hand_trefoil)
     assert found is not None
-    f, g = found
-    assert verify_local_equivalence(hand_trefoil, hand_trefoil, f, g).passed
+    assert verify_local_equivalence(hand_trefoil, hand_trefoil, *found).passed
 
 
 def test_search_unknot_vs_trefoil_negative(hand_trefoil):
@@ -636,7 +664,8 @@ def test_solve_matches_exhaustive_search(pair):
             with pytest.raises(CapExceededError):
                 _search_direction(src, tgt, 12)
             continue
-        assert _search_direction(src, tgt, 12) == exhaustive_direction(src, tgt)
+        found = _search_direction(src, tgt, 12)
+        assert (found and found[0]) == exhaustive_direction(src, tgt)
 
 
 def test_search_witness_pinned():
@@ -647,7 +676,7 @@ def test_search_witness_pinned():
     p1, p2 = product(t23, t23, variant=1), product(t23, t23, variant=2)
     space, basis = _chain_map_basis(p1, p2)
     assert len(basis) == 5
-    f = _search_direction(p1, p2, 24)
+    f, _ = _search_direction(p1, p2, 24)
     assert f.entries == {i * 3 + j: {j * 3 + i: ONE} for i in range(3) for j in range(3)}
     assert f == space.morphism(gf2.apply_rows(basis, 20))
     for combo in range(1, 20):
@@ -657,6 +686,102 @@ def test_search_witness_pinned():
 
 
 BIG_CAP = 10_000
+
+
+def reference_verify(ic1, ic2, f, g):
+    """The checks of the solve-based verifier that verify_local_equivalence
+    replaced: its map and homology checks, and each intertwining decided
+    by a fresh homotopy_solve."""
+    checks = []
+    for name, m in (("f", f), ("g", g)):
+        checks += [(f"{name} homogeneous", not m.inhomogeneous),
+                   (f"{name} filtered", m.is_filtered()), (f"{name} chain map", is_chain_map(m))]
+    if not all(ok for _, ok in checks):
+        return tuple(checks)
+    hom1, hom2 = ic1.complex.slice_homology, ic2.complex.slice_homology
+    checks.append(("f isomorphism on homology", hom1.maps_generator_nonzero(f, hom2)))
+    checks.append(("g isomorphism on homology", hom2.maps_generator_nonzero(g, hom1)))
+    h1 = homotopy_solve(compose(ic2.iota, f), compose(f, ic1.iota))
+    checks.append(("iota2 f ~ f iota1", h1 is not None))
+    h2 = homotopy_solve(compose(ic1.iota, g), compose(g, ic2.iota))
+    checks.append(("iota1 g ~ g iota2", h2 is not None))
+    return tuple(checks)
+
+
+@given(parts_strategy, st.sampled_from((1, 2)), st.booleans(), st.data())
+@settings(max_examples=15, deadline=None)
+def test_support_verifier_agrees_with_the_solve_based_one(parts, variant, swap, data):
+    """On a staircase sum against a perturbed copy of itself, in either
+    variant and factor order, the support checks of the search's
+    homotopies give the solve-based verifier's checks of its maps."""
+    a = staircase_sum(parts)
+    b = staircase_sum(parts[::-1] if swap else parts, variant)
+    unknowns = len(_HomEquations(b.complex, b.complex, SKEW, (1, 1)).unknowns)
+    b = perturbed(b, data.draw(st.integers(0, (1 << unknowns) - 1)))
+    found = search_local_equivalence(a, b, cap=BIG_CAP)
+    assert found is not None
+    rep = verify_local_equivalence(a, b, *found)
+    assert rep.passed
+    assert rep.checks == reference_verify(a, b, *found[:2])
+
+
+def test_toggling_one_homotopy_entry_fails_its_check():
+    """T(3,4) # T(2,3)^-1 against its perturbed copy: toggling unknown v
+    of h_f or h_g fails exactly that homotopy's check when v's column of
+    the homotopy equations is nonzero, which holds for every entry the
+    least solution sets."""
+    a = product(torus_knot(3, 4), mirror(torus_knot(2, 3)))
+    b = perturbed_t34_mirror_t23()
+    f, g, h_f, h_g = search_local_equivalence(a, b)
+    assert h_f.entries and h_g.entries
+    for k, (h, src, tgt) in enumerate(((h_f, a, b), (h_g, b, a))):
+        space = _HomEquations(src.complex, tgt.complex, SKEW, (1, 1))
+        bits = sum(1 << v for v, (i, j, _) in enumerate(space.unknowns) if j in h.entries.get(i, {}))
+        assert space.morphism(bits) == h
+        columns = 0
+        for eq in space.equations.values():
+            columns |= eq
+        assert bits & ~columns == 0
+        for v in range(len(space.unknowns)):
+            hs = [h_f, h_g]
+            hs[k] = space.morphism(bits ^ (1 << v))
+            failed = [name for name, ok in verify_local_equivalence(a, b, f, g, *hs).checks if not ok]
+            assert failed == (["iota2 f ~ f iota1", "iota1 g ~ g iota2"][k:k + 1] if columns >> v & 1
+                              else [])
+
+
+def test_the_verifier_solves_nothing(monkeypatch):
+    """With the search's slice homology cached, verify_local_equivalence
+    passes the search's witness with every solver and compose disabled."""
+    a, b = product(torus_knot(3, 4), mirror(torus_knot(2, 3))), perturbed_t34_mirror_t23()
+    found = search_local_equivalence(a, b)
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the verifier called a solver")
+
+    for module, name in ((gf2, "solve"), (gf2, "rank"), (gf2, "nullspace"), (iota, "_HomEquations"),
+                         (iota, "homotopy_solve"), (iota, "compose"), (complexes, "compose")):
+        monkeypatch.setattr(module, name, disabled)
+    assert verify_local_equivalence(a, b, *found).passed
+
+
+def test_an_unfiltered_or_inhomogeneous_homotopy_fails_its_check():
+    """e(0, 0), p(-2, -2), q(-3, -3) with dp = q and iota the identity:
+    F = G = id, and any H from e to q has dH + Hd = 0 = iota F + F iota
+    on supports. U^-2 V^-2 is the forced monomial there, not filtered;
+    1 is filtered but not homogeneous."""
+    basis = [BasisElement("e", 0, 0), BasisElement("p", -2, -2), BasisElement("q", -3, -3)]
+    ic = _with_identity_iota(basis, {1: {2: ONE}})
+    assert verify_iota_complex(ic).passed
+    f = identity_morphism(ic.complex)
+    zero, _ = zero_homotopies(ic, ic)
+    assert verify_local_equivalence(ic, ic, f, f, zero, zero).passed
+    for p in (monomial(-2, -2), ONE):
+        h = Morphism(ic.complex, ic.complex, {0: {2: p}}, SKEW, (1, 1))
+        assert (h.is_filtered(), not h.inhomogeneous) == (p == ONE, p != ONE)
+        for hs, name in (((h, zero), "iota2 f ~ f iota1"), ((zero, h), "iota1 g ~ g iota2")):
+            rep = verify_local_equivalence(ic, ic, f, f, *hs)
+            assert [n for n, ok in rep.checks if not ok] == [name]
 
 
 def _witnessed(ic1, ic2):
@@ -718,7 +843,7 @@ def test_associativity_witness_pinned():
     right = product(k1, product(k2, k3, verify=False), verify=False)
     with pytest.raises(CapExceededError, match="dimension 1983 > cap 1982"):
         search_local_equivalence(left, right, cap=1982)
-    f, g = search_local_equivalence(left, right, cap=1983)
+    f, g, _, _ = search_local_equivalence(left, right, cap=1983)
     pinned = "25d6536d7590738275bd6a079ef2cbcba34f2b1d11bb01361aa22abd614c51c4"
     assert _sha256(f) == _sha256(g) == pinned
 
