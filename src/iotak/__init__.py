@@ -35,6 +35,6 @@ from .invariants import (
     lemma_criteria_oracle,
     obstruction_pattern,
 )
-from .models import Staircase, mirror, staircase_complex, torus_knot, unknot_complex
+from .models import Staircase, mirror, staircase_complex, torus_knot
 
 __version__ = "0.1.0"

@@ -98,11 +98,6 @@ class UTowerComplex(Slices):
         rows = gf2.support_rows(self.endo, self.members(r), self.positions(r))
         return [row ^ (1 << pos) for pos, row in enumerate(rows)]
 
-    def power_rows(self, r: int, m: int) -> List[int]:
-        """Multiplication by W^m from slice r to slice r - 2m: the inclusion
-        of a prefix, so the identity on slice r's positions."""
-        return [1 << p for p in range(len(self.members(r)))]
-
     @_per_slice
     def nontorsion_tests(self, r: int) -> List[int]:
         """The cocycles of slice r - 2 n_power pulled back along W^n_power, so
@@ -341,16 +336,8 @@ def _d_bar_hits(t: UTowerComplex, c: int, m: int) -> bool:
     solution of dy = (1+iota)x, dz = W^m x with x != 0 at grading c - 1
     has W^m y + (1+iota)z nontorsion, or (b) cycles y != 0 at grading c
     and z at c - 2m have W^m y + (1+iota)z nontorsion.
-
-    W^m is the inclusion of a prefix of slice c - 2m, so the answer
-    depends on m only through that slice, and it is decided once per
-    grading c and canonical slice of c - 2m: within the oracle's range
-    the tests at n_power and n_power + 1 are one test.
     """
-    key = ("_d_bar_hits", c, t.canonical(c - 2 * m))
-    if key not in t._memo:
-        t._memo[key] = _solutions_hit(t, c - 1, c - 2 * m) or _cycle_pairs_hit(t, c, c - 2 * m)
-    return t._memo[key]
+    return _solutions_hit(t, c - 1, c - 2 * m) or _cycle_pairs_hit(t, c, c - 2 * m)
 
 
 def _solutions_hit(t: UTowerComplex, r: int, s: int) -> bool:

@@ -40,10 +40,6 @@ class Staircase:
         return sum(self.u_steps)
 
 
-def unknot_complex() -> IotaComplex:
-    return identity_complex()
-
-
 def staircase_complex(s: Staircase) -> IotaComplex:
     """The staircase model with reflection involution.
 
@@ -54,7 +50,7 @@ def staircase_complex(s: Staircase) -> IotaComplex:
     """
     k = len(s.u_steps)
     if k == 0:
-        return unknot_complex()
+        return identity_complex()
     alex = [s.genus]
     gr_u = [0]
     for m in range(1, k + 1):

@@ -33,13 +33,14 @@ from iotak.iota import (
     build_phi,
     build_psi,
     dual_iota,
+    identity_complex,
     inverse_witnesses,
     phi_squared_homotopy,
     product,
     search_local_equivalence,
     verify_iota_complex,
 )
-from iotak.models import mirror, torus_knot, unknot_complex
+from iotak.models import mirror, torus_knot
 
 
 def _report(name, ok, elapsed, budget):
@@ -132,7 +133,7 @@ def test_criterion_5_obstruction_patterns(staircases):
         chain(mirror(t34), mirror(t45), t56),
     ]
     tr = staircases[(2, 3)]
-    consistent = [unknot_complex(), tr, chain(tr, tr)]
+    consistent = [identity_complex(), tr, chain(tr, tr)]
     ok = True
     for ic in obstructed:
         verdict = obstruction_pattern(involutive_invariants(a_zero_minus(ic, verify=False)))
@@ -240,5 +241,5 @@ def test_criterion_8_oracle_cross_validation(corpus):
 
 def test_criterion_9_non_equivalence():
     start = time.time()
-    ok = search_local_equivalence(unknot_complex(), torus_knot(2, 3)) is None
+    ok = search_local_equivalence(identity_complex(), torus_knot(2, 3)) is None
     _report("9 unknot vs trefoil non-equivalence", ok, time.time() - start, 10)

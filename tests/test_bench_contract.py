@@ -39,10 +39,8 @@ def test_traced_names_resolve():
     assert callable(importlib.import_module("iotak.gf2").RowBasis.add)
 
 
-def test_morphism_entry_rows_are_dicts():
-    m = identity_morphism(torus_knot(2, 3).complex)
-    assert m.entries and all(isinstance(row, dict) for row in m.entries.values())
-    assert _tracing()._nnz(m) == 3
+def test_nnz_counts_a_morphisms_entries():
+    assert _tracing()._nnz(identity_morphism(torus_knot(2, 3).complex)) == 3
 
 
 def test_homology_snf_sizes_on_a_tower():

@@ -717,13 +717,21 @@ def test_oracle_matches_cone_on_large_sums(parts):
 # References: the normal-form table and null-space forms of the oracle's
 # nontorsion tests and criteria, which the cocycle forms must reproduce.
 
+def power_rows(slices, r, m):
+    """Multiplication by W^m from slice r to slice r - 2m, from its
+    definition: W^m takes generator i of slice r to its position in
+    slice r - 2m."""
+    pos = slices.positions(r - 2 * m)
+    return [1 << pos[i] for i in slices.members(r)]
+
+
 def reference_spans_nontorsion(slices, r, vectors):
     """Row i of the table: the normal form of W^n_power e_i modulo the
     boundaries of slice r - 2 n_power, linear and zero on boundaries."""
     if not vectors:
         return False
     low = gf2.RowBasis(slices.diff_rows(r - 2 * slices.n_power + 1))
-    table = [normal_form(low, e) for e in slices.power_rows(r, slices.n_power)]
+    table = [normal_form(low, e) for e in power_rows(slices, r, slices.n_power)]
     return any(gf2.apply_rows(table, v) for v in vectors)
 
 
@@ -751,11 +759,11 @@ def reference_d_bar_hits(slices, c, m):
         zero = [0]
         images1 = slices.one_plus_iota_rows(r) + slices.diff_rows(r + 1) + zero * nz
         eqs = gf2.transpose(images1, nx)
-        images2 = slices.power_rows(r, m) + zero * ny + slices.diff_rows(r - 2 * m + 1)
+        images2 = power_rows(slices, r, m) + zero * ny + slices.diff_rows(r - 2 * m + 1)
         eqs += gf2.transpose(images2, len(slices.members(r - 2 * m)))
         sols = gf2.nullspace(eqs, nx + ny + nz)
         if any(v & ((1 << nx) - 1) for v in sols):
-            l_rows = (zero * nx + slices.power_rows(r + 1, m)
+            l_rows = (zero * nx + power_rows(slices, r + 1, m)
                       + slices.one_plus_iota_rows(r - 2 * m + 1))
             images = [gf2.apply_rows(l_rows, v) for v in sols]
             if reference_spans_nontorsion(slices, r + 1 - 2 * m, images):
@@ -763,7 +771,7 @@ def reference_d_bar_hits(slices, c, m):
     y_cycles = slices.cycle_basis(c)
     if not y_cycles:
         return False
-    images = [gf2.apply_rows(slices.power_rows(c, m), y) for y in y_cycles]
+    images = [gf2.apply_rows(power_rows(slices, c, m), y) for y in y_cycles]
     images += [gf2.apply_rows(slices.one_plus_iota_rows(c - 2 * m), z)
                for z in slices.cycle_basis(c - 2 * m)]
     return reference_spans_nontorsion(slices, c - 2 * m, images)
@@ -830,8 +838,7 @@ def test_slices_are_prefixes_of_the_full_slice(parts, variant):
         eqs = gf2.transpose(rows, len(t.members(r - 1)))
         assert t.cycle_basis(r) == gf2.nullspace(eqs, len(members)), r
         for m in (0, 1, t.n_power, t.n_power + 1):
-            pos = t.positions(r - 2 * m)
-            assert t.power_rows(r, m) == [1 << pos[i] for i in members]
+            assert power_rows(t, r, m) == [1 << p for p in range(len(members))]
 
 
 @given(staircase_sums)

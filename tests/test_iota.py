@@ -2,12 +2,13 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     T23_D_SQUARED_NONZERO,
     iota_complex_to_dict,
+    palindromic_staircase,
     parts_strategy,
     perturbed,
     perturbed_t34_mirror_t23,
@@ -50,7 +51,7 @@ from iotak.iota import (
     verify_local_equivalence,
 )
 from iotak.invariants import InvariantError, a_zero_minus, involutive_invariants
-from iotak.models import mirror, staircase_complex, torus_knot, unknot_complex
+from iotak.models import mirror, staircase_complex, torus_knot
 from iotak.ring import ONE, ZERO, LaurentPoly, monomial
 from iotak.serialize import morphism_to_list
 
@@ -389,7 +390,7 @@ def test_search_finds_identity(hand_trefoil):
 
 
 def test_search_unknot_vs_trefoil_negative(hand_trefoil):
-    assert search_local_equivalence(unknot_complex(), hand_trefoil) is None
+    assert search_local_equivalence(identity_complex(), hand_trefoil) is None
 
 
 def test_search_product_variants(hand_trefoil):
@@ -593,7 +594,7 @@ def test_inverse_witnesses_on_a_corrupted_dual(monkeypatch):
         (x,) = complexes.dual(k.complex).basis
         bad = FreeComplex([BasisElement(x.name, x.gr_u + 2, x.gr_v + 2)], {})
         return IotaComplex(bad, Morphism(bad, bad, dual_iota(k).iota.entries, SKEW, (0, 0)))
-    unknot = unknot_complex()
+    unknot = identity_complex()
     with monkeypatch.context() as m:
         m.setattr(iota, "dual_iota", shifted)
         outcome = witness_outcome(unknot)
@@ -815,6 +816,41 @@ def test_local_equivalence_preserves_invariants(pair):
     if search_local_equivalence(a, b, cap=BIG_CAP) is not None:
         triples = [involutive_invariants(a_zero_minus(ic, verify=False)).triple() for ic in pair]
         assert triples[0] == triples[1]
+
+
+T23, T34 = [(palindromic_staircase([1]), False)], [(palindromic_staircase([1, 2]), False)]
+T34_MIRROR_T23 = T34 + [(palindromic_staircase([1]), True)]
+
+
+@given(parts_strategy, parts_strategy, st.sampled_from([1, 2]),
+       st.none() | st.integers(min_value=0, max_value=(1 << 64) - 1))
+@example(T34, T23, 1, None)
+@example(T34_MIRROR_T23, T34, 2, 1)
+@settings(max_examples=60, deadline=None)
+def test_local_maps_are_read_off_the_tower(parts1, parts2, variant, bits):
+    """A local map C1 -> C2 exists iff d_under(C1^dual # C2) >= 0.
+
+    Products keep local maps, and C1^dual # C1 is locally trivial (as
+    inverse_witnesses checks), so C1 <= C2 iff unknot <= X = C1^dual # C2.
+    A local map from the unknot to X is a grading-0 element z of X's
+    Alexander-grading-0 tower: z is a cycle with a nontorsion class, and
+    (1 + iota)z is a boundary, the homotopy's value at 1 lying at grading
+    1. That is _d_under_hits at grading 0. d_under is even and W commutes
+    with iota, so such a z exists exactly when d_under(X) >= 0.
+
+    The search's Hom-space solve and the tower's cone decide this apart,
+    in both directions, with C1 perturbed on the draws that give bits.
+    T(3,4) has a local map to T(2,3) and none back; T(3,4) # T(2,3)^-1,
+    perturbed by its first K unknown, has none to T(3,4) and one back.
+    """
+    c1, c2 = staircase_sum(parts1, variant), staircase_sum(parts2, variant)
+    if bits is not None:
+        unknowns = len(_HomEquations(c1.complex, c1.complex, SKEW, (1, 1)).unknowns)
+        c1 = perturbed(c1, bits & ((1 << unknowns) - 1))
+    for src, tgt in ((c1, c2), (c2, c1)):
+        x = product(dual_iota(src), tgt, variant=variant, verify=False)
+        d_under = involutive_invariants(a_zero_minus(x, verify=False)).d_under
+        assert (_search_direction(src, tgt, BIG_CAP) is not None) == (d_under >= 0)
 
 
 @given(st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=3, max_size=3))

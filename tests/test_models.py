@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from conftest import CORPUS_TORUS, IntSubclass, staircase_strategy
 from iotak.complexes import compose, differential_morphism
 from iotak.invariants import a_zero_minus, involutive_invariants
-from iotak.iota import build_phi, build_psi, verify_iota_complex
+from iotak.iota import build_phi, build_psi, identity_complex, verify_iota_complex
 from iotak.models import (
     Staircase,
     mirror,
     staircase_complex,
     torus_alexander_exponents,
     torus_knot,
-    unknot_complex,
 )
 from iotak.ring import monomial
 
@@ -162,7 +161,7 @@ def test_mirror_involution_and_unknot():
     ]
     assert mm.complex.diff == ic.complex.diff
     assert mm.iota.entries == ic.iota.entries
-    unk = mirror(unknot_complex())
+    unk = mirror(identity_complex())
     assert len(unk.complex) == 1
     assert verify_iota_complex(unk).passed
 
