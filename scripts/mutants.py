@@ -13,11 +13,6 @@ mutant is killed when pytest fails. Each test selection is first run on
 an unedited copy, where it must pass, so that a failure means the edit
 was caught. Exits 1 when a mutant survives, an old text is stale or a
 selection fails unedited.
-
-KNOWN_SURVIVORS are edits that no test can tell from the code, each with
-the reason. They run the same way against the whole tier-1 suite and
-are reported; one that is killed fails the check, so that it moves to
-MUTANTS.
 """
 
 import os
@@ -39,7 +34,7 @@ LOCAL = ("tests/test_iota.py", "-k", "local or search or witness")
 VERIFIER = ("tests/test_iota.py", "-k", "local or search or witness or verifier or homotopy")
 DUAL = ("tests/test_iota.py", "tests/test_models.py")
 AXIOM6 = ("tests/test_iota.py", "tests/test_cli.py", "-k", "axiom_six")
-TIER1 = ("tests/",)
+TRACE = ("tests/test_iota.py", "-k", "iota_through_trace")
 
 # (name, file under src/, old text, new text, pytest arguments)
 MUTANTS = [
@@ -126,6 +121,16 @@ MUTANTS = [
      " ^ {(i, i) for i in range(len(cx))}", "", AXIOM6),
     ("Psi's support read off the U exponent", "iotak/iota.py",
      "(a, b - 1) if b % 2 else None", "(a, b - 1) if a % 2 else None", AXIOM6),
+    ("axiom (6) counts Psi o Phi in place of Phi o Psi", "iotak/iota.py",
+     "(_kept(cx, _PHI), _kept(cx, _PSI))", "(_kept(cx, _PSI), _kept(cx, _PHI))", AXIOM6),
+    ("axiom (6) reads pass without being decided", "iotak/iota.py",
+     "    involution_ok = False\n    witness = None\n    if base.passed",
+     "    involution_ok = True\n    witness = None\n    if False and base.passed",
+     ("tests/test_cli.py", "-k", "failing_only_axiom_six")),
+    ("the trace composites take the variant-2 involution", "iotak/iota.py",
+     "dic.complex, dic.iota, 1):", "dic.complex, dic.iota, 2):", TRACE),
+    ("iota o cotrace lands on b|a^ in place of a|b^", "iotak/iota.py",
+     "k = a * n + b", "k = b * n + a", TRACE),
     ("the zero witness whatever the right-hand side", "iotak/complexes.py",
      "if not rhs and not (src.inhomogeneous", "if not (src.inhomogeneous", AXIOM6),
     ("_odd_support keeps every reached target", "iotak/complexes.py",
@@ -139,23 +144,6 @@ MUTANTS = [
      "type(m[0]) is int and type(m[1]) is int", "type(m[0]) is int and isinstance(m[1], int)",
      ("tests/test_cli.py", "-k", "one_monomial")),
 ]
-
-# (name, file under src/, old text, new text, pytest arguments, why no test kills it)
-KNOWN_SURVIVORS = [
-    ("the trace composites take the variant-2 involution", "iotak/iota.py",
-     "dic.complex, dic.iota, 1):", "dic.complex, dic.iota, 2):", TIER1,
-     "on every iota-complex tried (staircase sums, the figure-eight model) "
-     "the two variants give equal composites with the trace and the cotrace"),
-    ("iota o cotrace lands on b|a^ in place of a|b^", "iotak/iota.py",
-     "k = a * n + b", "k = b * n + a", TIER1,
-     "on every iota-complex tried (staircase sums, the figure-eight model) "
-     "iota o cotrace is symmetric in (a, b)"),
-    ("axiom (6) counts Psi o Phi in place of Phi o Psi", "iotak/iota.py",
-     "(_kept(cx, _PHI), _kept(cx, _PSI))", "(_kept(cx, _PSI), _kept(cx, _PHI))", TIER1,
-     "Phi Psi = Psi Phi entry for entry on every staircase complex checked: T(p,p+1) "
-     "for p = 2..7, their mirrors, K # mirror(K) and variant-2 sums with T(2,3)"),
-]
-
 
 def run_tests(src: Path, args) -> bool:
     """Whether pytest passes on args with iotak imported from src. It runs
@@ -189,7 +177,7 @@ def mutate(rel: str, old: str, new: str, args) -> str:
 
 def main() -> int:
     bad = 0
-    for args in dict.fromkeys(m[4] for m in MUTANTS + KNOWN_SURVIVORS):
+    for args in dict.fromkeys(m[4] for m in MUTANTS):
         with tempfile.TemporaryDirectory() as tmp:
             if not run_tests(copy_src(tmp), args):
                 print(f"FAILS UNEDITED  {' '.join(args)}")
@@ -202,16 +190,6 @@ def main() -> int:
         bad += status != "killed"
         print(f"{status:<9} {time.perf_counter() - start:5.1f}s  {rel}: {name}  [{' '.join(args)}]")
     print(f"{len(MUTANTS)} mutants, {len(MUTANTS) - bad} killed")
-    for name, rel, old, new, args, reason in KNOWN_SURVIVORS:
-        start = time.perf_counter()
-        status = mutate(rel, old, new, args)
-        if status == "SURVIVED":
-            status = "survives"
-        else:
-            bad += 1
-            status = status if status.startswith("STALE") else "KILLED: move it to MUTANTS"
-        print(f"{status:<9} {time.perf_counter() - start:5.1f}s  {rel}: {name}  [{' '.join(args)}]"
-              f"\n          known survivor: {reason}")
     return 1 if bad else 0
 
 

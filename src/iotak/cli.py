@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failure, 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -68,9 +67,9 @@ def _threads_cap() -> Optional[int]:
     return n
 
 
-def _verified(path: str, full: bool = True) -> tuple[str, IotaComplex]:
+def _verified(path: str) -> tuple[str, IotaComplex]:
     name, ic = serialize.load(path)
-    report = verify_iota_complex(ic, check_involution=full)
+    report = verify_iota_complex(ic)
     if not report.passed:
         k = report.first_failure
         print(f"{path}: fails axiom ({k}) {AXIOM_LABELS[k]}", file=sys.stderr)
@@ -78,17 +77,6 @@ def _verified(path: str, full: bool = True) -> tuple[str, IotaComplex]:
             print(f"  {line}", file=sys.stderr)
         raise SystemExit(EXIT_VERIFY)
     return name, ic
-
-
-@contextlib.contextmanager
-def _explained_by_axiom_six(path: Optional[str]):
-    """Check all six axioms of a file on an InvariantError: exit 1 or re-raise."""
-    try:
-        yield
-    except InvariantError:
-        if path is not None:
-            _verified(path)
-        raise
 
 
 def cmd_check(args) -> int:
@@ -147,17 +135,15 @@ def _invariants_input(args) -> tuple[str, IotaComplex]:
     if args.mirror:
         print("--mirror needs --torus; mirror a file with the dual subcommand", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    return _verified(args.file, full=False)
+    return _verified(args.file)
 
 
 def cmd_invariants(args) -> int:
     name, ic = _invariants_input(args)
-    with _explained_by_axiom_six(args.file):
-        tower = a_zero_minus(ic, verify=False)
-        rep = involutive_invariants(tower)
+    tower = a_zero_minus(ic, verify=False)
+    rep = involutive_invariants(tower)
     try:
-        with _explained_by_axiom_six(args.file):
-            oracle = lemma_criteria_oracle(tower) if args.oracle else None
+        oracle = lemma_criteria_oracle(tower) if args.oracle else None
     except InvariantError as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return EXIT_CAP
@@ -174,9 +160,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_obstruct(args) -> int:
-    name, ic = _verified(args.file, full=False)
-    with _explained_by_axiom_six(args.file):
-        rep = involutive_invariants(a_zero_minus(ic, verify=False))
+    name, ic = _verified(args.file)
+    rep = involutive_invariants(a_zero_minus(ic, verify=False))
     verdict = obstruction_pattern(rep)
     out = {"name": name, "V0_bar": rep.V0_bar, "V0": rep.V0, "V0_under": rep.V0_under}
     out.update(verdict.to_dict())

@@ -358,14 +358,13 @@ def tensor(c1: FreeComplex, c2: FreeComplex) -> FreeComplex:
     try:
         c = FreeComplex(basis, diff)
     except ValueError:
-        # two pairs (x, y) whose names join to one name: find and name them
+        # a repeated name; each factor's are unique, so two distinct pairs (x, y) join to it
         seen: Dict[str, Tuple[str, str]] = {}
-        for pair in ((x.name, y.name) for x in c1.basis for y in c2.basis):
-            first = seen.setdefault("|".join(pair), pair)
-            if first is not pair:
-                raise ValueError(f"product generators {first} and {pair} share the name "
-                                 f"{'|'.join(pair)!r}") from None
-        raise
+        pair = next(pair for pair in ((x.name, y.name) for x in c1.basis for y in c2.basis)
+                    if seen.setdefault("|".join(pair), pair) is not pair)
+        name = "|".join(pair)
+        raise ValueError(f"product generators {seen[name]} and {pair} share the name "
+                         f"{name!r}") from None
     # diff is homogeneous when both factors are: each entry is a
     # factor's, between gradings shifted alike
     if not (c1.inhomogeneous or c2.inhomogeneous):

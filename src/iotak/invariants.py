@@ -146,9 +146,7 @@ def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
 
     The generator over F2[W] for a basis element x of Alexander grading
     A is U^max(A,0) V^max(-A,0) x, at grading gr_u(x) - 2 max(A, 0).
-    verify=True checks the structural axioms (1)-(5) of the input first;
-    the homotopy axiom (6) is the caller's responsibility (see the check
-    subcommand).
+    verify=True checks all six axioms of the input first.
 
     Either way the differential must be homogeneous, as
     FreeComplex.inhomogeneous decides, and so must iota. Then the
@@ -159,7 +157,7 @@ def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
     UTowerComplex._validate checks that each k is an integer >= 0.
     """
     if verify:
-        verify_iota_complex(ic, check_involution=False).require("a_zero_minus input")
+        verify_iota_complex(ic).require("a_zero_minus input")
     cx = ic.complex
     if cx.inhomogeneous or ic.iota.inhomogeneous:
         raise InvariantError("entry does not restrict to the tower subcomplex")
@@ -432,14 +430,15 @@ def lemma_criteria_oracle(t: UTowerComplex) -> Tuple[int, int]:
     if d_under is None:
         raise InvariantError("no d_under witness in the grading range")
 
+    # d_under's witness means a free summand at a generator grading g, where (b) hits with z = 0
     for c in range(max_gr + 1, min_gr - 1, -1):
         if _d_bar_hits(t, c, n_power):
-            return (c, d_under)
+            break
         # the test at n_power + 1 would read the same slice, so it misses too
         if t.canonical(c - 2 * n_power) != t.canonical(c - 2 * n_power - 2):
             raise InvariantError(
                 f"m bound {n_power} too small: raising it changes d_bar")
-    raise InvariantError("no d_bar witness in the grading range")
+    return (c, d_under)
 
 
 @dataclass(frozen=True)

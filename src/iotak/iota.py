@@ -119,14 +119,13 @@ class IotaReport(CheckReport):
     involution_homotopy: Optional[Morphism] = None
 
 
-def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaReport:
+def verify_iota_complex(ic: IotaComplex) -> IotaReport:
     """Check all six axioms; failures are reported with witnesses.
 
     (1)-(3) and (5) are always decided. (4) is decided when (1) and (3) pass:
     the slice homology needs a homogeneous d with d^2 = 0, and not the
-    filtration. (6) is decided when (1)-(5) all pass, and
-    check_involution=False skips it and passes it; otherwise an undecided (4)
-    or (6) reads as failed. Then d and iota are homogeneous, so iota o iota,
+    filtration. (6) is decided when (1)-(5) all pass; an undecided (4) or (6)
+    reads as failed. Then d and iota are homogeneous, so iota o iota,
     Phi o Psi and id are equivariant of bidegree (0, 0) and each entry i -> k
     of their sum is its forced monomial once per path i -> j -> k through
     (iota, iota) or (Phi, Psi), plus once on the diagonal: (6) solves
@@ -153,10 +152,9 @@ def verify_iota_complex(ic: IotaComplex, check_involution: bool = True) -> IotaR
         iota_ok = False
         offenders.append("iota is not a chain map")
 
-    # unchecked, axiom (6) counts as passed; checked, it needs the others
-    involution_ok = not check_involution
+    involution_ok = False
     witness = None
-    if check_involution and base.passed and homology_r_ok and iota_ok:
+    if base.passed and homology_r_ok and iota_ok:
         paths = _odd_support((ic.iota.entries, ic.iota.entries), (_kept(cx, _PHI), _kept(cx, _PSI)))
         rhs = paths ^ {(i, i) for i in range(len(cx))}
         witness = _solve_support(cx, cx, EQUIVARIANT, (1, 1), rhs)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from iotak.complexes import (
+    EQUIVARIANT,
     SKEW,
     BasisElement,
     FreeComplex,
@@ -11,6 +12,7 @@ from iotak.complexes import (
     _HomEquations,
     compose,
     differential_morphism,
+    identity_morphism,
 )
 from iotak.iota import IotaComplex, product
 from iotak.models import Staircase, mirror, staircase_complex, torus_knot
@@ -86,6 +88,34 @@ def perturbed(ic, bits):
     k = _HomEquations(c, c, SKEW, (1, 1)).morphism(bits)
     d = differential_morphism(c)
     return IotaComplex(c, ic.iota + compose(d, k) + compose(k, d))
+
+
+def conjugated(ic, bits):
+    """ic in another basis: d' = A d A^-1 and iota' = A iota A^-1, for
+    A = 1 + N and N the filtered equivariant (0, 0) map whose
+    _HomEquations unknowns are the bits set in bits, less those whose
+    monomial is 1. Each factor of N raises the exponent sum, so N is
+    nilpotent and A^-1 = sum of N^k. A is a filtered graded isomorphism,
+    so the result is an iota-complex isomorphic to ic; but d' may have
+    entries U^a V^b with a and b both odd, and Phi Psi != Psi Phi."""
+    c = ic.complex
+    hom = _HomEquations(c, c, EQUIVARIANT, (0, 0))
+    n = hom.morphism(sum(1 << v for v, (_, _, m) in enumerate(hom.unknowns)
+                         if m != (0, 0) and bits >> v & 1))
+    a = identity_morphism(c) + n
+    inverse, power = identity_morphism(c), n
+    while not power.is_zero():
+        inverse, power = inverse + power, compose(power, n)
+    d = compose(a, compose(differential_morphism(c), inverse))
+    cx = FreeComplex(c.basis, d.entries)
+    return IotaComplex(cx, Morphism(cx, cx, compose(a, compose(ic.iota, inverse)).entries,
+                                    SKEW, (0, 0)))
+
+
+def conjugated_draw(ic, rnd):
+    """conjugated(ic, bits), each unknown of N drawn with probability 1/2."""
+    c = ic.complex
+    return conjugated(ic, rnd.getrandbits(len(_HomEquations(c, c, EQUIVARIANT, (0, 0)).unknowns)))
 
 
 def perturbed_t34_mirror_t23():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     IntSubclass,
+    conjugated_draw,
     iota_complex_to_dict,
     parts_strategy,
     perturbed_t34_mirror_t23,
@@ -22,9 +23,10 @@ from conftest import (
 )
 from iotak import cli, serialize
 from iotak.complexes import (EQUIVARIANT, SKEW, BasisElement, FreeComplex, Morphism, compose,
-                             homotopy_solve)
+                             homotopy_solve, tensor, tensor_morphism)
 from iotak.invariants import InvariantError, a_zero_minus, reduce_tower
-from iotak.iota import IotaComplex, product, verify_iota_complex, verify_local_equivalence
+from iotak.iota import (IotaComplex, product, search_local_equivalence, verify_iota_complex,
+                        verify_local_equivalence)
 from iotak.models import staircase_complex, torus_knot
 
 
@@ -98,6 +100,31 @@ def _assert_round_trip(path, name, ic):
 def test_save_load_round_trips_sums(parts, variant):
     with tempfile.TemporaryDirectory() as d:
         _assert_round_trip(os.path.join(d, "s.json"), "K", staircase_sum(parts, variant))
+
+
+@settings(max_examples=25, deadline=None)
+@given(parts_strategy, st.sampled_from([1, 2]), st.randoms(use_true_random=False))
+def test_conjugated_basis_keeps_the_axioms_and_the_invariants(tmp_path_factory, parts, variant,
+                                                             rnd):
+    """A sum in a conjugated basis (conftest.conjugated) passes all six
+    axioms, is locally equivalent to the sum, round-trips byte-identically,
+    and invariants prints for its file the JSON, triple included, of the
+    unconjugated file."""
+    ic = staircase_sum(parts, variant)
+    conj = conjugated_draw(ic, rnd)
+    assert verify_iota_complex(conj).passed
+    assert search_local_equivalence(ic, conj, cap=10**9) is not None
+    tmp = tmp_path_factory.mktemp("conjugated")
+    plain, conj_path = str(tmp / "plain.json"), str(tmp / "conj.json")
+    serialize.save(plain, "K", ic)
+    _assert_round_trip(conj_path, "K", conj)
+    outputs = []
+    for path in (plain, conj_path):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["invariants", path]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
 
 
 def test_escaped_generator_names_round_trip(tmp_path):
@@ -727,16 +754,26 @@ def test_local_equiv_above_default_cap(tmp_path, capsys):
 
 
 def test_file_failing_only_axiom_six_exits_1(tmp_path, capsys):
-    """T(2,3) with no iota entries passes axioms (1)-(5), which is all
-    that invariants and obstruct check up front; the cone then fails,
-    and the full check names axiom (6) instead of exiting 2."""
-    t23, bad = tmp_path / "t23.json", tmp_path / "bad.json"
+    """Two files that pass axioms (1)-(5) and fail (6): T(2,3) with no iota
+    entries, and T(2,3) # T(2,3) with the naive involution iota|iota,
+    without the Phi iota|Psi iota term of the connected-sum formula. check,
+    invariants and obstruct each exit 1 on them and name axiom (6); none
+    answers for them."""
+    t23, no_iota, naive = tmp_path / "t23.json", tmp_path / "no_iota.json", tmp_path / "naive.json"
     run(capsys, "torus", "2", "3", "-o", str(t23))
-    bad.write_text(json.dumps(dict(json.loads(t23.read_text()), iota=[])))
-    for command in ("invariants", "obstruct"):
-        code, out, err = run(capsys, command, str(bad))
-        assert (code, out) == (1, "")
-        assert err.startswith(f"{bad}: fails axiom (6) ")
+    no_iota.write_text(json.dumps(dict(json.loads(t23.read_text()), iota=[])))
+    k = torus_knot(2, 3)
+    c = tensor(k.complex, k.complex)
+    serialize.save(str(naive), "naive", IotaComplex(c, tensor_morphism(k.iota, k.iota, c, c)))
+    for bad in (no_iota, naive):
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, err) == (1, "")
+        assert "axiom (5) iota skew-graded, skew-filtered chain map: pass\n" in out
+        assert "axiom (6) iota^2 ~ id + Phi Psi (filtered homotopy): FAIL\n" in out
+        for command in ("invariants", "obstruct"):
+            code, out, err = run(capsys, command, str(bad))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"{bad}: fails axiom (6) ")
 
 
 def _failing_oracle(tower):
@@ -745,8 +782,8 @@ def _failing_oracle(tower):
 
 def test_oracle_failure_exits_3(tmp_path, capsys, monkeypatch):
     """An oracle that raises on a valid complex is an oracle failure,
-    exit 3, not a parse or usage error; a file failing axiom (6) still
-    exits 1 and names the axiom."""
+    exit 3, not a parse or usage error; a file failing axiom (6) exits 1
+    and names the axiom before the oracle runs."""
     t23, bad = tmp_path / "t23.json", tmp_path / "bad.json"
     run(capsys, "torus", "2", "3", "-o", str(t23))
     bad.write_text(json.dumps(dict(json.loads(t23.read_text()), iota=[])))

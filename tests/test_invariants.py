@@ -84,12 +84,16 @@ def test_a_zero_minus_validates_input(hand_trefoil):
 
 
 def test_a_zero_minus_rejection_messages_pinned():
-    """a_zero_minus(..., verify=True) checks axioms (1)-(5) only, so
-    T(2,3) without iota passes; a failure names its first failing axiom
-    and every offender line."""
-    assert a_zero_minus(t23_with(iota={})).endo == {}
+    """a_zero_minus(..., verify=True) checks all six axioms, so T(2,3)
+    without iota fails (6); a failure names its first failing axiom and
+    every offender line. Unverified, that tower is built, and the cone
+    misses a free summand."""
+    with pytest.raises(InvariantError, match="^cone homology is missing a free summand"):
+        involutive_invariants(a_zero_minus(t23_with(iota={}), verify=False))
     ones = {i: {i: ONE} for i in range(3)}
     for ic, message in [
+        (t23_with(iota={}), "a_zero_minus input fails axiom (6): "
+         "no filtered equivariant homotopy from iota^2 to id + Phi Psi"),
         (t23_with(diff=T23_D_SQUARED_NONZERO), "a_zero_minus input fails axiom (1): "
          "d^2 nonzero: x1 -> x1; d^2 nonzero: x0 -> x0; d^2 nonzero: x0 -> x2; "
          "iota is not a chain map"),
