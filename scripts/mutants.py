@@ -122,15 +122,19 @@ MUTANTS = [
     ("Psi's support read off the U exponent", "iotak/iota.py",
      "(a, b - 1) if b % 2 else None", "(a, b - 1) if a % 2 else None", AXIOM6),
     ("axiom (6) counts Psi o Phi in place of Phi o Psi", "iotak/iota.py",
-     "(_kept(cx, _PHI), _kept(cx, _PSI))", "(_kept(cx, _PSI), _kept(cx, _PHI))", AXIOM6),
+     "(build_phi(cx).entries, build_psi(cx).entries)",
+     "(build_psi(cx).entries, build_phi(cx).entries)", AXIOM6),
     ("axiom (6) reads pass without being decided", "iotak/iota.py",
      "    involution_ok = False\n    witness = None\n    if base.passed",
      "    involution_ok = True\n    witness = None\n    if False and base.passed",
      ("tests/test_cli.py", "-k", "failing_only_axiom_six")),
     ("the trace composites take the variant-2 involution", "iotak/iota.py",
-     "dic.complex, dic.iota, 1):", "dic.complex, dic.iota, 2):", TRACE),
-    ("iota o cotrace lands on b|a^ in place of a|b^", "iotak/iota.py",
+     "dic.complex, dic.iota, 1)]", "dic.complex, dic.iota, 2)]", TRACE),
+    ("the diagonal sum lands on b|a^ in place of a|b^", "iotak/iota.py",
      "k = a * n + b", "k = b * n + a", TRACE),
+    ("the trace composite reads the factors untransposed", "iotak/iota.py",
+     "_diagonal_sum(((_transpose(f), _transpose(g)) for f, g in terms), n)",
+     "_diagonal_sum(terms, n)", TRACE),
     ("the zero witness whatever the right-hand side", "iotak/complexes.py",
      "if not rhs and not (src.inhomogeneous", "if not (src.inhomogeneous", AXIOM6),
     ("_odd_support keeps every reached target", "iotak/complexes.py",

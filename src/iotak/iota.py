@@ -10,7 +10,7 @@ inverse witnesses, and decides local equivalence by one F2 solve per direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import gf2
 from .complexes import (
@@ -65,9 +65,13 @@ _PHI: Rule = lambda a, b: (a - 1, b) if a % 2 else None
 _PSI: Rule = lambda a, b: (a, b - 1) if b % 2 else None
 
 
-def _kept(c: FreeComplex, rule: Rule) -> Entries:
-    """Each entry U^a V^b of d with rule(a, b) not None, as U^rule(a, b), one rule call and
-    one monomial per distinct entry object (d holds them; loaded or built, it shares them)."""
+def _from_exponents(c: FreeComplex, bidegree: Tuple[int, int], rule: Rule) -> Morphism:
+    """The equivariant endomorphism of c keeping each entry U^a V^b of d as U^rule(a, b)
+    where that is not None, one rule call and one monomial per distinct entry object (d holds
+    them; loaded or built, it shares them); ValueError unless every entry is its grading-forced
+    monomial."""
+    if c.inhomogeneous:
+        raise ValueError("the differential is not homogeneous")
     memo: Dict[int, Optional[LaurentPoly]] = {}  # memo itself marks a miss
     entries: Entries = {}
     for i, row in c.diff.items():
@@ -76,15 +80,7 @@ def _kept(c: FreeComplex, rule: Rule) -> Entries:
                 m = memo[id(p)] = None if (e := rule(*p.terms[0])) is None else monomial(*e)
             if m is not None:
                 entries.setdefault(i, {})[j] = m
-    return entries
-
-
-def _from_exponents(c: FreeComplex, bidegree: Tuple[int, int], rule: Rule) -> Morphism:
-    """The equivariant endomorphism of c keeping each entry U^a V^b of d as U^rule(a, b)
-    where that is not None; ValueError unless every entry is its grading-forced monomial."""
-    if c.inhomogeneous:
-        raise ValueError("the differential is not homogeneous")
-    return Morphism(c, c, _kept(c, rule), EQUIVARIANT, bidegree)
+    return Morphism(c, c, entries, EQUIVARIANT, bidegree)
 
 
 def build_phi(c: FreeComplex) -> Morphism:
@@ -155,7 +151,8 @@ def verify_iota_complex(ic: IotaComplex) -> IotaReport:
     involution_ok = False
     witness = None
     if base.passed and homology_r_ok and iota_ok:
-        paths = _odd_support((ic.iota.entries, ic.iota.entries), (_kept(cx, _PHI), _kept(cx, _PSI)))
+        phi_psi = (build_phi(cx).entries, build_psi(cx).entries)
+        paths = _odd_support((ic.iota.entries, ic.iota.entries), phi_psi)
         rhs = paths ^ {(i, i) for i in range(len(cx))}
         witness = _solve_support(cx, cx, EQUIVARIANT, (1, 1), rhs)
         involution_ok = witness is not None
@@ -220,6 +217,21 @@ class InverseWitnessReport(CheckReport):
     trace: Morphism
 
 
+def _diagonal_sum(pairs: Iterable[Tuple[Entries, Entries]], n: int) -> Dict[int, LaurentPoly]:
+    """The sum over the pairs (f, g) and over x of f[x][a] g[x][b], at a * n + b,
+    without the sums that cancelled."""
+    out: Dict[int, LaurentPoly] = {}
+    for f, g in pairs:
+        for x, row_f in f.items():
+            row_g = g.get(x)
+            if row_g:
+                for a, p in row_f.items():
+                    for b, q in row_g.items():
+                        k = a * n + b
+                        out[k] = out.get(k, ZERO) + p * q
+    return {k: p for k, p in out.items() if p}
+
+
 def _iota_through_trace(ic: IotaComplex, dic: IotaComplex, prod: FreeComplex,
                         unit: FreeComplex) -> Tuple[Morphism, Morphism]:
     """iota o cotrace and trace o iota, for iota the variant-1 involution
@@ -227,33 +239,18 @@ def _iota_through_trace(ic: IotaComplex, dic: IotaComplex, prod: FreeComplex,
 
     With iota the sum of f|g over the factor pairs, iota o cotrace sends
     1 to the sum over x of f(x) tensor g(x^), and trace o iota sends
-    a tensor b^ to the sum over c of f[a][c] g[b][c]. The second is
-    grouped by c, so its work is the number of products that land on
-    the diagonal.
+    a tensor b^ to the sum over c of f[a][c] g[b][c]: both are the
+    diagonal sum, the second over the transposed factors, so the work of
+    each is the number of products out of, or into, the diagonal x|x^.
     """
+    terms = [(f.entries, g.entries)
+             for f, g in _product_terms(ic.complex, ic.iota, dic.complex, dic.iota, 1)]
     n = len(ic.complex)
-    image: Dict[int, LaurentPoly] = {}
-    to_unit: Entries = {}
-    for f, g in _product_terms(ic.complex, ic.iota, dic.complex, dic.iota, 1):
-        for x, row_f in f.entries.items():
-            row_g = g.entries.get(x)
-            if row_g:
-                for a, p in row_f.items():
-                    for b, q in row_g.items():
-                        k = a * n + b
-                        image[k] = image.get(k, ZERO) + p * q
-        into_g = _transpose(g.entries)
-        for c, ins_f in _transpose(f.entries).items():
-            for b, q in into_g.get(c, {}).items():
-                for a, p in ins_f.items():
-                    row = to_unit.setdefault(a * n + b, {})
-                    row[0] = row.get(0, ZERO) + p * q
-    # the composites of the skew (0, 0) involution with the two
-    # equivariant (0, 0) maps, without the entries that cancelled
-    image = {k: p for k, p in image.items() if p}
-    to_unit = {i: row for i, row in to_unit.items() if row[0]}
+    # the composites of the skew (0, 0) involution with the two equivariant (0, 0) maps
+    image = _diagonal_sum(terms, n)
+    to_unit = _diagonal_sum(((_transpose(f), _transpose(g)) for f, g in terms), n)
     return (Morphism(unit, prod, {0: image} if image else {}, SKEW, (0, 0)),
-            Morphism(prod, unit, to_unit, SKEW, (0, 0)))
+            Morphism(prod, unit, {k: {0: p} for k, p in to_unit.items()}, SKEW, (0, 0)))
 
 
 def inverse_witnesses(ic: IotaComplex) -> InverseWitnessReport:

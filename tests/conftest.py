@@ -112,6 +112,11 @@ def conjugated(ic, bits):
                                     SKEW, (0, 0)))
 
 
+# T(2,3) # S^-1, for S the staircase of one step 2, conjugated with seed 0: Phi Psi != Psi Phi,
+# the trace composites of the two variants differ and iota o cotrace is not symmetric in (a, b)
+CONJUGATED_PARTS = [(palindromic_staircase([1]), False), (palindromic_staircase([2]), True)]
+
+
 def conjugated_draw(ic, rnd):
     """conjugated(ic, bits), each unknown of N drawn with probability 1/2."""
     c = ic.complex

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import sys
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CONJUGATED_PARTS,
     IntSubclass,
     conjugated_draw,
     iota_complex_to_dict,
@@ -774,6 +776,31 @@ def test_file_failing_only_axiom_six_exits_1(tmp_path, capsys):
             code, out, err = run(capsys, command, str(bad))
             assert (code, out) == (1, "")
             assert err.startswith(f"{bad}: fails axiom (6) ")
+
+
+def test_conjugated_iota_with_a_dropped_entry_exits_1(tmp_path, capsys):
+    """The conjugated T(2,3) # S^-1 of CONJUGATED_PARTS (seed 0), its iota
+    with one entry dropped, each in turn: check exits 1 and its first FAIL
+    line is verify_iota_complex's first failure, axiom (5) on every drop;
+    invariants exits 1 and names the same axiom on stderr."""
+    ic = conjugated_draw(staircase_sum(CONJUGATED_PARTS), random.Random(0))
+    c, entries = ic.complex, ic.iota.entries
+    path, failures = tmp_path / "dropped.json", []
+    for i, row in entries.items():
+        for j in row:
+            kept = {a: {b: p for b, p in r.items() if (a, b) != (i, j)} for a, r in entries.items()}
+            bad = IotaComplex(c, Morphism(c, c, {a: r for a, r in kept.items() if r}, SKEW, (0, 0)))
+            k = verify_iota_complex(bad).first_failure
+            failures.append(k)
+            serialize.save(str(path), "K", bad)
+            code, out, err = run(capsys, "check", str(path))
+            assert (code, err) == (1, "")
+            assert next(line for line in out.splitlines() if line.endswith(": FAIL")) == \
+                f"{AXIOM_LINES[k - 1]}: FAIL"
+            code, out, err = run(capsys, "invariants", str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"{path}: fails axiom ({k}) ")
+    assert failures == [5] * 11
 
 
 def _failing_oracle(tower):

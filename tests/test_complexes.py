@@ -952,3 +952,11 @@ def test_morphism_rejects_a_bidegree_that_is_not_an_int(bad):
     for bidegree in ((bad, 0), (0, bad)):
         with pytest.raises(ValueError, match=re.escape(f"bidegree must be ints, got {bad!r}")):
             Morphism(c, c, {}, EQUIVARIANT, bidegree)
+
+
+def test_reprs_name_the_size():
+    """A complex shows its generator count; a morphism its variance,
+    bidegree and entry count."""
+    t23 = torus_knot(2, 3)
+    assert repr(t23.complex) == "FreeComplex(3 generators)"
+    assert repr(t23.iota) == "Morphism(skew, bidegree=(0, 0), 3 entries)"
