@@ -44,11 +44,15 @@ MUTANTS = [
      "        for b in [b for b in endo_into[y] if not dead[b]]:\n"
      "            add(endo, endo_into, b, dx)\n", "", REDUCTION),
     ("reduce_tower cancels entries one grading up", "iotak/invariants.py",
-     "gr[y] == gr[x] - 1", "gr[y] == gr[x] + 1", REDUCTION),
+     "g, best = gr[x] - 1, None", "g, best = gr[x] + 1, None", REDUCTION),
     ("reduce_tower's unit search accepts a dead target", "iotak/invariants.py",
-     "if not dead[y] and gr[y] == gr[x] - 1", "if gr[y] == gr[x] - 1", REDUCTION),
+     "if gr[z] == g and not dead[z]:", "if gr[z] == g:", REDUCTION),
+    ("the pivot takes the target with the most live rows into it", "iotak/invariants.py",
+     "key = (len(d_into[z]), z)", "key = (-len(d_into[z]), z)", REDUCTION),
     ("reduce_tower's renumbering keeps dead targets", "iotak/invariants.py",
      "{new[j] for j in m[i] if not dead[j]}", "{new[j] for j in m[i]}", REDUCTION),
+    ("Morphism.__add__ updates the left operand's row in place", "iotak/complexes.py",
+     "            dst = dict(dst)\n", "", ("tests/test_complexes.py", "-k", "shares_the_rows")),
     ("ZERO + p returns ZERO", "iotak/ring.py",
      "        if not a:\n            return other\n",
      "        if not a:\n            return self\n", RING),

@@ -152,9 +152,14 @@ class Morphism:
             raise ValueError("cannot add morphisms of different variance or bidegree")
         if self.source != other.source or self.target != other.target:
             raise ValueError("cannot add morphisms with different endpoints")
-        out: Entries = {i: dict(row) for i, row in self.entries.items()}
+        # no row is mutated after construction, so a row only one operand holds is shared
+        out: Entries = dict(self.entries)
         for i, row in other.entries.items():
-            dst = out.setdefault(i, {})
+            dst = out.get(i)
+            if dst is None:
+                out[i] = row
+                continue
+            dst = dict(dst)
             for j, p in row.items():
                 if j not in dst:
                     dst[j] = p
@@ -162,7 +167,9 @@ class Morphism:
                     dst[j] = s
                 else:
                     del dst[j]
-            if not dst:
+            if dst:
+                out[i] = dst
+            else:
                 del out[i]
         return Morphism(self.source, self.target, out, self.variance, self.bidegree)
 

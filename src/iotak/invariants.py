@@ -187,18 +187,24 @@ def reduce_tower(t: UTowerComplex) -> UTowerComplex:
     renumbering. The gradings force every power, so a symmetric difference
     of supports is the exact F2[W] sum. sigma gives a row a new W^0 entry
     only if it had one, so one pass, in any order, leaves d with no W^0
-    entry: the result is minimal. A dead generator stays in rows but
-    reaches no decision: the unit search and the updates skip it, d(x) and
-    endo(x) are cut to live generators before they are added, and only the
-    dying d-rows leave the into-index, so len(d_into[y]), which the pivot
-    rule reads, counts exactly the live rows of d holding y.
+    entry: the result is minimal. One set-up pass over the stored rows
+    copies each row of d and endo into its generator's empty set and
+    indexes its targets (target -> the rows holding it). A dead generator
+    stays in rows but reaches no decision: the unit search skips it, d(x)
+    and endo(x) are cut to live generators before they are added, and the
+    dying d-rows leave the d into-index. So d_into[y] holds only live
+    rows, plus x while x -> y cancels: len(d_into[y]), which the pivot
+    rule reads, counts exactly the live rows of d holding y, and the rows
+    that sigma updates are d_into[y] less x, with no dead test. The endo
+    into-index keeps dead rows, so pi's rows are filtered.
     """
     gr = t.gradings
     n = len(gr)
-    mats = [[set(m.get(i, ())) for i in range(n)] for m in (t.diff, t.endo or {})]
-    into = [[set() for _ in range(n)] for _ in mats]  # target -> the rows holding it
-    for m, inv in zip(mats, into):
-        for i, row in enumerate(m):
+    d, endo = mats = [[set() for _ in range(n)] for _ in range(2)]
+    d_into, endo_into = into = [[set() for _ in range(n)] for _ in range(2)]
+    for rows, m, inv in zip((t.diff, t.endo or {}), mats, into):
+        for i, row in rows.items():
+            m[i].update(row)
             for j in row:
                 inv[j].add(i)
     dead = bytearray(n)
@@ -213,15 +219,23 @@ def reduce_tower(t: UTowerComplex) -> UTowerComplex:
                 row.add(z)
                 inv[z].add(b)
 
-    (d, endo), (d_into, endo_into) = mats, into
     for x in sorted(range(n), key=gr.__getitem__):
-        units = [] if dead[x] else [y for y in d[x] if not dead[y] and gr[y] == gr[x] - 1]
-        if not units:
+        if dead[x]:
             continue
-        y = min(units, key=lambda y: (len(d_into[y]), y))
+        # the pivot: the live W^0 target with the fewest rows into it, then the least
+        g, best = gr[x] - 1, None
+        for z in d[x]:
+            if gr[z] == g and not dead[z]:
+                key = (len(d_into[z]), z)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue
+        y = best[1]
         dead[x] = 1
-        dx, ex = ([z for z in m[x] if not dead[z]] for m in mats)
-        for b in [b for b in d_into[y] if not dead[b]]:
+        dx = [z for z in d[x] if not dead[z]]
+        ex = [z for z in endo[x] if not dead[z]]
+        for b in d_into[y] - {x}:
             add(d, d_into, b, dx)
             add(endo, endo_into, b, ex)
         for b in [b for b in endo_into[y] if not dead[b]]:

@@ -960,3 +960,21 @@ def test_reprs_name_the_size():
     t23 = torus_knot(2, 3)
     assert repr(t23.complex) == "FreeComplex(3 generators)"
     assert repr(t23.iota) == "Morphism(skew, bidegree=(0, 0), 3 entries)"
+
+
+def test_morphism_sum_shares_the_rows_it_leaves_alone():
+    """a + b leaves both operands as they were, drops the row that
+    cancels to zero, and keeps every row that b does not touch as a's
+    row object."""
+    c = torus_knot(3, 4).complex
+    u = monomial(1, 0)
+    a = Morphism(c, c, {0: {0: ONE}, 1: {1: ONE, 0: u}, 3: {3: ONE}, 4: {4: ONE}}, EQUIVARIANT, (0, 0))
+    b = Morphism(c, c, {0: {0: ONE}, 1: {0: u}, 2: {2: ONE}}, EQUIVARIANT, (0, 0))
+    rows = [(m, dict(m.entries), {i: dict(r) for i, r in m.entries.items()}) for m in (a, b)]
+    s = a + b
+    assert s.entries == {1: {1: ONE}, 3: {3: ONE}, 4: {4: ONE}, 2: {2: ONE}}
+    assert list(s.entries) == [1, 3, 4, 2]
+    for m, objects, copies in rows:
+        assert m.entries == copies
+        assert all(m.entries[i] is r for i, r in objects.items())
+    assert all(s.entries[i] is a.entries[i] for i in a.entries if i not in b.entries)
