@@ -35,6 +35,7 @@ VERIFIER = ("tests/test_iota.py", "-k", "local or search or witness or verifier 
 DUAL = ("tests/test_iota.py", "tests/test_models.py")
 AXIOM6 = ("tests/test_iota.py", "tests/test_cli.py", "-k", "axiom_six")
 TRACE = ("tests/test_iota.py", "-k", "iota_through_trace")
+GF2 = ("tests/test_gf2.py",)
 
 # (name, file under src/, old text, new text, pytest arguments)
 MUTANTS = [
@@ -53,6 +54,19 @@ MUTANTS = [
      "{new[j] for j in m[i] if not dead[j]}", "{new[j] for j in m[i]}", REDUCTION),
     ("Morphism.__add__ updates the left operand's row in place", "iotak/complexes.py",
      "            dst = dict(dst)\n", "", ("tests/test_complexes.py", "-k", "shares_the_rows")),
+    ("gf2.solve never reports 0 = 1", "iotak/gf2.py",
+     "        if basis.add(row | (aug if b else 0)) == aug:\n            return None\n",
+     "        basis.add(row | (aug if b else 0))\n", GF2),
+    ("gf2.solve back-substitutes from 0 instead of the right-hand-side bit", "iotak/gf2.py",
+     "    sol = aug\n", "    sol = 0\n", GF2),
+    ("gf2.nullspace skips reducing each pivot row by the pivots above it", "iotak/gf2.py",
+     "        while above:\n            low = above & -above\n"
+     "            row ^= pivots[low.bit_length() - 1]\n            above ^= low\n", "", GF2),
+    ("RowBasis.add stores the unreduced row", "iotak/gf2.py",
+     "        vec = self.reduce(vec)\n        if vec:\n"
+     "            self.pivots[(vec & -vec).bit_length() - 1] = vec\n        return vec\n",
+     "        red = self.reduce(vec)\n        if red:\n"
+     "            self.pivots[(red & -red).bit_length() - 1] = vec\n        return red\n", GF2),
     ("ZERO + p returns ZERO", "iotak/ring.py",
      "        if not a:\n            return other\n",
      "        if not a:\n            return self\n", RING),

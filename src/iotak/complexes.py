@@ -448,6 +448,14 @@ def _per_slice(build):
     return method
 
 
+@dataclass(frozen=True)
+class HomologyDecomp:
+    """Free summand gradings and torsion towers (grading, order)."""
+
+    free: Tuple[int, ...]
+    torsion: Tuple[Tuple[int, int], ...]
+
+
 class Slices:
     """The F2 linear algebra of the grading-r slices of a free complex
     over F2[W], W of degree -2: generator i at gradings[i], and d, of
@@ -568,7 +576,7 @@ class Slices:
         return [gf2.solve(rows, [k == a for k in range(len(rows))], len(self.members(r)))
                 for a in range(first, len(rows))]
 
-    def snf(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+    def snf(self) -> HomologyDecomp:
         """Graded Smith normal form by F2 column reduction with clearing, for
         d^2 = 0: the free summands' gradings and the towers F2[W]/W^k as (grading, k).
 
@@ -610,7 +618,8 @@ class Slices:
                 k = (g[y] - g[x] + 1) // 2
                 if k:
                     torsion.append((g[y], k))
-        return tuple(sorted(g[i] for i in range(len(g)) if not paired[i])), tuple(sorted(torsion))
+        return HomologyDecomp(tuple(sorted(g[i] for i in range(len(g)) if not paired[i])),
+                              tuple(sorted(torsion)))
 
 
 # support rows see only the parity of a target, not its monomial
@@ -636,7 +645,7 @@ class SliceHomologyReport(Slices):
         if c.inhomogeneous:
             raise ValueError(_NOT_HOMOGENEOUS)
         super().__init__([2 - x.gr_u % 2 for x in c.basis], c.diff)
-        free, _ = self.snf()
+        free = self.snf().free
         self.dims = (free.count(2), free.count(1))
         self.holds = self.dims == (1, 0)
 
@@ -765,7 +774,8 @@ def _solve_support(src: FreeComplex, tgt: FreeComplex, variance: str,
     if not rhs and not (src.inhomogeneous or tgt.inhomogeneous):
         return Morphism(src, tgt, {}, variance, bidegree)
     space = _HomEquations(src, tgt, variance, bidegree)
-    keys = sorted(set(space.equations) | rhs)
+    # unsorted: gf2.solve orders its rows, and its least solution does not depend on their order
+    keys = space.equations.keys() | rhs
     sol = gf2.solve([space.equations.get(k, 0) for k in keys], [k in rhs for k in keys],
                     len(space.unknowns))
     if sol is None:

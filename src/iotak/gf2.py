@@ -34,13 +34,12 @@ class RowBasis:
             vec ^= piv
         return 0
 
-    def add(self, vec: int) -> bool:
-        """Insert vec; True if it enlarged the span."""
+    def add(self, vec: int) -> int:
+        """Insert vec; return it reduced, nonzero exactly when it enlarged the span."""
         vec = self.reduce(vec)
-        if vec == 0:
-            return False
-        self.pivots[(vec & -vec).bit_length() - 1] = vec
-        return True
+        if vec:
+            self.pivots[(vec & -vec).bit_length() - 1] = vec
+        return vec
 
     def contains(self, vec: int) -> bool:
         return self.reduce(vec) == 0
@@ -66,11 +65,8 @@ def solve(rows: List[int], rhs: List[int], nvars: int) -> Optional[int]:
     aug = 1 << nvars
     basis = RowBasis()
     for row, b in sorted(zip(rows, rhs), key=lambda rb: rb[0].bit_count()):
-        vec = basis.reduce(row | (aug if b else 0))
-        if vec == aug:
+        if basis.add(row | (aug if b else 0)) == aug:
             return None
-        if vec:
-            basis.pivots[(vec & -vec).bit_length() - 1] = vec
     sol = aug
     for col, row in sorted(basis.pivots.items(), reverse=True):
         if (row & sol).bit_count() & 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import gf2
-from .complexes import Slices, _odd_support, _per_slice
+from .complexes import HomologyDecomp, Slices, _odd_support, _per_slice
 from .iota import IotaComplex, verify_iota_complex
 
 # sparse F2[W] matrix: {source index: set of target indices}. Homogeneity
@@ -166,17 +166,9 @@ def a_zero_minus(ic: IotaComplex, verify: bool = True) -> UTowerComplex:
     return UTowerComplex(basis, cx.diff, ic.iota.entries)
 
 
-@dataclass(frozen=True)
-class HomologyDecomp:
-    """Free summand gradings and torsion towers (grading, order)."""
-
-    free: Tuple[int, ...]
-    torsion: Tuple[Tuple[int, int], ...]
-
-
 def homology_snf(t: UTowerComplex) -> HomologyDecomp:
-    """Graded Smith normal form of the tower, by complexes.Slices.snf."""
-    return HomologyDecomp(*t.snf())
+    """The tower's Slices.snf, kept a function so that perfbench's tracer wraps it by name."""
+    return t.snf()
 
 
 def reduce_tower(t: UTowerComplex) -> UTowerComplex:

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -79,6 +80,21 @@ def test_torus_file_bytes_are_pinned(tmp_path, capsys):
     path = tmp_path / "t23.json"
     assert run(capsys, "torus", "2", "3", "-o", str(path)) == (0, "", "")
     assert path.read_bytes() == T23_FILE
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path, capsys):
+    """`python -m iotak.cli`, iotak imported from this checkout's src,
+    exits with main's code: torus writes the bytes the in-process run
+    writes, and no subcommand is a usage error, exit 2."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    path, ref = tmp_path / "t23.json", tmp_path / "ref.json"
+    proc = subprocess.run([sys.executable, "-m", "iotak.cli", "torus", "2", "3", "-o", str(path)],
+                          env=env, capture_output=True)
+    assert proc.returncode == 0
+    assert run(capsys, "torus", "2", "3", "-o", str(ref)) == (0, "", "")
+    assert path.read_bytes() == ref.read_bytes()
+    proc = subprocess.run([sys.executable, "-m", "iotak.cli"], env=env, capture_output=True)
+    assert proc.returncode == 2
 
 
 def _assert_round_trip(path, name, ic):

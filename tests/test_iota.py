@@ -866,6 +866,12 @@ def test_local_maps_are_read_off_the_tower(parts1, parts2, variant, bits, conj1,
     on the draws that ask for it. T(3,4) has a local map to T(2,3) and
     none back; T(3,4) # T(2,3)^-1, perturbed by its first K unknown, has
     none to T(3,4) and one back.
+
+    Whenever the search finds a map, each of V0_bar, V0 and V0_under of
+    the source is at least that of the target. A_0 takes a local map, F
+    and its homotopy H, which keep Alexander grading 0, to a local map
+    of towers, and d, d_bar and d_under are monotone under those, so
+    d(C1) <= d(C2) for each of the three, and V = -d/2.
     """
     c1, c2 = staircase_sum(parts1, variant), staircase_sum(parts2, variant)
     if bits is not None:
@@ -875,22 +881,47 @@ def test_local_maps_are_read_off_the_tower(parts1, parts2, variant, bits, conj1,
         c1 = conjugated_draw(c1, rnd)
     if conj2:
         c2 = conjugated_draw(c2, rnd)
-    for src, tgt in ((c1, c2), (c2, c1)):
+    v1, v2 = (involutive_invariants(a_zero_minus(c, verify=False)).triple() for c in (c1, c2))
+    for src, tgt, v_src, v_tgt in ((c1, c2, v1, v2), (c2, c1, v2, v1)):
         x = product(dual_iota(src), tgt, variant=variant, verify=False)
         d_under = involutive_invariants(a_zero_minus(x, verify=False)).d_under
-        assert (_search_direction(src, tgt, BIG_CAP) is not None) == (d_under >= 0)
+        found = _search_direction(src, tgt, BIG_CAP) is not None
+        assert found == (d_under >= 0)
+        if found:
+            assert all(s >= t for s, t in zip(v_src, v_tgt))
 
 
 @given(st.lists(st.tuples(staircase_strategy, st.booleans()), min_size=3, max_size=3))
 @settings(max_examples=6, deadline=None)
 def test_sum_associative_up_to_local_equivalence(parts):
-    """(K1 # K2) # K3 ~ K1 # (K2 # K3), for sums of up to 343 generators."""
+    """(K1 # K2) # K3 ~ K1 # (K2 # K3), for sums of up to 343 generators.
+    On staircase triples the two bracketings have equal d and equal
+    iota, so this searches between a complex and itself;
+    test_sum_associative_where_the_bracketings_differ does not."""
     k1, k2, k3 = (mirror(staircase_complex(s)) if flip else staircase_complex(s)
                   for s, flip in parts)
+    _assert_bracketings_locally_equivalent(k1, k2, k3)
+
+
+def test_sum_associative_where_the_bracketings_differ():
+    """A conjugated K1 (conftest.conjugated_draw, seed 2) with T(2,3) and
+    T(3,4): 135 generators, equal d, and iota entries that differ between
+    the bracketings, which are still locally equivalent."""
+    k1 = conjugated_draw(staircase_sum(CONJUGATED_PARTS), random.Random(2))
+    left, right = _assert_bracketings_locally_equivalent(k1, torus_knot(2, 3), torus_knot(3, 4))
+    assert len(left.complex) == 135
+    assert left.complex.diff == right.complex.diff
+    assert left.iota.entries != right.iota.entries
+
+
+def _assert_bracketings_locally_equivalent(k1, k2, k3):
+    """(k1 # k2) # k3 and k1 # (k2 # k3), after checking that the search
+    finds a local equivalence between them that the verifier passes."""
     left = product(product(k1, k2, verify=False), k3, verify=False)
     right = product(k1, product(k2, k3, verify=False), verify=False)
     found = search_local_equivalence(left, right, cap=BIG_CAP)
     assert found is not None and verify_local_equivalence(left, right, *found).passed
+    return left, right
 
 
 def _sha256(m):
@@ -900,8 +931,10 @@ def _sha256(m):
 def test_associativity_witness_pinned():
     """(T(3,4) # T(4,5)) # T(5,6) vs T(3,4) # (T(4,5) # T(5,6)): 315
     generators and a chain-map space of dimension 1 983, far above what
-    the exhaustive search covers. The hashes are of the witnesses the
-    chain-map-basis search returned before the (H, F) system."""
+    the exhaustive search covers. The two bracketings are equal
+    complexes, so this pins the solver's least witness between a complex
+    and itself. The hashes are of the witnesses the chain-map-basis
+    search returned before the (H, F) system."""
     k1, k2, k3 = torus_knot(3, 4), torus_knot(4, 5), torus_knot(5, 6)
     left = product(product(k1, k2, verify=False), k3, verify=False)
     right = product(k1, product(k2, k3, verify=False), verify=False)
